@@ -13,7 +13,6 @@
      rq4               §VII.D    policy enforcement overhead (33 reps, 95% CI)
      scenario          §V/§VI    the running example's exploit + policy
      parallel          ASE at -j 1/2/4 over Table I (BENCH_parallel.json)
-     incremental       shared-base vs from-scratch ASE (BENCH_incremental.json)
      cache             persistent cross-run cache: cold vs warm vs one-app-changed
                        (BENCH_cache.json)
      serve             app-store daemon: footprint-indexed selective re-analysis
@@ -824,65 +823,12 @@ let run_smoke () =
       exit 1
 
 (* A report with its performance fields zeroed, serialized: the
-   comparable "what was found" view.  Runs that differ only in solver
-   internals (incremental vs from-scratch, preprocessing on vs off)
-   must agree on this byte-for-byte. *)
+   comparable "what was found" view.  Runs that differ only in how the
+   analysis ran ([-j], cache) must agree on this byte-for-byte. *)
 let stripped_report_string report =
   Separ_report.Report.to_string
     ~report:(Ase.strip_performance report)
     ~policies:[] ()
-
-(* --- solver parity smoke (tier-1 gate) ------------------------------------ *)
-
-(* The SatELite-style preprocessing pass runs at the translate -> CNF
-   handoff of every from-scratch session.  This gate proves it is
-   observation-free on the paper workload: a Table I slice analyzed at
-   -j 1 with the pass disabled and enabled must produce byte-identical
-   stripped reports (same vulnerabilities, same scenarios, same order).
-   A divergence here means variable elimination touched something the
-   decode/minimization layer depends on — precisely the bug class the
-   frozen-variable discipline exists to prevent. *)
-let run_solver_parity_smoke () =
-  header "Solver parity smoke: preprocessing on/off identity (tier-1 gate)";
-  let cases =
-    let all = Separ_suites.Table1.all_cases () in
-    List.filteri (fun i _ -> i < 6) all
-  in
-  let bundles =
-    List.map
-      (fun (c : Separ_suites.Case.t) ->
-        ( c.Separ_suites.Case.name,
-          Bundle.of_models
-            (List.map Extract.extract c.Separ_suites.Case.apks) ))
-      cases
-  in
-  let analyze_all () =
-    List.map
-      (fun (_, bundle) ->
-        stripped_report_string (Ase.analyze ~jobs:1 ~incremental:false bundle))
-      bundles
-  in
-  let with_preprocessing b f =
-    Separ_relog.Solve.set_preprocessing b;
-    Fun.protect ~finally:(fun () -> Separ_relog.Solve.set_preprocessing true) f
-  in
-  let raw = with_preprocessing false analyze_all in
-  let pre = with_preprocessing true analyze_all in
-  let mismatches =
-    List.filteri (fun i r -> r <> List.nth pre i) raw |> List.length
-  in
-  Printf.printf
-    "preprocessed vs raw stripped reports on %d Table I bundles: %s\n%!"
-    (List.length bundles)
-    (if mismatches = 0 then "byte-identical" else "DIFFER");
-  if mismatches <> 0 then begin
-    Printf.printf
-      "solver parity smoke FAILURE: %d of %d bundles differ between \
-       preprocessing on and off\n%!"
-      mismatches (List.length bundles);
-    exit 1
-  end;
-  Printf.printf "solver parity smoke: all gates passed\n%!"
 
 (* --- telemetry smoke (tier-1 gate) ---------------------------------------- *)
 
@@ -1047,8 +993,7 @@ let run_parallel_bench ~mode () =
           Trace.timed "bench.parallel"
             ~attrs:[ Trace.attr_int "jobs" jobs ]
             (fun () ->
-              Ase.analyze_many ~jobs ~shard_bundles:true
-                (List.map snd bundles))
+              Ase.analyze_many ~jobs (List.map snd bundles))
         in
         let keys =
           List.map2
@@ -1231,197 +1176,14 @@ let run_parallel_smoke () =
       List.iter (fun f -> Printf.printf "parallel smoke FAILURE: %s\n" f) fs;
       exit 1
 
-(* --- incremental ASE (BENCH_incremental.json) ------------------------------ *)
-
-(* The Table I workload through ASE twice per pool width: once with the
-   shared-base incremental path, once from scratch.  Gates that both
-   produce byte-identical stripped reports, and that the incremental
-   path's per-signature translation deltas (vars + clauses + gates
-   added after the first signature) are strictly smaller than the
-   from-scratch cost of re-encoding the bundle for every signature.
-   Measurements -> BENCH_incremental.json. *)
-let run_incremental_bench ~mode () =
-  header
-    "Incremental ASE: shared base encoding vs from-scratch (Table I workload)";
-  let cases =
-    let all = Separ_suites.Table1.all_cases () in
-    if mode = "smoke" then List.filteri (fun i _ -> i < 6) all else all
-  in
-  let bundles =
-    List.map
-      (fun (c : Separ_suites.Case.t) ->
-        ( c.Separ_suites.Case.name,
-          Bundle.of_models
-            (List.map Extract.extract c.Separ_suites.Case.apks) ))
-      cases
-  in
-  let widths = [ 1; 2; 4 ] in
-  let run ~incremental jobs =
-    Trace.timed "bench.incremental_ase"
-      ~attrs:
-        [ Trace.attr_int "jobs" jobs; Trace.attr_bool "incremental" incremental ]
-      (fun () ->
-        List.map (fun (_, bundle) -> Ase.analyze ~jobs ~incremental bundle)
-          bundles)
-  in
-  let runs =
-    List.map
-      (fun jobs ->
-        let inc, inc_ms = run ~incremental:true jobs in
-        let scr, scr_ms = run ~incremental:false jobs in
-        (jobs, inc, inc_ms, scr, scr_ms))
-      widths
-  in
-  let identical =
-    List.for_all
-      (fun (_, inc, _, scr, _) ->
-        List.for_all2
-          (fun a b -> stripped_report_string a = stripped_report_string b)
-          inc scr)
-      runs
-  in
-  (* Sharing accounting over the -j 1 run.  The first signature on a
-     fresh solver pays the full bundle translation either way; the gain
-     the incremental path claims is on every signature after it, so the
-     gate compares the summed encoding work (vars + clauses + gates
-     added) of signatures 2..N only. *)
-  let delta_work (d : Ase.sig_delta) =
-    d.Ase.sd_vars + d.Ase.sd_clauses + d.Ase.sd_gates
-  in
-  let tail_work report =
-    match report.Ase.r_sig_deltas with
-    | [] | [ _ ] -> 0
-    | _ :: rest -> List.fold_left (fun acc d -> acc + delta_work d) 0 rest
-  in
-  let sum f reports = List.fold_left (fun acc r -> acc + f r) 0 reports in
-  let sum_delta f report =
-    List.fold_left (fun acc d -> acc + f d) 0 report.Ase.r_sig_deltas
-  in
-  let _, inc1, _, scr1, _ = List.hd runs in
-  let inc_tail = sum tail_work inc1 in
-  let scr_tail = sum tail_work scr1 in
-  let cache_hits = sum (sum_delta (fun d -> d.Ase.sd_cache_hits)) inc1 in
-  let reused_clauses =
-    sum (sum_delta (fun d -> d.Ase.sd_reused_clauses)) inc1
-  in
-  (* Per-signature view at -j 1, summed across bundles: the JSON record
-     of where the saved translation work lives. *)
-  let kinds =
-    match inc1 with
-    | r :: _ -> List.map (fun d -> d.Ase.sd_kind) r.Ase.r_sig_deltas
-    | [] -> []
-  in
-  let per_signature =
-    List.mapi
-      (fun i kind ->
-        let at reports f =
-          sum
-            (fun r ->
-              match List.nth_opt r.Ase.r_sig_deltas i with
-              | Some d -> f d
-              | None -> 0)
-            reports
-        in
-        Json.Obj
-          [
-            ("kind", Json.Str kind);
-            ("incremental_work", Json.Int (at inc1 delta_work));
-            ("scratch_work", Json.Int (at scr1 delta_work));
-            ( "translate_cache_hits",
-              Json.Int (at inc1 (fun d -> d.Ase.sd_cache_hits)) );
-            ( "reused_clauses",
-              Json.Int (at inc1 (fun d -> d.Ase.sd_reused_clauses)) );
-            ( "reused_learnts",
-              Json.Int (at inc1 (fun d -> d.Ase.sd_reused_learnts)) );
-          ])
-      kinds
-  in
-  let cores = Domain.recommended_domain_count () in
-  let json =
-    Json.Obj
-      [
-        ("mode", Json.Str mode);
-        ("provenance", Lazy.force provenance);
-        ("cpu_cores", Json.Int cores);
-        ("cases", Json.Int (List.length bundles));
-        ( "runs",
-          Json.List
-            (List.map
-               (fun (jobs, _, inc_ms, _, scr_ms) ->
-                 Json.Obj
-                   [
-                     ("jobs", Json.Int jobs);
-                     ("incremental_wall_ms", Json.Float inc_ms);
-                     ("scratch_wall_ms", Json.Float scr_ms);
-                     ( "speedup",
-                       Json.Float
-                         (if inc_ms > 0.0 then scr_ms /. inc_ms else 0.0) );
-                   ])
-               runs) );
-        ("identical_stripped_reports", Json.Bool identical);
-        ("tail_signature_work_incremental", Json.Int inc_tail);
-        ("tail_signature_work_scratch", Json.Int scr_tail);
-        ("translate_cache_hits", Json.Int cache_hits);
-        ("reused_clauses", Json.Int reused_clauses);
-        ("per_signature", Json.List per_signature);
-      ]
-  in
-  let oc = open_out "BENCH_incremental.json" in
-  output_string oc (Json.to_string json);
-  output_string oc "\n";
-  close_out oc;
-  List.iter
-    (fun (jobs, _, inc_ms, _, scr_ms) ->
-      Printf.printf
-        "-j %d: incremental %7.1f ms, from-scratch %7.1f ms (%.2fx)\n" jobs
-        inc_ms scr_ms
-        (if inc_ms > 0.0 then scr_ms /. inc_ms else 0.0))
-    runs;
-  Printf.printf
-    "signatures 2..N encoding work: %d incremental vs %d from-scratch\n"
-    inc_tail scr_tail;
-  Printf.printf
-    "translate-cache hits: %d, reused clauses: %d\n" cache_hits reused_clauses;
-  Printf.printf
-    "stripped reports identical across paths and -j: %b -> \
-     BENCH_incremental.json\n%!"
-    identical;
-  (match runs with
-  | (_, _, inc1_ms, _, scr1_ms) :: _ ->
-      record_history ~mode ~section:"incremental"
-        ~extra:[ ("scratch_wall_ms", Json.Float scr1_ms) ]
-        inc1_ms
-  | [] -> ());
-  (identical, inc_tail, scr_tail, cache_hits, reused_clauses)
-
-(* Tier-1 gate for `dune runtest`: on a Table I slice the incremental
-   and from-scratch paths must produce byte-identical stripped reports
-   at -j 1/2/4, and the incremental path must demonstrably share work
-   (strictly less signature-2..N encoding, non-zero cache hits and
-   reused clauses). *)
-let run_incremental_smoke () =
-  header "Incremental smoke: shared-base identity + sharing (tier-1 gate)";
-  let failures = ref [] in
-  let expect cond msg = if not cond then failures := msg :: !failures in
-  let identical, inc_tail, scr_tail, cache_hits, reused_clauses =
-    run_incremental_bench ~mode:"smoke" ()
-  in
-  expect identical
-    "incremental and from-scratch stripped reports differ";
-  expect
-    (inc_tail < scr_tail)
-    (Printf.sprintf
-       "incremental tail encoding work not strictly lower (%d >= %d)"
-       inc_tail scr_tail);
-  expect (cache_hits > 0) "incremental run recorded no translate-cache hits";
-  expect (reused_clauses > 0) "incremental run reused no clauses";
-  match !failures with
-  | [] -> Printf.printf "incremental smoke: all gates passed\n%!"
-  | fs ->
-      List.iter (fun f -> Printf.printf "incremental smoke FAILURE: %s\n" f) fs;
-      exit 1
-
 (* --- persistent cache (BENCH_cache.json) ----------------------------------- *)
+
+(* A not-yet-existing temporary path for a cache directory to be created
+   in. *)
+let fresh_cache_dir prefix =
+  let dir = Filename.temp_file prefix "" in
+  Sys.remove dir;
+  dir
 
 (* A probe app whose two variants differ only in one sensitive
    source-to-sink path inside its (filterless) service — the "one app
@@ -1475,8 +1237,6 @@ let run_cache_bench ~mode () =
         c.Separ_suites.Case.apks @ [ cache_probe_app ~extra_path () ])
       cases
   in
-  let dir = Filename.temp_file "separ_cache_bench" "" in
-  Sys.remove dir;
   Metrics.enable ();
   (* One pass over every bundle through one cache handle: the stripped
      reports, the wall time, and what actually ran. *)
@@ -1502,8 +1262,9 @@ let run_cache_bench ~mode () =
   let stat cache name =
     match List.assoc_opt name (Cache.stats cache) with Some n -> n | None -> 0
   in
+  let dir = fresh_cache_dir "separ_cache_bench" in
   let cold_cache = Cache.open_ ~dir () in
-  let cold_reports, cold_ms, cold_extracted, cold_solves =
+  let cold_reports, cold_ms1, cold_extracted, cold_solves =
     pass ~cache:cold_cache (workload ~extra_path:false)
   in
   let warm_cache = Cache.open_ ~dir () in
@@ -1511,9 +1272,26 @@ let run_cache_bench ~mode () =
     pass ~cache:warm_cache (workload ~extra_path:false)
   in
   let changed_cache = Cache.open_ ~dir () in
-  let changed_reports, changed_ms, changed_extracted, changed_solves =
+  let changed_reports, changed_ms1, changed_extracted, changed_solves =
     pass ~cache:changed_cache (workload ~extra_path:true)
   in
+  (* One sample per side is at the mercy of the scheduler: time cold and
+     one-app-changed [repeats] times, alternating, each pair through a
+     fresh cache directory, and report the medians. *)
+  let repeats = 5 in
+  let more =
+    List.init (repeats - 1) (fun _ ->
+        let dir = fresh_cache_dir "separ_cache_bench" in
+        let _, cold_ms, _, _ =
+          pass ~cache:(Cache.open_ ~dir ()) (workload ~extra_path:false)
+        in
+        let _, changed_ms, _, _ =
+          pass ~cache:(Cache.open_ ~dir ()) (workload ~extra_path:true)
+        in
+        (cold_ms, changed_ms))
+  in
+  let cold_ms = percentile 0.50 (cold_ms1 :: List.map fst more) in
+  let changed_ms = percentile 0.50 (changed_ms1 :: List.map snd more) in
   (* reference: the edited workload from scratch, no cache *)
   let scratch_reports, _, _, _ = pass (workload ~extra_path:true) in
   let result =
@@ -1548,6 +1326,7 @@ let run_cache_bench ~mode () =
         ("provenance", Lazy.force provenance);
         ("cases", Json.Int (List.length cases));
         ("signatures", Json.Int (List.length (Signatures.all ())));
+        ("timing_repeats", Json.Int repeats);
         ("cold", phase_json cold_ms cold_extracted cold_solves cold_cache);
         ("warm", phase_json warm_ms warm_extracted warm_solves warm_cache);
         ( "one_app_changed",
@@ -1655,8 +1434,11 @@ type serve_bench_result = {
    each upload genuinely changes the app's body (and usually its
    footprint).  Selective re-analysis must reproduce a brute-force full
    repair byte for byte (stripped reports) while dispatching strictly
-   fewer scope bundles; a second daemon replaying the final store
-   through the same cache directory measures the warm path. *)
+   fewer scope bundles.  Both are timed cold: the update stream sees
+   only new content, and the repair runs in its own daemon whose cache
+   directory is emptied after an untimed ingest of the final store.  A
+   third daemon replaying the final store through the update stream's
+   cache directory measures the warm path. *)
 let run_serve_bench ~mode () =
   header "App-store daemon: footprint-indexed selective re-analysis";
   let n, k = if mode = "smoke" then (8, 2) else (24, 6) in
@@ -1679,8 +1461,7 @@ let run_serve_bench ~mode () =
     List.filteri (fun i _ -> i mod (max 1 (n / k)) = 0) regenerated
     |> List.filteri (fun i _ -> i < k)
   in
-  let dir = Filename.temp_file "separ_serve_bench" "" in
-  Sys.remove dir;
+  let dir = fresh_cache_dir "separ_serve_bench" in
   let stripped serve =
     List.map
       (fun (pkg, r) -> (pkg, stripped_report_string r))
@@ -1697,12 +1478,6 @@ let run_serve_bench ~mode () =
     Trace.timed "bench.serve_updates" (fun () -> Serve.drain serve)
   in
   let selective = stripped serve in
-  let (_ : int), repair_ms =
-    Trace.timed "bench.serve_repair" (fun () -> Serve.full_repair serve)
-  in
-  let reference = stripped serve in
-  (* warm replay: a fresh daemon ingests the final store through the
-     same cache directory *)
   let final_store =
     List.map
       (fun apk ->
@@ -1713,6 +1488,27 @@ let run_serve_bench ~mode () =
         | None -> apk)
       initial
   in
+  (* cold full repair: ingest the final store into a daemon over a fresh
+     cache directory, then delete every entry the ingest wrote, so the
+     timed repair pays the same misses and stores as the update stream *)
+  let repair_dir = fresh_cache_dir "separ_serve_bench" in
+  let repair = Serve.create ~cache:(Cache.open_ ~dir:repair_dir ()) () in
+  List.iter (fun apk -> Serve.submit repair (Serve.Upload apk)) final_store;
+  ignore (Serve.drain repair);
+  Array.iter
+    (fun tier ->
+      let tier = Filename.concat repair_dir tier in
+      if Sys.is_directory tier then
+        Array.iter
+          (fun entry -> Sys.remove (Filename.concat tier entry))
+          (Sys.readdir tier))
+    (Sys.readdir repair_dir);
+  let (_ : int), repair_ms =
+    Trace.timed "bench.serve_repair" (fun () -> Serve.full_repair repair)
+  in
+  let reference = stripped repair in
+  (* warm replay: a fresh daemon ingests the final store through the
+     update stream's cache directory *)
   let serve2 = Serve.create ~cache:(Cache.open_ ~dir ()) () in
   List.iter (fun apk -> Serve.submit serve2 (Serve.Upload apk)) final_store;
   let (_ : Serve.verdict list), warm_ms =
@@ -1740,8 +1536,9 @@ let run_serve_bench ~mode () =
       sb_identical = selective = reference;
       sb_warm_identical = stripped serve2 = reference;
       sb_index_consistent =
-        Footprint.equal (Serve.index serve) (Serve.rebuilt_index serve)
-        && Footprint.equal (Serve.index serve2) (Serve.rebuilt_index serve2);
+        List.for_all
+          (fun d -> Footprint.equal (Serve.index d) (Serve.rebuilt_index d))
+          [ serve; repair; serve2 ];
       sb_cold_ms = cold_ms;
       sb_update_ms = update_ms;
       sb_repair_ms = repair_ms;
@@ -1782,7 +1579,7 @@ let run_serve_bench ~mode () =
   Printf.printf
     "store:   %d apps ingested cold in %.1f ms (%.1f apps/s)\n\
      updates: %d uploads re-analyzed %d bundles (full repair: %d) in %.1f ms\n\
-     repair:  %.1f ms   warm replay: %.1f ms\n\
+     repair:  %.1f ms (cold)   warm replay: %.1f ms\n\
      latency: p50 %.1f ms  p99 %.1f ms (upload -> verdict)\n"
     n cold_ms apps_per_sec result.sb_updates result.sb_selected
     result.sb_dispatch_full update_ms repair_ms warm_ms result.sb_p50_ms
@@ -2614,10 +2411,8 @@ let () =
     Metrics.enable ()
   end;
   if has "--smoke" then run_smoke ();
-  if has "--solver-smoke" then run_solver_parity_smoke ();
   if has "--telemetry-smoke" then run_telemetry_smoke ();
   if has "--parallel-smoke" then run_parallel_smoke ();
-  if has "--incremental-smoke" then run_incremental_smoke ();
   if has "--cache-smoke" then run_cache_smoke ();
   if has "--serve-smoke" then run_serve_smoke ();
   if has "--obs-smoke" then run_obs_smoke ();
@@ -2625,8 +2420,6 @@ let () =
   if has "--enforce-smoke" then run_enforce_smoke ();
   if all || has "table1" then run_table1 ();
   if all || has "parallel" then ignore (run_parallel_bench ~mode:"full" ());
-  if all || has "incremental" then
-    ignore (run_incremental_bench ~mode:"full" ());
   if all || has "cache" then ignore (run_cache_bench ~mode:"full" ());
   if all || has "serve" then ignore (run_serve_bench ~mode:"full" ());
   if all || has "enforce" then ignore (run_enforce_bench ~mode:"full" ());

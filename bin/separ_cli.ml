@@ -214,8 +214,8 @@ let print_cache_stats ~cache_stats cache =
 
 (* A positional path may be one APK text file or a directory holding a
    whole bundle of them; directories make [analyze] a multi-bundle run
-   (one independent analysis per directory) that [--shard-bundles] can
-   spread across the worker pool. *)
+   (one independent analysis per directory) that [--jobs] spreads across
+   the worker pool. *)
 let bundle_of_dir dir =
   let entries =
     match Sys.readdir dir with
@@ -266,31 +266,11 @@ let analyze_cmd =
           ~doc:
             "Run the analysis in $(docv) persistent worker processes \
              ($(docv) >= 1): the pool forks once and streams task batches \
-             to the workers.  With multiple bundles the work is sharded \
-             across bundles first (see $(b,--shard-bundles)), then across \
-             signatures.  Results are merged in order, so output is \
+             to the workers.  With multiple bundle directories the work is \
+             sharded across whole bundles first, then across signatures \
+             within each bundle.  Results are merged in order, so output is \
              identical across $(docv); a crashed worker degrades only its \
              in-flight tasks instead of failing the run.")
-  in
-  let shard_bundles =
-    Arg.(
-      value
-      & vflag true
-          [
-            ( true,
-              info [ "shard-bundles" ]
-                ~doc:
-                  "With multiple bundle directories and $(b,-j) > 1, \
-                   distribute whole bundles across the worker pool (the \
-                   default): each bundle is one coarse task, so fork and \
-                   transport costs amortize and incremental ASE still \
-                   shares one base encoding per bundle." );
-            ( false,
-              info [ "no-shard-bundles" ]
-                ~doc:
-                  "Analyze bundles sequentially, parallelizing only \
-                   across signatures within each bundle." );
-          ])
   in
   let budget_conflicts =
     Arg.(
@@ -312,27 +292,6 @@ let analyze_cmd =
              wall-clock time ($(docv) >= 0); on exhaustion the signature is \
              reported as degraded (budget_exhausted).")
   in
-  let incremental =
-    Arg.(
-      value
-      & vflag true
-          [
-            ( true,
-              info [ "incremental" ]
-                ~doc:
-                  "Share one bundle encoding and solver across the \
-                   signatures of each encoding config (the default): \
-                   per-signature formulas ride on activation-literal \
-                   assumptions and learnt clauses persist.  Results are \
-                   identical to $(b,--no-incremental); only the cost \
-                   differs." );
-            ( false,
-              info [ "no-incremental" ]
-                ~doc:
-                  "Build a fresh encoding and solver for every signature \
-                   (the escape hatch; slower but maximally isolated)." );
-          ])
-  in
   let format =
     Arg.(
       value
@@ -348,9 +307,9 @@ let analyze_cmd =
                 counters (translate-cache and hash-cons hits, reused \
                 clauses, per-signature deltas) to stderr")
   in
-  let run paths out limit jobs shard_bundles budget_conflicts budget_time
-      cache_dir no_cache cache_max_mb cache_stats incremental format stats
-      trace metrics log log_level metrics_out profile_gc =
+  let run paths out limit jobs budget_conflicts budget_time cache_dir
+      no_cache cache_max_mb cache_stats format stats trace metrics log
+      log_level metrics_out profile_gc =
     telemetry_setup ~trace ~metrics ~log ~log_level ~metrics_out ~profile_gc;
     let budget =
       match (budget_conflicts, budget_time) with
@@ -378,16 +337,16 @@ let analyze_cmd =
       | [] ->
           [
             ( None,
-              Separ.analyze ~limit_per_sig:limit ~jobs ?budget ~incremental
-                ?cache (load_apks files) );
+              Separ.analyze ~limit_per_sig:limit ~jobs ?budget ?cache
+                (load_apks files) );
           ]
       | dirs ->
           let bundles = List.map bundle_of_dir dirs in
           List.map2
             (fun dir analysis -> (Some dir, analysis))
             dirs
-            (Separ.analyze_bundles ~limit_per_sig:limit ~jobs ?budget
-               ~incremental ?cache ~shard_bundles bundles)
+            (Separ.analyze_bundles ~limit_per_sig:limit ~jobs ?budget ?cache
+               bundles)
     in
     print_cache_stats ~cache_stats cache;
     (match format with
@@ -434,9 +393,8 @@ let analyze_cmd =
       let sum f = List.fold_left (fun acc d -> acc + f d) 0 deltas in
       let open Separ_ase.Ase in
       Fmt.epr
-        "sharing (%s): translate-cache hits=%d misses=%d hash-cons \
-         hits=%d misses=%d reused-clauses=%d reused-learnts=%d@."
-        (if report.r_incremental then "incremental" else "from-scratch")
+        "sharing: translate-cache hits=%d misses=%d hash-cons hits=%d \
+         misses=%d reused-clauses=%d reused-learnts=%d@."
         (sum (fun d -> d.sd_cache_hits))
         (sum (fun d -> d.sd_cache_misses))
         (sum (fun d -> d.sd_hc_hits))
@@ -468,11 +426,10 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze" ~doc:"Analyze one or more bundles and synthesize policies")
     Term.(
-      const run $ paths $ out $ limit $ jobs $ shard_bundles
-      $ budget_conflicts $ budget_time $ cache_dir_arg $ no_cache_arg
-      $ cache_max_mb_arg $ cache_stats_arg $ incremental $ format $ stats
-      $ trace_arg $ metrics_arg $ log_arg $ log_level_arg $ metrics_out_arg
-      $ profile_gc_arg)
+      const run $ paths $ out $ limit $ jobs $ budget_conflicts $ budget_time
+      $ cache_dir_arg $ no_cache_arg $ cache_max_mb_arg $ cache_stats_arg
+      $ format $ stats $ trace_arg $ metrics_arg $ log_arg $ log_level_arg
+      $ metrics_out_arg $ profile_gc_arg)
 
 let extract_cmd =
   let path =

@@ -13,14 +13,15 @@
    crash isolation mean one pathological signature degrades to a
    recorded [degraded] entry instead of hanging or aborting the run.
 
-   By default ([incremental]) signatures sharing an encoding config also
-   share one solver: the bundle-common encoding is built once
-   ([Encode.encode_bundle] + [Solve.prepare_base]), and each signature's
-   witness relations and exploit formula ride on an activation-literal
-   delta session ([Solve.attach]), so Tseitin work is not repeated and
-   CDCL learnt clauses persist across signatures.  Minimization is
-   canonical (solver-state independent), so the scenarios — and hence
-   the stripped report — are byte-identical to the from-scratch path. *)
+   Signatures sharing an encoding config also share one solver: the
+   bundle-common encoding is built once ([Encode.encode_bundle] +
+   [Solve.prepare_base]), and each signature's witness relations and
+   exploit formula ride on an activation-literal delta session
+   ([Solve.attach]), so Tseitin work is not repeated and CDCL learnt
+   clauses persist across signatures.  Minimization is canonical
+   (solver-state independent), so the scenarios — and hence the stripped
+   report — are byte-identical to solving each signature from scratch
+   ([run_signature], the reference the tests compare against). *)
 
 open Separ_relog
 open Separ_ame
@@ -64,10 +65,8 @@ type sig_result = {
   sr_stats : Solve.stats;
 }
 
-(* What one signature cost on top of the state its solver already held:
-   for an incremental delta session the numbers are genuine increments
-   over the shared base; for a from-scratch session they cover the whole
-   problem (and [reused_*] are 0). *)
+(* What one signature cost on top of the shared base its solver already
+   held (all zeros for a verdict replayed from the persistent cache). *)
 type sig_delta = {
   sd_kind : string; (* signature name *)
   sd_vars : int;
@@ -93,8 +92,7 @@ type report = {
   r_vars : int;
   r_clauses : int;
   r_solver : Separ_sat.Solver.stats_record;
-  (* CDCL counters aggregated over all signatures' solver sessions *)
-  r_incremental : bool; (* whether the shared-solver path was used *)
+  (* CDCL counters aggregated over the shared per-config solvers *)
   r_sig_deltas : sig_delta list; (* per signature, in signature order *)
   r_cache : (string * int) list;
   (* persistent-cache counters (hits/misses per tier, stores, evictions,
@@ -131,8 +129,8 @@ let victim_components (bundle : Bundle.t) (s : Scenario.t) =
 (* Enumerate one minimal scenario per distinct witness valuation: the
    witnesses identify the victim elements, so further instances that
    only vary the synthesized payload are redundant for policy
-   derivation.  Shared by the from-scratch and incremental paths — the
-   session's flavour is invisible here. *)
+   derivation.  Shared by the shared-base path and the from-scratch
+   reference — the session's flavour is invisible here. *)
 let enumerate_signature ~limit (sig_ : Signatures.t) (env : Encode.env)
     session =
   let witness_rels = List.map snd env.Encode.r_witnesses in
@@ -155,9 +153,9 @@ let enumerate_signature ~limit (sig_ : Signatures.t) (env : Encode.env)
       | Some (Ok sc) -> go (sc :: acc) (k + 1)
   in
   let scenarios, truncated, outcome = go [] 0 in
-  (* Emitted here so both the from-scratch and the incremental path get
-     one event per signature — inside the [ase.signature] span (and, at
-     [-j N], inside the worker, so the event ships back pid-tagged). *)
+  (* Emitted here so both session flavours get one event per signature —
+     inside the [ase.signature] span (and, at [-j N], inside the worker,
+     so the event ships back pid-tagged). *)
   Log.info "ase.signature"
     ~fields:
       [
@@ -178,9 +176,11 @@ let enumerate_signature ~limit (sig_ : Signatures.t) (env : Encode.env)
   }
 
 (* Run one signature against a bundle, from scratch: fresh encoding,
-   fresh solver.  [budget], if given, bounds the signature's whole
-   solver session; exhaustion mid-enumeration keeps the scenarios found
-   so far and marks the result [Budget_exhausted]. *)
+   fresh solver.  [analyze] never dispatches this; it is the reference
+   the tests compare the shared-base path against.  [budget], if given,
+   bounds the signature's whole solver session; exhaustion
+   mid-enumeration keeps the scenarios found so far and marks the result
+   [Budget_exhausted]. *)
 let run_signature ?(limit = Solve.default_enum_limit) ?budget bundle
     (sig_ : Signatures.t) =
   Trace.with_span "ase.signature"
@@ -202,7 +202,7 @@ let run_signature ?(limit = Solve.default_enum_limit) ?budget bundle
       let session = Solve.prepare ?budget problem in
       enumerate_signature ~limit sig_ env session)
 
-(* --- incremental path ----------------------------------------------------- *)
+(* --- shared-base shards ---------------------------------------------------- *)
 
 (* Per-signature outcome inside a shard: kept marshal-safe so a forked
    worker can ship the whole shard's results back in one payload. *)
@@ -428,13 +428,12 @@ let delta_of name (st : Solve.stats) =
   }
 
 let analyze ?(signatures = Signatures.all ())
-    ?(limit_per_sig = Solve.default_enum_limit) ?(jobs = 1) ?budget
-    ?(incremental = true) ?cache (bundle : Bundle.t) : report =
+    ?(limit_per_sig = Solve.default_enum_limit) ?(jobs = 1) ?budget ?cache
+    (bundle : Bundle.t) : report =
   Trace.with_span "ase.analyze"
     ~attrs:
       [
         Trace.attr_int "jobs" jobs;
-        Trace.attr_bool "incremental" incremental;
         Trace.attr_bool "cache" (Option.is_some cache);
       ]
     (fun () ->
@@ -443,7 +442,6 @@ let analyze ?(signatures = Signatures.all ())
       [
         ("signatures", Trace.Int (List.length signatures));
         ("jobs", Trace.Int jobs);
-        ("incremental", Trace.Bool incremental);
         ("cache", Trace.Bool (Option.is_some cache));
       ];
   (* Resolve passive-intent targets across the bundle first (Algorithm 1). *)
@@ -475,64 +473,43 @@ let analyze ?(signatures = Signatures.all ())
          (fun sig_ c -> match c with None -> [ sig_ ] | Some _ -> [])
          signatures cached)
   in
-  (* Two dispatch shapes, one merge.  Incremental: one pool task per
-     contiguous shard of signatures, sharing per-config solvers within
-     the shard.  From-scratch: one task per signature.  Either way the
-     pool runs tasks inline at [jobs <= 1] and in forked workers
-     otherwise, and results come back in signature order — the merged
-     (stripped) report is identical across [-j N] and across the two
-     paths, because minimization is canonical.  [shared_totals] carries
-     solver-level aggregates the incremental path must take from the
-     shards (per-signature sums would double-count the shared base). *)
-  let computed_items, shared_totals =
-    if incremental then begin
-      let shards = partition_contiguous jobs to_run in
-      let shard_results =
-        Pool.run ~jobs
-          (List.map
-             (fun shard () -> run_shard ~limit:limit_per_sig ?budget bundle shard)
-             shards)
-      in
-      let items =
-        List.concat
-          (List.map2
-             (fun shard res ->
-               match res with
-               | Pool.Failed msg ->
-                   (* the whole shard's worker died: every signature in
-                      it is unaccounted for *)
-                   List.map (fun _ -> Crashed msg) shard
-               | Pool.Done sh -> sh.sh_items)
-             shards shard_results)
-      in
-      let vars = ref 0 and clauses = ref 0 and base_ms = ref 0.0 in
-      let solver = ref Separ_sat.Solver.empty_stats in
-      List.iter
-        (function
-          | Pool.Failed _ -> ()
-          | Pool.Done sh ->
-              vars := !vars + sh.sh_vars;
-              clauses := !clauses + sh.sh_clauses;
-              base_ms := !base_ms +. sh.sh_base_ms;
-              solver := Separ_sat.Solver.sum_stats !solver sh.sh_solver)
-        shard_results;
-      (items, Some (!vars, !clauses, !solver, !base_ms))
-    end
-    else
-      let results =
-        Pool.run ~jobs
-          (List.map
-             (fun sig_ () ->
-               run_signature ~limit:limit_per_sig ?budget bundle sig_)
-             to_run)
-      in
-      ( List.map
-          (function
-            | Pool.Failed msg -> Crashed msg
-            | Pool.Done sr -> Computed sr)
-          results,
-        None )
+  (* One pool task per contiguous shard of signatures, sharing
+     per-config solvers within the shard.  The pool runs tasks inline at
+     [jobs <= 1] and in forked workers otherwise, and results come back
+     in signature order — the merged (stripped) report is identical
+     across [-j N], because minimization is canonical.  Solver-level
+     totals are taken from the shards: per-signature sums would
+     double-count the shared base. *)
+  let shards = partition_contiguous jobs to_run in
+  let shard_results =
+    Pool.run ~jobs
+      (List.map
+         (fun shard () -> run_shard ~limit:limit_per_sig ?budget bundle shard)
+         shards)
   in
+  let computed_items =
+    List.concat
+      (List.map2
+         (fun shard res ->
+           match res with
+           | Pool.Failed msg ->
+               (* the whole shard's worker died: every signature in it is
+                  unaccounted for *)
+               List.map (fun _ -> Crashed msg) shard
+           | Pool.Done sh -> sh.sh_items)
+         shards shard_results)
+  in
+  let r_vars = ref 0 and r_clauses = ref 0 and base_ms = ref 0.0 in
+  let r_solver = ref Separ_sat.Solver.empty_stats in
+  List.iter
+    (function
+      | Pool.Failed _ -> ()
+      | Pool.Done sh ->
+          r_vars := !r_vars + sh.sh_vars;
+          r_clauses := !r_clauses + sh.sh_clauses;
+          base_ms := !base_ms +. sh.sh_base_ms;
+          r_solver := Separ_sat.Solver.sum_stats !r_solver sh.sh_solver)
+    shard_results;
   (* Store the freshly computed verdicts (complete outcomes only — a
      budget-exhausted or crashed signature must be re-attempted next
      run), then splice hits and computed results back into signature
@@ -578,8 +555,6 @@ let analyze ?(signatures = Signatures.all ())
     merge cached computed_items
   in
   let construction = ref 0.0 and solving = ref 0.0 in
-  let vars = ref 0 and clauses = ref 0 in
-  let solver_totals = ref Separ_sat.Solver.empty_stats in
   let degraded = ref [] in
   let truncated = ref [] in
   let deltas = ref [] in
@@ -605,10 +580,6 @@ let analyze ?(signatures = Signatures.all ())
                let stats = sr.sr_stats in
                construction := !construction +. stats.Solve.translation_ms;
                solving := !solving +. stats.Solve.solving_ms;
-               vars := !vars + stats.Solve.n_vars;
-               clauses := !clauses + stats.Solve.n_clauses;
-               solver_totals :=
-                 Separ_sat.Solver.sum_stats !solver_totals stats.Solve.solver;
                deltas := delta_of name stats :: !deltas;
                if sr.sr_outcome = Budget_exhausted then begin
                  Metrics.incr c_degraded;
@@ -637,24 +608,17 @@ let analyze ?(signatures = Signatures.all ())
   let degraded = List.rev !degraded in
   if degraded <> [] then
     Trace.add_attr "degraded" (Trace.Int (List.length degraded));
-  let r_vars, r_clauses, r_solver, r_construction_ms =
-    match shared_totals with
-    | Some (v, c, s, base_ms) ->
-        (* construction = every base paid once + the per-signature deltas *)
-        (v, c, s, base_ms +. !construction)
-    | None -> (!vars, !clauses, !solver_totals, !construction)
-  in
   {
     r_stats = Bundle.stats bundle;
     r_vulnerabilities = vulnerabilities;
     r_degraded = degraded;
     r_truncated = List.rev !truncated;
-    r_construction_ms;
+    (* construction = every base paid once + the per-signature deltas *)
+    r_construction_ms = !base_ms +. !construction;
     r_solving_ms = !solving;
-    r_vars;
-    r_clauses;
-    r_solver;
-    r_incremental = incremental;
+    r_vars = !r_vars;
+    r_clauses = !r_clauses;
+    r_solver = !r_solver;
     r_sig_deltas = List.rev !deltas;
     r_cache = (match cache with Some s -> Store.stats s | None -> []);
   })
@@ -664,7 +628,7 @@ let analyze ?(signatures = Signatures.all ())
 (* The report for a bundle whose entire worker died: nothing was found,
    every signature is degraded, and the gap is recorded per signature
    exactly as a single-bundle run with an all-crashed pool would. *)
-let crashed_bundle_report ~signatures ~incremental bundle msg =
+let crashed_bundle_report ~signatures bundle msg =
   {
     r_stats = Bundle.stats bundle;
     r_vulnerabilities = [];
@@ -682,18 +646,16 @@ let crashed_bundle_report ~signatures ~incremental bundle msg =
     r_vars = 0;
     r_clauses = 0;
     r_solver = Separ_sat.Solver.empty_stats;
-    r_incremental = incremental;
     r_sig_deltas = [];
     r_cache = [];
   }
 
 (* Analyze several independent bundles, sharding across *bundles* first
-   and signatures second: with [shard_bundles] (the default) and
-   [jobs > 1], each bundle becomes one pool task — one fork set serves
-   all of them, batched — and any parallelism left over
-   ([jobs / #bundles], at least 1) runs *inside* each worker as the
-   usual signature sharding.  Incremental ASE thus still shares one
-   base encoding per config within every bundle, while a multi-bundle
+   and signatures second: with [jobs > 1], each bundle becomes one pool
+   task — one fork set serves all of them, batched — and any parallelism
+   left over ([jobs / #bundles], at least 1) runs *inside* each worker as
+   the usual signature sharding.  ASE thus still shares one base
+   encoding per config within every bundle, while a multi-bundle
    (store-scale) run saturates cores on the bundle axis, where the
    tasks are big enough to pay for transport.
 
@@ -703,15 +665,13 @@ let crashed_bundle_report ~signatures ~incremental bundle msg =
    takes down only the bundles of its in-flight batch, each of which
    degrades to a report with every signature marked [worker_crashed]. *)
 let analyze_many ?(signatures = Signatures.all ())
-    ?(limit_per_sig = Solve.default_enum_limit) ?(jobs = 1) ?budget
-    ?(incremental = true) ?cache ?(shard_bundles = true)
+    ?(limit_per_sig = Solve.default_enum_limit) ?(jobs = 1) ?budget ?cache
     (bundles : Bundle.t list) : report list =
   let analyze_one ~jobs bundle =
-    analyze ~signatures ~limit_per_sig ~jobs ?budget ~incremental ?cache
-      bundle
+    analyze ~signatures ~limit_per_sig ~jobs ?budget ?cache bundle
   in
   let n_bundles = List.length bundles in
-  if (not shard_bundles) || jobs <= 1 || n_bundles <= 1 then
+  if jobs <= 1 || n_bundles <= 1 then
     List.map (analyze_one ~jobs) bundles
   else begin
     let inner_jobs = max 1 (jobs / n_bundles) in
@@ -725,14 +685,13 @@ let analyze_many ?(signatures = Signatures.all ())
         match result with
         | Pool.Done report -> report
         | Pool.Failed msg ->
-            crashed_bundle_report ~signatures ~incremental bundle msg)
+            crashed_bundle_report ~signatures bundle msg)
       bundles results
   end
 
 (* Forget everything about *how* the analysis ran, keeping only what it
-   found.  Reports from the incremental and from-scratch paths (at any
-   [-j]) must agree after stripping — the test suite and the bench
-   [--incremental-smoke] gate assert this byte-for-byte on the
+   found.  Reports at any [-j], with or without the cache, must agree
+   after stripping — the test suite asserts this byte-for-byte on the
    serialized report. *)
 let strip_performance r =
   {
@@ -742,7 +701,6 @@ let strip_performance r =
     r_vars = 0;
     r_clauses = 0;
     r_solver = Separ_sat.Solver.empty_stats;
-    r_incremental = false;
     r_sig_deltas = [];
     r_cache = [];
   }

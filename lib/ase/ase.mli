@@ -38,10 +38,8 @@ type sig_result = {
   sr_stats : Separ_relog.Solve.stats;
 }
 
-(** What one signature cost on top of the state its solver already held:
-    for an incremental delta session the numbers are genuine increments
-    over the shared base; for a from-scratch session they cover the
-    whole problem (and [sd_reused_*] are 0). *)
+(** What one signature cost on top of the shared base its solver already
+    held (all zeros for a verdict replayed from the persistent cache). *)
 type sig_delta = {
   sd_kind : string;        (** signature name *)
   sd_vars : int;
@@ -69,10 +67,8 @@ type report = {
   r_clauses : int;
   r_solver : Separ_sat.Solver.stats_record;
       (** CDCL counters (conflicts, learnt-db reductions, minimized
-          literals, ...) aggregated over all signatures.  In incremental
-          mode the aggregate is over the shared per-config solvers, not
-          per-signature sums (which would double-count the base). *)
-  r_incremental : bool;  (** whether the shared-solver path was used *)
+          literals, ...) aggregated over the shared per-config solvers,
+          not per-signature sums (which would double-count the base). *)
   r_sig_deltas : sig_delta list;  (** per signature, in signature order *)
   r_cache : (string * int) list;
       (** persistent-cache counters (per-tier hits/misses, stores,
@@ -83,7 +79,10 @@ type report = {
 (** The device components implicated in a scenario. *)
 val victim_components : Bundle.t -> Scenario.t -> string list
 
-(** Run one signature.  [limit] caps enumeration (default
+(** Run one signature from scratch: fresh encoding, fresh solver
+    ({!Separ_relog.Solve.prepare}).  {!analyze} never dispatches this;
+    it is the reference the tests compare the shared-base path against.
+    [limit] caps enumeration (default
     {!Separ_relog.Solve.default_enum_limit}); [budget] bounds the
     signature's whole solver session — on exhaustion the scenarios found
     so far are kept and the result is marked [Budget_exhausted]. *)
@@ -102,43 +101,36 @@ val run_signature :
     identical across [jobs] values for deterministic signatures.
     [budget] applies per signature, not to the whole analysis.
 
-    [incremental] (default [true]) shares one solver among the
-    signatures of each encoding config within a worker's shard: the
-    bundle encoding is translated once, each signature rides on an
-    activation-literal delta session, and learnt clauses persist.
-    Minimization is canonical, so {!strip_performance} of the report is
-    byte-identical to the [~incremental:false] from-scratch path. *)
+    The signatures of each encoding config within a worker's shard share
+    one solver: the bundle encoding is translated once, each signature
+    rides on an activation-literal delta session, and learnt clauses
+    persist.  Minimization is canonical, so the scenarios are those
+    {!run_signature} finds from scratch. *)
 val analyze :
   ?signatures:Signatures.t list ->
   ?limit_per_sig:int ->
   ?jobs:int ->
   ?budget:Separ_sat.Solver.budget ->
-  ?incremental:bool ->
   ?cache:Separ_cache.Store.t ->
   Bundle.t ->
   report
 
 (** Analyze several independent bundles on one worker pool, sharding
-    across {e bundles} first and signatures second.  With
-    [shard_bundles] (the default) and [jobs > 1], each bundle becomes
-    one pool task — one fork set, persistent across batched tasks,
-    serves the whole run — and leftover parallelism
+    across {e bundles} first and signatures second.  With [jobs > 1],
+    each bundle becomes one pool task — one fork set, persistent across
+    batched tasks, serves the whole run — and leftover parallelism
     ([jobs / #bundles], at least 1) becomes signature sharding inside
-    each worker, so incremental ASE still shares one base encoding per
-    config within every bundle.  Reports come back in bundle order and
-    are byte-identical (stripped) to per-bundle [-j 1] runs; a worker
-    death degrades only its in-flight bundles, each to a report with
-    every signature marked [worker_crashed].  With
-    [~shard_bundles:false] bundles are analyzed sequentially, each with
-    signature-axis sharding at [jobs]. *)
+    each worker, so ASE still shares one base encoding per config within
+    every bundle.  Reports come back in bundle order and are
+    byte-identical (stripped) to per-bundle [-j 1] runs; a worker death
+    degrades only its in-flight bundles, each to a report with every
+    signature marked [worker_crashed]. *)
 val analyze_many :
   ?signatures:Signatures.t list ->
   ?limit_per_sig:int ->
   ?jobs:int ->
   ?budget:Separ_sat.Solver.budget ->
-  ?incremental:bool ->
   ?cache:Separ_cache.Store.t ->
-  ?shard_bundles:bool ->
   Bundle.t list ->
   report list
 
@@ -155,8 +147,8 @@ val ase_cache_tier : string
 val signature_fingerprint : ?limit:int -> Bundle.t -> Signatures.t -> string
 
 (** Zero out every field describing {e how} the analysis ran (timings,
-    solver sizes and counters, per-signature deltas, the incremental
-    flag), keeping only what it found — for comparing analysis results
+    solver sizes and counters, per-signature deltas, cache counters),
+    keeping only what it found — for comparing analysis results
     across execution strategies. *)
 val strip_performance : report -> report
 

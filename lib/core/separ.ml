@@ -68,12 +68,11 @@ type analysis = {
   policies : Policy.t list;
 }
 
-let analyze_models ?signatures ?jobs ?budget ?incremental ?cache
-    ~limit_per_sig models : analysis =
+let analyze_models ?signatures ?jobs ?budget ?cache ~limit_per_sig models
+    : analysis =
   let bundle = Bundle.of_models models in
   let report =
-    Ase.analyze ?signatures ~limit_per_sig ?jobs ?budget ?incremental ?cache
-      bundle
+    Ase.analyze ?signatures ~limit_per_sig ?jobs ?budget ?cache bundle
   in
   let scenarios =
     List.map (fun v -> v.Ase.v_scenario) report.Ase.r_vulnerabilities
@@ -86,27 +85,25 @@ let analyze_models ?signatures ?jobs ?budget ?incremental ?cache
 (* Run AME and ASE over a bundle of apps and synthesize policies.
    [jobs] widens ASE's worker pool; [budget] bounds each signature's
    solver session (exhausted signatures degrade, see Ase.degraded);
-   [incremental] (default true) shares the bundle encoding and solver
-   state across signatures (see Ase.analyze); [cache] makes both AME
+   [cache] makes both AME
    extraction and ASE verdicts read-through a persistent store, so
    re-analyzing an unchanged (or barely changed) bundle skips the
    corresponding extraction and solving. *)
 let analyze ?(k1 = true) ?signatures
     ?(limit_per_sig = Separ_relog.Solve.default_enum_limit) ?jobs ?budget
-    ?incremental ?cache (apks : Apk.t list) : analysis =
-  analyze_models ?signatures ?jobs ?budget ?incremental ?cache ~limit_per_sig
+    ?cache (apks : Apk.t list) : analysis =
+  analyze_models ?signatures ?jobs ?budget ?cache ~limit_per_sig
     (List.map (Extract.extract_cached ?cache ~k1) apks)
 
 (* Analyze several independent bundles in one go, sharding across
    bundles first (see Ase.analyze_many): one persistent worker pool
    serves every bundle, so a store-scale run at [jobs > 1] pays fork
-   startup once — not once per bundle — and each bundle still gets the
-   shared-encoding incremental path internally.  Returns one analysis
+   startup once — not once per bundle — and each bundle still shares
+   its encoding across signatures.  Returns one analysis
    per bundle, in order. *)
 let analyze_bundles ?(k1 = true) ?signatures
     ?(limit_per_sig = Separ_relog.Solve.default_enum_limit) ?jobs ?budget
-    ?incremental ?cache ?shard_bundles (bundles : Apk.t list list) :
-    analysis list =
+    ?cache (bundles : Apk.t list list) : analysis list =
   let bundles =
     List.map
       (fun apks ->
@@ -115,8 +112,7 @@ let analyze_bundles ?(k1 = true) ?signatures
       bundles
   in
   let reports =
-    Ase.analyze_many ?signatures ~limit_per_sig ?jobs ?budget ?incremental
-      ?cache ?shard_bundles bundles
+    Ase.analyze_many ?signatures ~limit_per_sig ?jobs ?budget ?cache bundles
   in
   List.map2
     (fun bundle report ->
@@ -135,15 +131,14 @@ let analyze_bundles ?(k1 = true) ?signatures
    only the synthesis step re-runs over the updated bundle. *)
 let reanalyze ?(k1 = true) ?signatures
     ?(limit_per_sig = Separ_relog.Solve.default_enum_limit) ?jobs ?budget
-    ?incremental ?cache (previous : analysis) ~(changed : Apk.t list) :
-    analysis =
+    ?cache (previous : analysis) ~(changed : Apk.t list) : analysis =
   let changed_pkgs = List.map Apk.package changed in
   let kept =
     List.filter
       (fun m -> not (List.mem m.App_model.am_package changed_pkgs))
       (Bundle.apps previous.bundle)
   in
-  analyze_models ?signatures ?jobs ?budget ?incremental ?cache ~limit_per_sig
+  analyze_models ?signatures ?jobs ?budget ?cache ~limit_per_sig
     (kept @ List.map (Extract.extract_cached ?cache ~k1) changed)
 
 let vulnerabilities analysis = analysis.report.Ase.r_vulnerabilities

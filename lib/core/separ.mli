@@ -85,19 +85,15 @@ type analysis = {
     fork-based worker pool (default sequential); [budget] bounds each
     signature's solver session — exhausted or crashed signatures degrade
     to {!Ase.degraded} entries in the report instead of failing the
-    analysis; [incremental] (default [true]) shares the bundle encoding
-    and solver state across signatures (see {!Ase.analyze}) — results
-    are identical either way, only the cost differs; [cache] makes AME
-    extraction and ASE verdicts read-through a persistent
-    {!Cache.t}, so re-analyzing an unchanged (or barely changed)
-    bundle skips the corresponding extraction and solving. *)
+    analysis; [cache] makes AME extraction and ASE verdicts read-through
+    a persistent {!Cache.t}, so re-analyzing an unchanged (or barely
+    changed) bundle skips the corresponding extraction and solving. *)
 val analyze :
   ?k1:bool ->
   ?signatures:Signatures.t list ->
   ?limit_per_sig:int ->
   ?jobs:int ->
   ?budget:Separ_sat.Solver.budget ->
-  ?incremental:bool ->
   ?cache:Cache.t ->
   Apk.t list ->
   analysis
@@ -106,19 +102,15 @@ val analyze :
     bundles first (see {!Ase.analyze_many}): one persistent worker pool
     serves every bundle, so a store-scale run at [jobs > 1] pays fork
     startup once — not once per bundle — while each bundle still shares
-    its encoding internally ([incremental]).  [shard_bundles] (default
-    [true]) enables the bundle axis; with it off, bundles are analyzed
-    sequentially with signature-axis sharding at [jobs].  Returns one
-    {!analysis} per bundle, in order. *)
+    its encoding across signatures.  Returns one {!analysis} per bundle,
+    in order. *)
 val analyze_bundles :
   ?k1:bool ->
   ?signatures:Signatures.t list ->
   ?limit_per_sig:int ->
   ?jobs:int ->
   ?budget:Separ_sat.Solver.budget ->
-  ?incremental:bool ->
   ?cache:Cache.t ->
-  ?shard_bundles:bool ->
   Apk.t list list ->
   analysis list
 
@@ -131,7 +123,6 @@ val reanalyze :
   ?limit_per_sig:int ->
   ?jobs:int ->
   ?budget:Separ_sat.Solver.budget ->
-  ?incremental:bool ->
   ?cache:Cache.t ->
   analysis ->
   changed:Apk.t list ->

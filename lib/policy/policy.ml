@@ -55,7 +55,7 @@ type icc_event = {
 
 (* --- event views ----------------------------------------------------------- *)
 
-(* The per-check preprocessing of an event: the pieces a condition needs
+(* The per-check view of an event: the pieces a condition needs
    to consult, turned into O(1)-lookup form once and then shared across
    every policy evaluated against the event.  Without this, each
    [Extras_include] re-walks (and re-sorts) the intent's extras and each

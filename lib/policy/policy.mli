@@ -46,7 +46,7 @@ type icc_event = {
   ev_receiver_app : string;
 }
 
-(** The per-check preprocessing of an event: extras tainted resources as
+(** The per-check view of an event: extras tainted resources as
     a bitset, sender permissions as a hash set, the intent action and
     implicitness pulled out — built once per check with
     {!view_of_event} and shared across every policy evaluated against

@@ -6,11 +6,14 @@
 
    Two ways to build a session:
 
-   - [prepare]: fresh solver, full translation — the from-scratch path.
+   - [prepare]: fresh solver, full translation — the from-scratch path,
+     used by the one-shot [solve]/[enumerate] and kept as the reference
+     the tests compare ASE's shared path against.
    - [prepare_base] + [attach]: one shared solver/translation per bundle
      (the "base"), with each signature's delta formulas asserted under an
      activation literal and solved as an assumption, so the base encoding
-     is paid once and learnt clauses persist across signatures.
+     is paid once and learnt clauses persist across signatures.  This is
+     how ASE solves every signature.
 
    Both paths produce identical instances: minimization is the canonical
    lexicographic search of [Models.minimize_lex], whose answer depends
@@ -157,15 +160,6 @@ let publish_sizes translation solver =
   Metrics.set g_cnf_clauses
     (float_of_int (Separ_sat.Solver.n_clauses solver))
 
-(* Whether [prepare] runs the SatELite-style preprocessing pass at the
-   translate -> CNF handoff.  On by default; the toggle exists so parity
-   gates (and curious benchmarks) can run the raw kernel.  Only the
-   from-scratch path preprocesses: a shared base solver's Tseitin
-   definitions are hash-consed across attaches, so a later delta may
-   name a variable the pass would have eliminated. *)
-let preprocessing = ref true
-let set_preprocessing b = preprocessing := b
-
 (* Translation is traced in its three phases: bound-matrix allocation
    (one solver variable per free tuple), formula -> circuit evaluation,
    and Tseitin encoding of the asserted gates into CNF.  [budget], if
@@ -182,23 +176,8 @@ let prepare ?(budget = Separ_sat.Solver.no_budget) problem =
   publish_sizes translation solver;
   let decode_rels = Bounds.relations problem.bounds in
   let soft = soft_of_rels translation decode_rels in
-  (* Snapshot the as-translated sizes first: the deltas report encoding
-     work (Table II construction), which is paid in full whether or not
-     the preprocessing pass below shrinks the live clause database. *)
-  let translated_vars = Separ_sat.Solver.n_vars solver in
-  let translated_clauses = Separ_sat.Solver.n_clauses solver in
-  (* Preprocess at the handoff: soft (decode/minimization) variables are
-     frozen so blocking clauses, [minimize_lex] assumptions and instance
-     decoding keep their meaning; eliminated Tseitin variables are
-     reconstructed transparently when the model is read. *)
-  if !preprocessing then
-    Trace.with_span "sat.preprocess" (fun () ->
-        Separ_sat.Solver.preprocess ~frozen:soft solver);
   let hc_hits, hc_misses = Circuit.hashcons_counts translation.Translate.circuit in
   let cache_hits, cache_misses = Translate.cache_counts translation in
-  (* ... while n_vars/n_clauses describe the live formula (they are
-     refreshed as enumeration grows it, so they must start from the
-     post-preprocessing state, not the larger as-translated one). *)
   let n_vars = Separ_sat.Solver.n_vars solver in
   let n_clauses = Separ_sat.Solver.n_clauses solver in
   let n_gates = Circuit.gate_count translation.Translate.circuit in
@@ -219,8 +198,8 @@ let prepare ?(budget = Separ_sat.Solver.no_budget) problem =
         n_vars;
         n_clauses;
         n_gates;
-        delta_vars = translated_vars;
-        delta_clauses = translated_clauses;
+        delta_vars = n_vars;
+        delta_clauses = n_clauses;
         delta_gates = n_gates;
         cache_hits;
         cache_misses;

@@ -51,20 +51,13 @@ type session
     loop and the CLI's [--limit] default. *)
 val default_enum_limit : int
 
-(** Translate the problem into a solver session.  [budget], if given,
-    bounds the whole session: conflicts and wall-clock time are metered
-    across all subsequent solves (minimization included), and once
-    exhausted {!next} answers {!Unknown}. *)
+(** Translate the problem into a fresh solver session: the from-scratch
+    reference that tests compare the {!prepare_base}/{!attach} path
+    against.  [budget], if given, bounds the whole session: conflicts
+    and wall-clock time are metered across all subsequent solves
+    (minimization included), and once exhausted {!next} answers
+    {!Unknown}. *)
 val prepare : ?budget:Separ_sat.Solver.budget -> problem -> session
-
-(** Toggle the SatELite-style preprocessing pass {!prepare} runs at the
-    translate → CNF handoff (default: on).  Soft variables are frozen,
-    so instances are identical either way; the toggle exists for parity
-    gates and benchmarks of the raw kernel.  {!prepare_base}/{!attach}
-    sessions never preprocess: their Tseitin definitions are shared
-    across attaches, and a later delta may name a variable the pass
-    would have eliminated. *)
-val set_preprocessing : bool -> unit
 
 (** What remains of the session budget right now (fields of an
     unbudgeted session stay [None]).  On a shared base solver the meter

@@ -92,7 +92,7 @@ let of_solver_stats (s : Separ_sat.Solver.stats_record) =
 
 (* What one signature's session cost on top of the state its solver
    already held — per-signature rows plus the aggregated sharing
-   counters of the incremental (shared-encoding) ASE path. *)
+   counters of the shared-encoding ASE path. *)
 let of_sig_delta (d : Ase.sig_delta) =
   Json.Obj
     [
@@ -116,7 +116,7 @@ let of_incremental (report : Ase.report) =
   in
   Json.Obj
     [
-      ("enabled", Json.Bool report.Ase.r_incremental);
+      ("enabled", Json.Bool (report.Ase.r_sig_deltas <> []));
       ( "translate_cache_hits",
         Json.Int (sum (fun d -> d.Ase.sd_cache_hits)) );
       ( "translate_cache_misses",

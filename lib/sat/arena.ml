@@ -91,5 +91,3 @@ let iter_lits f a c =
   for i = 0 to n - 1 do
     f a.data.(c + header_words + i)
   done
-
-let lits_array a c = Array.sub a.data (c + header_words) (len a c)

@@ -16,13 +16,6 @@
    Learnt-clause deletion is lazy (a header mark, filtered out of watch
    lists on sight); the arena is compacted once a quarter of it is dead.
 
-   An optional preprocessing pass ({!preprocess}) runs SatELite-style
-   subsumption / strengthening / bounded variable elimination over the
-   problem clauses; eliminated variables are reconstructed from the
-   elimination stack whenever a model is read, so {!value}/{!model} are
-   oblivious to it.  Frozen variables (assumptions, activation literals,
-   anything the caller will name later) are never eliminated.
-
    The external interface uses DIMACS conventions: variables are positive
    integers obtained from [new_var], a literal is [+v] or [-v]. *)
 
@@ -56,9 +49,6 @@ type t = {
   mutable reason : int array;              (* antecedent tag per var *)
   mutable activity : float array;          (* VSIDS activity per var *)
   mutable seen : bool array;               (* scratch for analyze *)
-  mutable eliminated : bool array;         (* vars removed by preprocessing *)
-  mutable recon : bool array;              (* reconstructed values for them *)
-  mutable elim_stack : (int * int array list) list; (* newest first *)
   trail : int Vec.t;                       (* assigned literals, in order *)
   trail_lim : int Vec.t;                   (* decision-level boundaries *)
   mutable qhead : int;                     (* propagation queue head *)
@@ -81,9 +71,6 @@ type t = {
   mutable n_learnts_deleted : int;         (* clauses dropped by reduce_db *)
   mutable n_lits_minimized : int;          (* literals removed by ccmin *)
   mutable peak_learnts : int;              (* high-water mark of the db *)
-  mutable n_elim_vars : int;               (* vars eliminated by preprocessing *)
-  mutable n_subsumed : int;                (* clauses removed by subsumption *)
-  mutable n_strengthened : int;            (* clauses shrunk by self-subsumption *)
 }
 
 let create () =
@@ -103,9 +90,6 @@ let create () =
     reason = [||];
     activity = [||];
     seen = [||];
-    eliminated = [||];
-    recon = [||];
-    elim_stack = [];
     trail = Vec.create 0;
     trail_lim = Vec.create 0;
     qhead = 0;
@@ -128,9 +112,6 @@ let create () =
     n_learnts_deleted = 0;
     n_lits_minimized = 0;
     peak_learnts = 0;
-    n_elim_vars = 0;
-    n_subsumed = 0;
-    n_strengthened = 0;
   }
 
 let n_vars t = t.nvars
@@ -153,8 +134,6 @@ let grow_arrays t n =
     t.reason <- extend t.reason no_reason;
     t.activity <- extend t.activity 0.0;
     t.seen <- extend t.seen false;
-    t.eliminated <- extend t.eliminated false;
-    t.recon <- extend t.recon false;
     let extend_watch w =
       Array.init (2 * cap) (fun i ->
           if i < Array.length w then w.(i) else Vec.create ~capacity:4 0)
@@ -673,8 +652,6 @@ let add_clause_arr t a =
     while v > t.nvars do
       ignore (new_var t)
     done;
-    if t.eliminated.(v - 1) then
-      invalid_arg "Solver.add_clause: variable eliminated by preprocessing";
     a.(i) <- Lit.of_int s
   done;
   add_clause_internal t a
@@ -700,103 +677,6 @@ let retire_activation t =
 let activation_counts t =
   ((if t.act_live = 0 then 0 else 1), t.n_act_retired)
 
-(* --- preprocessing ------------------------------------------------------- *)
-
-(* SatELite-style preprocessing over the problem clauses: subsumption,
-   self-subsuming resolution and bounded variable elimination, then a
-   rebuild of the kernel state around the surviving CNF.  [frozen] lists
-   external variables that must keep their meaning (anything the caller
-   will later assume, read, or add clauses over).  The live activation
-   variable and all level-0 facts are frozen implicitly.  Learnt clauses
-   are dropped (this runs at the translate -> CNF handoff, before any
-   search has learnt anything worth keeping).  Eliminated variables are
-   reconstructed transparently by {!value}/{!model}. *)
-let preprocess ?(frozen = []) t =
-  t.model_valid <- false;
-  cancel_until t 0;
-  if t.ok && propagate t <> CNone then t.ok <- false;
-  if t.ok && t.nvars > 0 then begin
-    let frozen_arr = Array.make t.nvars false in
-    List.iter
-      (fun v ->
-        if v >= 1 && v <= t.nvars then frozen_arr.(v - 1) <- true)
-      frozen;
-    if t.act_live <> 0 then frozen_arr.(t.act_live - 1) <- true;
-    (* Gather the problem CNF: level-0 facts as units, binaries (each
-       stored twice, gathered once), and live long clauses. *)
-    let cls = ref [] in
-    Vec.iter (fun l -> cls := [| l |] :: !cls) t.trail;
-    for l = 0 to (2 * t.nvars) - 1 do
-      let bw = t.bin_watches.(l) in
-      for i = 0 to Vec.size bw - 1 do
-        let e = Vec.get bw i in
-        if e land 1 = 0 then begin
-          let this = Lit.negate l and other = e lsr 1 in
-          if this < other then cls := [| this; other |] :: !cls
-        end
-      done
-    done;
-    Vec.iter
-      (fun c ->
-        if not (Arena.is_deleted t.arena c) then
-          cls := Arena.lits_array t.arena c :: !cls)
-      t.clauses;
-    let res = Simplify.run ~frozen:frozen_arr ~n_vars:t.nvars !cls in
-    t.n_elim_vars <- t.n_elim_vars + res.Simplify.r_stats.Simplify.sp_eliminated;
-    t.n_subsumed <- t.n_subsumed + res.Simplify.r_stats.Simplify.sp_subsumed;
-    t.n_strengthened <-
-      t.n_strengthened + res.Simplify.r_stats.Simplify.sp_strengthened;
-    if res.Simplify.r_unsat then t.ok <- false
-    else begin
-      (* Rebuild the kernel around the simplified CNF.  Level-0 trail
-         literals stay assigned, but their antecedents pointed into the
-         old arena: clear them (facts need no reason). *)
-      Vec.iter
-        (fun l -> t.reason.(Lit.var l) <- no_reason)
-        t.trail;
-      t.arena <- Arena.create ();
-      Vec.clear t.clauses;
-      Vec.clear t.learnts;
-      t.n_bin_problem <- 0;
-      t.n_bin_learnt <- 0;
-      t.cla_act_n <- 0;
-      for l = 0 to (2 * t.nvars) - 1 do
-        Vec.clear t.watches.(l);
-        Vec.clear t.bin_watches.(l)
-      done;
-      for v = 0 to t.nvars - 1 do
-        if res.Simplify.r_eliminated.(v) then t.eliminated.(v) <- true
-      done;
-      t.elim_stack <- List.rev_append res.Simplify.r_stack t.elim_stack;
-      (* [add_clause_internal] sorts and compacts its argument in place;
-         the result clauses may be aliased by the reconstruction stack,
-         so hand it a copy. *)
-      List.iter
-        (fun c -> add_clause_internal t (Array.copy c))
-        res.Simplify.r_clauses
-    end
-  end
-
-let simp_stats t = (t.n_elim_vars, t.n_subsumed, t.n_strengthened)
-
-(* Extend the current (surviving-variable) assignment over the
-   elimination stack, newest elimination first: each variable's saved
-   clauses mention only never-eliminated or later-eliminated variables,
-   so every literal consulted is already decided. *)
-let reconstruct t =
-  if t.elim_stack <> [] then begin
-    let lit_true l =
-      let v = Lit.var l in
-      let b =
-        if t.eliminated.(v) then t.recon.(v)
-        else match t.assigns.(v) with LTrue -> true | _ -> false
-      in
-      if Lit.sign l then b else not b
-    in
-    Simplify.reconstruct ~stack_newest_first:t.elim_stack ~lit_true
-      ~set:(fun v b -> t.recon.(v) <- b)
-  end
-
 (* Luby restart sequence, following the classical MiniSat formulation. *)
 let luby y x =
   let size = ref 1 and seq = ref 0 in
@@ -817,7 +697,7 @@ let pick_branch_var t =
     if Heap.is_empty t.heap then -1
     else
       let v = Heap.remove_max t.heap in
-      if t.assigns.(v) = LUndef && not t.eliminated.(v) then v else go ()
+      if t.assigns.(v) = LUndef then v else go ()
   in
   go ()
 
@@ -1015,11 +895,7 @@ let solve ?(assumptions = []) ?(budget = no_budget) t =
         if v = 0 then invalid_arg "Solver.solve: zero assumption literal";
         while v > t.nvars do
           ignore (new_var t)
-        done;
-        if t.eliminated.(v - 1) then
-          invalid_arg
-            "Solver.solve: assumption on variable eliminated by preprocessing \
-             (freeze it)")
+        done)
       assumptions;
     let ext_assumptions = assumptions in
     let assumptions = List.map Lit.of_int assumptions in
@@ -1058,7 +934,6 @@ let solve ?(assumptions = []) ?(budget = no_budget) t =
       match search t assumptions ~conflict_cap with
       | Sat ->
           t.model_valid <- true;
-          reconstruct t;
           Sat
       | Unsat -> Unsat
       | Unknown -> Unknown (* search never returns this; for exhaustiveness *)
@@ -1093,18 +968,15 @@ let solve ?(assumptions = []) ?(budget = no_budget) t =
 
 (* Model access: valid only while the last operation was a [solve] that
    returned [Sat]; adding a clause (which backtracks to the root level)
-   or an Unsat solve invalidates the assignment.  Variables eliminated by
-   preprocessing read their reconstructed value. *)
+   or an Unsat solve invalidates the assignment. *)
 let value t v =
   if v < 1 || v > t.nvars then invalid_arg "Solver.value";
   if not t.model_valid then
     invalid_arg "Solver.value: no model (last operation was not a Sat solve)";
-  if t.eliminated.(v - 1) then t.recon.(v - 1)
-  else
-    match t.assigns.(v - 1) with
-    | LTrue -> true
-    | LFalse -> false
-    | LUndef -> false (* unconstrained variables default to false *)
+  match t.assigns.(v - 1) with
+  | LTrue -> true
+  | LFalse -> false
+  | LUndef -> false (* unconstrained variables default to false *)
 
 let model t =
   if not t.model_valid then

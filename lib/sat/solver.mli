@@ -82,26 +82,6 @@ val retire_activation : t -> unit
 (** [(live, retired)] activation-variable counts: [live] is 0 or 1. *)
 val activation_counts : t -> int * int
 
-(** SatELite-style preprocessing over the current problem clauses:
-    subsumption, self-subsuming resolution and bounded variable
-    elimination, followed by a rebuild of the kernel state around the
-    simplified CNF.  Run it at the encode → solve handoff, before the
-    first {!solve}.
-
-    [frozen] lists variables that must survive untouched — anything the
-    caller will later pass as an assumption, read through {!value}, or
-    mention in a new clause.  The live activation variable and all
-    root-level facts are frozen implicitly.  Variables eliminated by the
-    pass are reconstructed transparently whenever a model is read, so
-    {!value}/{!model} answer for them as if they were never removed;
-    naming one in {!add_clause} or as a {!solve} assumption raises
-    [Invalid_argument]. *)
-val preprocess : ?frozen:int list -> t -> unit
-
-(** [(eliminated_vars, subsumed_clauses, strengthened_clauses)]
-    cumulative preprocessing counters. *)
-val simp_stats : t -> int * int * int
-
 (** Set the initial learnt-database capacity (before growth); primarily
     for tests and benchmarks.  A tiny limit forces frequent reductions, a
     huge one disables them.  Must be called before the first {!solve} to

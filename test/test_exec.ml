@@ -248,10 +248,14 @@ let test_obs_survives_midbatch_crash () =
       Metrics.reset ();
       try Sys.remove path with Sys_error _ -> ())
     (fun () ->
+      (* Each surviving task does 20 ms of work: the pool respawns only
+         while batches remain when it notices the death, and instant
+         tasks would let the other worker drain the queue first. *)
       let tasks =
         List.init 5 (fun i () ->
             if i = 1 then Unix._exit 11
             else begin
+              Unix.sleepf 0.02;
               Log.info "test.crash_log" ~fields:[ ("i", Trace.Int i) ];
               Trace.with_span "test.crash_span" (fun () ->
                   ignore

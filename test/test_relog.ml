@@ -355,6 +355,139 @@ let test_budget_unknown_propagates () =
   check_int "no instances under a zero budget" 0 (List.length instances);
   check "a budget abort is not a truncation" false truncated
 
+(* --- shared base: prepare_base + attach/detach ---------------------------- *)
+
+(* Drain a session: every minimal instance, in order, as the values of
+   [rels]. *)
+let drain session rels =
+  let rec go acc =
+    match Solve.next session with
+    | Solve.Sat inst ->
+        Solve.block session;
+        go (List.map (fun r -> Tuple_set.to_list (Instance.value inst r)) rels
+            :: acc)
+    | Solve.Unsat -> List.rev acc
+    | Solve.Unknown -> Alcotest.fail "unbudgeted session answered Unknown"
+  in
+  go []
+
+let paper_deltas =
+  let open Ast.Dsl in
+  [
+    ("no delta", no_extra);
+    ("no applications", fun application _ _ -> [ no (rel application) ]);
+    ("one application", fun application _ _ -> [ one (rel application) ]);
+    ("two components", fun _ component _ -> [ not_ (lone (rel component)) ]);
+  ]
+
+let test_shared_base_matches_prepare () =
+  (* Each delta attached to one shared base must decode the same
+     instances, in the same order, as a fresh [prepare] of base + delta;
+     only the attached sessions start from the clauses already there. *)
+  let base_problem, (application, component, cmps) = paper_problem no_extra in
+  let base = Solve.prepare_base base_problem in
+  List.iter
+    (fun (name, delta) ->
+      let ref_problem, (a', c', p') = paper_problem delta in
+      let ref_session = Solve.prepare ref_problem in
+      let expected = drain ref_session [ a'; c'; p' ] in
+      check (name ^ ": from-scratch session reuses nothing") true
+        ((Solve.stats ref_session).Solve.reused_clauses = 0);
+      let session =
+        Solve.attach base ~rels:[]
+          ~constraints:(delta application component cmps)
+      in
+      let st = Solve.stats session in
+      check (name ^ ": attached session reuses the base clauses") true
+        (st.Solve.reused_clauses > 0);
+      check (name ^ ": attach encodes less than from scratch") true
+        (st.Solve.delta_clauses
+        < (Solve.stats ref_session).Solve.delta_clauses);
+      check (name ^ ": same instances in the same order") true
+        (drain session [ application; component; cmps ] = expected);
+      Solve.detach session)
+    paper_deltas
+
+let test_detach_retires_delta () =
+  (* An attached delta and its blocking clauses hold for that session
+     only: after [detach] the base answers as if they were never there. *)
+  let problem, (application, component, cmps) = paper_problem no_extra in
+  let base = Solve.prepare_base problem in
+  let rels = [ application; component; cmps ] in
+  let fresh () = Solve.attach base ~rels:[] ~constraints:[] in
+  let unsat =
+    Solve.attach base ~rels:[]
+      ~constraints:[ Ast.Dsl.no (Ast.Rel application) ]
+  in
+  (match Solve.next unsat with
+  | Solve.Unsat -> ()
+  | Solve.Sat _ | Solve.Unknown -> Alcotest.fail "no applications is unsat");
+  Solve.detach unsat;
+  let first = fresh () in
+  let instances = drain first rels in
+  check_int "four minimal instances after the unsat delta" 4
+    (List.length instances);
+  Solve.detach first;
+  let again = fresh () in
+  check "blocking clauses died with their session" true
+    (drain again rels = instances);
+  Solve.detach again
+
+let test_attach_binds_new_relations () =
+  (* Relations bounded into the base's bounds after [prepare_base] (a
+     signature's witnesses) are translated at [attach] and decoded from
+     its instances; each attach may bring its own. *)
+  let problem, (_, component, _) = paper_problem no_extra in
+  let base = Solve.prepare_base problem in
+  let bounds = problem.Solve.bounds in
+  List.iter
+    (fun name ->
+      let w = Relation.make name 1 in
+      Bounds.bound bounds w ~lower:(Tuple_set.empty 1)
+        ~upper:(Bounds.tuples bounds [ [ "Cmp0" ]; [ "Cmp1" ] ]);
+      let delta = Ast.Dsl.[ one (rel w); rel w <: rel component ] in
+      let session = Solve.attach base ~rels:[ w ] ~constraints:delta in
+      (match Solve.next session with
+      | Solve.Sat inst ->
+          check_int (name ^ " decoded as a singleton") 1
+            (Tuple_set.size (Instance.value inst w));
+          check (name ^ " instance verifies") true
+            (Solve.verify
+               Solve.{ bounds; constraints = problem.constraints @ delta }
+               inst)
+      | Solve.Unsat | Solve.Unknown -> Alcotest.fail "expected sat");
+      Solve.detach session)
+    [ "w1"; "w2" ]
+
+let test_attach_budget_scoped () =
+  (* A budget given to [attach] meters that session alone: it runs out
+     there, and the next attach on the same base is unaffected. *)
+  let problem, _ = paper_problem no_extra in
+  let base = Solve.prepare_base problem in
+  let starved =
+    Solve.attach
+      ~budget:
+        { Separ_sat.Solver.b_max_conflicts = Some 0; b_max_time_ms = None }
+      base ~rels:[] ~constraints:[]
+  in
+  (match Solve.next starved with
+  | Solve.Unknown -> ()
+  | Solve.Sat _ | Solve.Unsat ->
+      Alcotest.fail "zero budget must yield Unknown");
+  let remaining = Solve.remaining_budget starved in
+  check "starved session reports its exhausted budget" true
+    (match remaining.Separ_sat.Solver.b_max_conflicts with
+    | Some c -> c <= 0
+    | None -> false);
+  Solve.detach starved;
+  let session = Solve.attach base ~rels:[] ~constraints:[] in
+  check "unbudgeted attach has no conflict cap" true
+    ((Solve.remaining_budget session).Separ_sat.Solver.b_max_conflicts = None);
+  (match Solve.next session with
+  | Solve.Sat _ -> ()
+  | Solve.Unsat | Solve.Unknown -> Alcotest.fail "expected sat");
+  Solve.detach session
+
 let test_universe () =
   let u = Universe.of_atoms [ "x"; "y" ] in
   check_int "size" 2 (Universe.size u);
@@ -395,5 +528,13 @@ let tests =
       test_enumerate_truncated;
     Alcotest.test_case "budget unknown propagates" `Quick
       test_budget_unknown_propagates;
+    Alcotest.test_case "shared base matches prepare" `Quick
+      test_shared_base_matches_prepare;
+    Alcotest.test_case "detach retires the delta" `Quick
+      test_detach_retires_delta;
+    Alcotest.test_case "attach binds new relations" `Quick
+      test_attach_binds_new_relations;
+    Alcotest.test_case "attach budget is per session" `Quick
+      test_attach_budget_scoped;
     Alcotest.test_case "universe" `Quick test_universe;
   ]

@@ -650,179 +650,6 @@ let test_dimacs_satlib_trailer () =
      Dimacs.load_into s p;
      Solver.solve s = Solver.Sat)
 
-(* --- SatELite-style preprocessing ------------------------------------------ *)
-
-let test_preprocess_basic () =
-  (* chain of equivalences x1 <-> x2 <-> ... <-> x6 with only x6 frozen:
-     BVE eliminates every interior variable (each resolution step is
-     tautological or re-links the chain), and reconstruction must value
-     the eliminated variables consistently with whatever the frozen end
-     of the chain was assigned. *)
-  let s = Solver.create () in
-  for v = 1 to 5 do
-    Solver.add_clause s [ -v; v + 1 ];
-    Solver.add_clause s [ v; -(v + 1) ]
-  done;
-  Solver.preprocess ~frozen:[ 6 ] s;
-  let elim, _, _ = Solver.simp_stats s in
-  check "all five chain variables eliminated" true (elim = 5);
-  check "sat under x6" true (Solver.solve ~assumptions:[ 6 ] s = Solver.Sat);
-  for v = 1 to 6 do
-    check (Printf.sprintf "x%d reconstructed true" v) true (Solver.value s v)
-  done;
-  check "sat under -x6" true
-    (Solver.solve ~assumptions:[ -6 ] s = Solver.Sat);
-  for v = 1 to 6 do
-    check (Printf.sprintf "x%d reconstructed false" v) false (Solver.value s v)
-  done;
-  (* naming an eliminated variable afterwards is a programming error *)
-  List.iter
-    (fun v ->
-      check
-        (Printf.sprintf "add_clause rejects eliminated x%d" v)
-        true
-        (match Solver.add_clause s [ v; 7 ] with
-        | () -> false
-        | exception Invalid_argument _ -> true);
-      check
-        (Printf.sprintf "solve rejects eliminated x%d in assumptions" v)
-        true
-        (match Solver.solve ~assumptions:[ v ] s with
-        | _ -> false
-        | exception Invalid_argument _ -> true))
-    [ 1; 2; 3; 4; 5 ]
-
-let test_preprocess_differential () =
-  (* the full pipeline — preprocess then solve — against the DPLL
-     reference on random 3-CNF: satisfiability agrees, reconstructed
-     models satisfy the *original* clauses, and unsat stays unsat *)
-  let rand = Random.State.make [| 43 |] in
-  for _ = 1 to 300 do
-    let nv = 5 + Random.State.int rand 12 in
-    let nc = 5 + Random.State.int rand (4 * nv) in
-    let clauses =
-      List.init nc (fun _ ->
-          List.init 3 (fun _ ->
-              let v = 1 + Random.State.int rand nv in
-              if Random.State.bool rand then v else -v))
-    in
-    let s = Solver.create () in
-    List.iter (Solver.add_clause s) clauses;
-    Solver.preprocess s;
-    let r = Solver.solve s in
-    let expected = Reference.satisfiable clauses in
-    check "preprocessed solver agrees with reference" expected (r = Solver.Sat);
-    if r = Solver.Sat then begin
-      (* value every original variable (not just the survivors in
-         [model]) so reconstruction of eliminated variables is
-         exercised *)
-      let full_model =
-        Array.init nv (fun i ->
-            (* random instances may not mention every variable up to nv *)
-            i < Solver.n_vars s && Solver.value s (i + 1))
-      in
-      check "reconstructed model satisfies the original clauses" true
-        (Reference.check_model full_model clauses)
-    end
-  done
-
-let test_preprocess_frozen_assumptions () =
-  (* frozen variables keep their meaning under assumptions: solving with
-     assumptions over frozen vars agrees with the reference solving the
-     clauses plus those units, and unsat cores stay genuine *)
-  let rand = Random.State.make [| 59 |] in
-  for _ = 1 to 150 do
-    let nv = 5 + Random.State.int rand 8 in
-    let nc = 4 + Random.State.int rand (3 * nv) in
-    let clauses =
-      List.init nc (fun _ ->
-          List.init 3 (fun _ ->
-              let v = 1 + Random.State.int rand nv in
-              if Random.State.bool rand then v else -v))
-    in
-    let frozen =
-      List.sort_uniq compare
-        (List.init 3 (fun _ -> 1 + Random.State.int rand nv))
-    in
-    let assumptions =
-      List.map (fun v -> if Random.State.bool rand then v else -v) frozen
-    in
-    let s = Solver.create () in
-    List.iter (Solver.add_clause s) clauses;
-    Solver.preprocess ~frozen s;
-    let expected =
-      Reference.satisfiable (clauses @ List.map (fun a -> [ a ]) assumptions)
-    in
-    match Solver.solve ~assumptions s with
-    | Solver.Sat ->
-        check "assumption-sat agrees with reference" true expected;
-        check "model honours assumptions" true
-          (List.for_all
-             (fun a -> Solver.value s (abs a) = (a > 0))
-             assumptions)
-    | Solver.Unsat ->
-        check "assumption-unsat agrees with reference" false expected;
-        let core = Solver.failed_assumptions s in
-        check "core subset of assumptions" true
-          (List.for_all (fun a -> List.mem a assumptions) core);
-        check "core jointly unsat with original clauses" false
-          (Reference.satisfiable (clauses @ List.map (fun a -> [ a ]) core))
-    | Solver.Unknown -> Alcotest.fail "unbudgeted solve returned unknown"
-  done
-
-let test_preprocess_minimize_identical () =
-  (* the byte-identity property the ASE pipeline rests on: with the soft
-     set frozen, canonical lexicographic minimization answers the same
-     with and without preprocessing *)
-  let rand = Random.State.make [| 67 |] in
-  for _ = 1 to 80 do
-    let nv = 5 + Random.State.int rand 6 in
-    let nc = 4 + Random.State.int rand (3 * nv) in
-    let clauses =
-      List.init nc (fun _ ->
-          List.init 3 (fun _ ->
-              let v = 1 + Random.State.int rand nv in
-              if Random.State.bool rand then v else -v))
-    in
-    (* a strict subset of the variables is soft, so elimination has
-       non-frozen variables to chew on *)
-    let soft = List.init (nv / 2) (fun i -> i + 1) in
-    let run preprocessed =
-      let s = Solver.create () in
-      List.iter (Solver.add_clause s) clauses;
-      if preprocessed then Solver.preprocess ~frozen:soft s;
-      if Solver.solve s = Solver.Sat then begin
-        (* minimize_lex is canonical — a function of the constraints
-           only — so it must be literally identical either way; the
-           enumerated antichain is canonical only as a set.  Order
-           matters: enumeration exhausts the solver (final Unsat), so
-           the lex minimization must read its model first. *)
-        let lex = Models.minimize_lex s ~soft in
-        check "re-solve after lex minimization" true (Solver.solve s = Solver.Sat);
-        let scenarios =
-          List.sort compare
-            (List.map (List.sort compare) (Models.enumerate_minimal s ~soft))
-        in
-        Some (lex, scenarios)
-      end
-      else None
-    in
-    let raw = run false and pre = run true in
-    (match (raw, pre) with
-    | Some (lr, er), Some (lp, ep) when raw <> pre ->
-        Printf.eprintf "MISMATCH lex_raw=[%s] lex_pre=[%s] enum_eq=%b\nclauses=%s\n%!"
-          (String.concat "," (List.map string_of_int lr))
-          (String.concat "," (List.map string_of_int lp))
-          (er = ep)
-          (String.concat ";"
-             (List.map
-                (fun c -> String.concat " " (List.map string_of_int c))
-                clauses))
-    | _ -> ());
-    check "lex-least scenario and minimal-scenario set identical" true
-      (raw = pre)
-  done
-
 let qcheck_dimacs_roundtrip =
   QCheck.Test.make ~name:"DIMACS print/parse round-trips" ~count:200
     QCheck.(small_list (small_list (int_range (-9) 9)))
@@ -915,13 +742,6 @@ let tests =
     Alcotest.test_case "dimacs whitespace" `Quick test_dimacs_whitespace;
     Alcotest.test_case "dimacs satlib trailer" `Quick
       test_dimacs_satlib_trailer;
-    Alcotest.test_case "preprocess basics" `Quick test_preprocess_basic;
-    Alcotest.test_case "preprocess differential vs reference" `Slow
-      test_preprocess_differential;
-    Alcotest.test_case "preprocess frozen assumptions" `Slow
-      test_preprocess_frozen_assumptions;
-    Alcotest.test_case "preprocess keeps minimal scenarios" `Slow
-      test_preprocess_minimize_identical;
     QCheck_alcotest.to_alcotest qcheck_solver_agrees;
     QCheck_alcotest.to_alcotest qcheck_dimacs_roundtrip;
   ]
