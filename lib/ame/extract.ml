@@ -15,6 +15,9 @@
 open Separ_android
 open Separ_dalvik
 module Interp = Separ_static.Interp
+module Trace = Separ_obs.Trace
+module Metrics = Separ_obs.Metrics
+module Log = Separ_obs.Log
 
 let expansion_cap = 16
 
@@ -94,13 +97,26 @@ let split_paths (facts : Interp.facts) =
             enforced ))
     ([], []) facts.Interp.paths
 
-(* Returns the component model plus the dynamic receiver registrations
-   its code performs (target class, filter). *)
-let extract_component ?(k1 = true) ?(all_methods = false) (apk : Apk.t)
-    (comp : Component.t) :
-    App_model.component_model * (string * Intent_filter.t) list =
+let c_fixpoint_capped = Metrics.counter "ame.fixpoint_capped"
+
+(* Returns the component model, the dynamic receiver registrations its
+   code performs (target class, filter), and the rounds its fixpoint
+   took.  A fixpoint stopped by the round cap is counted and logged: the
+   model then lacks the facts of the deepest methods. *)
+let extract_component_rounds ~k1 ~all_methods (apk : Apk.t)
+    (comp : Component.t) =
   let facts = Interp.analyze_component ~k1 ~all_methods apk comp in
   let pkg = Apk.package apk in
+  if facts.Interp.fixpoint_capped then begin
+    Metrics.incr c_fixpoint_capped;
+    Log.warn "ame.fixpoint_capped"
+      ~fields:
+        [
+          ("package", Trace.Str pkg);
+          ("component", Trace.Str comp.Component.name);
+          ("rounds", Trace.Int facts.Interp.fixpoint_rounds);
+        ]
+  end;
   let open_paths, enforced = split_paths facts in
   let intents =
     List.concat
@@ -132,11 +148,14 @@ let extract_component ?(k1 = true) ?(all_methods = false) (apk : Apk.t)
       (fun (target, actions) ->
         ( Option.value ~default:comp.Component.name target,
           Intent_filter.make ~actions () ))
-      facts.Interp.dynamic_filters )
+      facts.Interp.dynamic_filters,
+    facts.Interp.fixpoint_rounds )
 
-module Trace = Separ_obs.Trace
-module Metrics = Separ_obs.Metrics
-module Log = Separ_obs.Log
+let extract_component ?(k1 = true) ?(all_methods = false) apk comp =
+  let model, registrations, _ =
+    extract_component_rounds ~k1 ~all_methods apk comp
+  in
+  (model, registrations)
 
 let c_apps = Metrics.counter "ame.apps_extracted"
 let c_components = Metrics.counter "ame.components_extracted"
@@ -146,13 +165,14 @@ let h_extract_ms = Metrics.histogram "ame.extraction_ms"
 (* Extract the full app model; records wall-clock time and app size for
    the Figure 5 experiment.  Each app gets one [ame.extract] span whose
    attributes carry the Figure-5 coordinates (instruction count, number
-   of components/intents). *)
+   of components/intents) and the most fixpoint rounds any component
+   took. *)
 let extract ?(k1 = true) ?(all_methods = false) (apk : Apk.t) : App_model.t =
   let model, extraction_ms =
     Trace.timed "ame.extract" (fun () ->
         let extracted =
           List.map
-            (extract_component ~k1 ~all_methods apk)
+            (extract_component_rounds ~k1 ~all_methods apk)
             apk.Apk.manifest.Manifest.components
         in
         (* Dynamic receiver registrations observed anywhere in the app are
@@ -160,10 +180,10 @@ let extract ?(k1 = true) ?(all_methods = false) (apk : Apk.t) : App_model.t =
            the registering component).  SEPAR's formal encoding ignores this
            field — the paper's documented limitation — but baseline tools
            read it. *)
-        let registrations = List.concat_map snd extracted in
+        let registrations = List.concat_map (fun (_, r, _) -> r) extracted in
         let components =
           List.map
-            (fun (cm, _) ->
+            (fun (cm, _, _) ->
               let mine =
                 List.filter_map
                   (fun (tgt, f) ->
@@ -182,6 +202,9 @@ let extract ?(k1 = true) ?(all_methods = false) (apk : Apk.t) : App_model.t =
         Trace.add_attr "size" (Trace.Int (Apk.size apk));
         Trace.add_attr "components" (Trace.Int (List.length components));
         Trace.add_attr "intents" (Trace.Int n_intents);
+        Trace.add_attr "fixpoint_rounds"
+          (Trace.Int
+             (List.fold_left (fun acc (_, _, r) -> max acc r) 0 extracted));
         Metrics.incr c_apps;
         Metrics.add c_components (List.length components);
         Metrics.add c_intents n_intents;

@@ -51,23 +51,28 @@ let of_taints rs = { bot with taints = RS.of_list rs }
 let of_perm_check p = { bot with perm_checks = SS.singleton p }
 
 let join a b =
-  let strs = SS.union a.strs b.strs in
-  let overflow = SS.cardinal strs > max_strings in
-  {
-    strs = (if overflow then SS.empty else strs);
-    str_top = a.str_top || b.str_top || overflow;
-    sites = IS.union a.sites b.sites;
-    incoming = a.incoming || b.incoming;
-    taints = RS.union a.taints b.taints;
-    perm_checks = SS.union a.perm_checks b.perm_checks;
-  }
+  if a == b then a
+  else
+    let strs = SS.union a.strs b.strs in
+    let str_top = a.str_top || b.str_top || SS.cardinal strs > max_strings in
+    {
+      (* top carries no strings, so a value has one representation *)
+      strs = (if str_top then SS.empty else strs);
+      str_top;
+      sites = IS.union a.sites b.sites;
+      incoming = a.incoming || b.incoming;
+      taints = RS.union a.taints b.taints;
+      perm_checks = SS.union a.perm_checks b.perm_checks;
+    }
 
 let equal a b =
-  SS.equal a.strs b.strs && a.str_top = b.str_top
-  && IS.equal a.sites b.sites
-  && a.incoming = b.incoming
-  && RS.equal a.taints b.taints
-  && SS.equal a.perm_checks b.perm_checks
+  a == b
+  || SS.equal a.strs b.strs
+     && a.str_top = b.str_top
+     && IS.equal a.sites b.sites
+     && a.incoming = b.incoming
+     && RS.equal a.taints b.taints
+     && SS.equal a.perm_checks b.perm_checks
 
 (* The resolved strings: [None] when the value is statically unknown. *)
 let strings v = if v.str_top then None else Some (SS.elements v.strs)

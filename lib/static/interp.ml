@@ -24,6 +24,7 @@ open Separ_android
 module SS = Absval.SS
 module RS = Absval.RS
 module IS = Absval.IS
+module IM = Map.Make (Int)
 
 type key = { kcls : string; kmtd : string; kctx : int }
 
@@ -56,7 +57,12 @@ let fresh_props () =
     extra_taints = RS.empty;
   }
 
-type state = { regs : Absval.t array; result : Absval.t; reach : bool }
+(* The register file is sparse and persistent: only registers whose value
+   is not bottom are bound.  An instruction writes at most one register,
+   so consecutive states share all but one path of the map, and a state
+   costs O(log registers) to derive from its predecessor.  Bottom is
+   never bound, so equal states have equal maps. *)
+type state = { regs : Absval.t IM.t; result : Absval.t; reach : bool }
 
 (* Facts reported per component. *)
 type intent_fact = {
@@ -89,6 +95,8 @@ type facts = {
       (* (receiver class, actions) of resolvable dynamic registrations *)
   reads_extra_keys : string list; (* keys read from the incoming intent *)
   analyzed_methods : int;
+  fixpoint_rounds : int;
+  fixpoint_capped : bool; (* stopped at [max_rounds] before converging *)
 }
 
 type t = {
@@ -241,12 +249,13 @@ let join_entry t key (args : Absval.t list) n_params n_regs =
 
 (* --- the transfer function -------------------------------------------- *)
 
-let get_reg s r = s.regs.(r)
+let get_reg s r = Option.value ~default:Absval.bot (IM.find_opt r s.regs)
 
 let set_reg s r v =
-  let regs = Array.copy s.regs in
-  regs.(r) <- v;
-  { s with regs }
+  let regs =
+    if Absval.is_bot v then IM.remove r s.regs else IM.add r v s.regs
+  in
+  if regs == s.regs then s else { s with regs }
 
 let handle_intent_op t s op (args : int list) =
   let arg n = get_reg s (List.nth args n) in
@@ -470,46 +479,49 @@ let transfer t key _i instr (s : state) : state =
 
 (* --- fixpoint over all registered methods ------------------------------ *)
 
-let state_lattice n_regs : state Dataflow.lattice =
+let state_lattice : state Dataflow.lattice =
   {
-    bot = { regs = Array.make (max n_regs 1) Absval.bot;
-            result = Absval.bot;
-            reach = false };
+    bot = { regs = IM.empty; result = Absval.bot; reach = false };
     join =
       (fun a b ->
         if not a.reach then b
         else if not b.reach then a
+        else if a == b then a
         else
           {
-            regs = Array.init (Array.length a.regs)
-                     (fun i -> Absval.join a.regs.(i) b.regs.(i));
+            regs =
+              (if a.regs == b.regs then a.regs
+               else
+                 IM.union (fun _ x y -> Some (Absval.join x y)) a.regs b.regs);
             result = Absval.join a.result b.result;
             reach = true;
           });
     equal =
       (fun a b ->
-        a.reach = b.reach
-        && (not a.reach
-           || (Absval.equal a.result b.result
-              && Array.for_all2 Absval.equal a.regs b.regs)));
+        a == b
+        || a.reach = b.reach
+           && (not a.reach
+              || Absval.equal a.result b.result
+                 && (a.regs == b.regs || IM.equal Absval.equal a.regs b.regs)));
   }
 
 let analyze_method t key (m : Ir.meth) entry_regs : state array =
   let cfg = Cfg.make m in
-  let lat = state_lattice m.Ir.n_regs in
-  let entry =
-    {
-      regs =
-        Array.init (max m.Ir.n_regs 1) (fun i ->
-            if i < Array.length entry_regs then entry_regs.(i) else Absval.bot);
-      result = Absval.bot;
-      reach = true;
-    }
-  in
-  Dataflow.forward lat ~entry ~transfer:(transfer t key) cfg
+  let regs = ref IM.empty in
+  Array.iteri
+    (fun i v -> if not (Absval.is_bot v) then regs := IM.add i v !regs)
+    entry_regs;
+  let entry = { regs = !regs; result = Absval.bot; reach = true } in
+  Dataflow.forward state_lattice ~entry ~transfer:(transfer t key) cfg
+
+(* Rounds of the global fixpoint before it gives up.  Each round analyzes
+   the methods registered before it started, so a call chain deeper than
+   this is cut short: the facts of its deepest methods are missing. *)
+let max_rounds = 100
 
 (* Run the global fixpoint from the given roots.  Returns the final
-   in-states per method key. *)
+   in-states per method key, the rounds run, and whether the cap stopped
+   the iteration before it converged. *)
 let run t (roots : (key * Ir.meth * Absval.t array) list) =
   List.iter
     (fun (key, m, entry_regs) ->
@@ -518,7 +530,7 @@ let run t (roots : (key * Ir.meth * Absval.t array) list) =
   let states = KeyH.create 16 in
   let rounds = ref 0 in
   let continue = ref true in
-  while !continue && !rounds < 100 do
+  while !continue && !rounds < max_rounds do
     incr rounds;
     t.changed <- false;
     let keys = KeyH.fold (fun k _ acc -> k :: acc) t.entries [] in
@@ -533,7 +545,7 @@ let run t (roots : (key * Ir.meth * Absval.t array) list) =
       keys;
     if not t.changed then continue := false
   done;
-  states
+  (states, !rounds, !continue)
 
 (* --- post-pass: fact extraction ---------------------------------------- *)
 
@@ -547,7 +559,7 @@ let guards_of_instr (states : state array) (cfg : Cfg.t) idx =
     match Cfg.instr cfg i with
     | Ir.If_eqz (r, _) | Ir.If_nez (r, _) ->
         if states.(i).reach then
-          perms := SS.union !perms states.(i).regs.(r).Absval.perm_checks
+          perms := SS.union !perms (get_reg states.(i) r).Absval.perm_checks
     | _ -> ()
   done;
   SS.fold
@@ -555,11 +567,11 @@ let guards_of_instr (states : state array) (cfg : Cfg.t) idx =
       let labels = Ir.label_table cfg.Cfg.meth in
       let cut i j =
         match Cfg.instr cfg i with
-        | Ir.If_eqz (r, _) when SS.mem perm states.(i).regs.(r).Absval.perm_checks
+        | Ir.If_eqz (r, _) when SS.mem perm (get_reg states.(i) r).Absval.perm_checks
           ->
             (* jumps away when denied; granted path is the fall-through *)
             j = i + 1
-        | Ir.If_nez (r, l) when SS.mem perm states.(i).regs.(r).Absval.perm_checks
+        | Ir.If_nez (r, l) when SS.mem perm (get_reg states.(i) r).Absval.perm_checks
           ->
             (* jumps when granted *)
             j = Hashtbl.find labels l
@@ -745,6 +757,8 @@ let extract_facts t (states : (key, state array) KeyH.t) : facts =
     dynamic_filters = List.rev !dyn_filters;
     reads_extra_keys = SS.elements t.read_keys;
     analyzed_methods = KeyH.length states;
+    fixpoint_rounds = 0;
+    fixpoint_capped = false;
   }
 
 let empty_facts =
@@ -756,6 +770,8 @@ let empty_facts =
     dynamic_filters = [];
     reads_extra_keys = [];
     analyzed_methods = 0;
+    fixpoint_rounds = 0;
+    fixpoint_capped = false;
   }
 
 (* Analyze one component of the app: run the fixpoint from its lifecycle
@@ -782,5 +798,9 @@ let analyze_component ?(k1 = true) ?(all_methods = false) apk
             (fun entry -> Option.map root_of (Ir.find_method cls entry))
             (Apk.entry_methods comp.Component.kind)
       in
-      let states = run t roots in
-      extract_facts t states
+      let states, rounds, capped = run t roots in
+      {
+        (extract_facts t states) with
+        fixpoint_rounds = rounds;
+        fixpoint_capped = capped;
+      }

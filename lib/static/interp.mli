@@ -44,6 +44,11 @@ type facts = {
   reads_extra_keys : string list;
       (** extra keys read from the incoming intent *)
   analyzed_methods : int;
+  fixpoint_rounds : int;  (** rounds of the inter-procedural fixpoint *)
+  fixpoint_capped : bool;
+      (** the fixpoint stopped at its cap of 100 rounds before
+          converging.  Each round reaches one call deeper, so the facts
+          of methods deeper than the cap are missing. *)
 }
 
 val empty_facts : facts

@@ -244,6 +244,123 @@ let test_resolves_to () =
   check "request does not resolve to Origin" false
     (Bundle.resolves_to request origin)
 
+(* --- fixpoint round cap ------------------------------------------------------ *)
+
+module Metrics = Separ_obs.Metrics
+module Log = Separ_obs.Log
+module Json = Separ_report.Json
+
+(* A service whose entry point starts a chain of [depth] internal calls;
+   only the last method sends an intent.  Each fixpoint round reaches one
+   call deeper. *)
+let chain_apk depth =
+  let link i =
+    B.meth ~name:(Printf.sprintf "m%d" i) ~params:1 (fun b ->
+        if i < depth then
+          B.call b ~cls:"Deep" ~name:(Printf.sprintf "m%d" (i + 1)) [ 0 ]
+        else
+          let it = B.new_intent b in
+          B.set_action b it "deep";
+          B.start_service b it)
+  in
+  Apk.make
+    ~manifest:
+      (Manifest.make ~package:"chain"
+         ~components:[ Component.make ~name:"Deep" ~kind:Component.Service () ]
+         ())
+    ~classes:
+      [
+        B.cls ~name:"Deep"
+          (B.meth ~name:"onStartCommand" ~params:1 (fun b ->
+               B.call b ~cls:"Deep" ~name:"m1" [ 0 ])
+          :: List.init depth (fun i -> link (i + 1)));
+      ]
+
+(* Extract with metrics and a log sink on; returns the model, the
+   [ame.fixpoint_capped] count and the [ame.fixpoint_capped] events as
+   (package, component) pairs. *)
+let extract_observed apk =
+  let path = Filename.temp_file "separ_test_fixpoint" ".ndjson" in
+  Metrics.enable ();
+  Metrics.reset ();
+  Log.to_file path;
+  Log.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Log.close ();
+      Log.reset ();
+      Metrics.reset ();
+      Metrics.disable ();
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let model = Extract.extract apk in
+      let capped =
+        Metrics.counter_value (Metrics.counter "ame.fixpoint_capped")
+      in
+      Log.close ();
+      let str key j = Option.bind (Json.member key j) Json.to_str in
+      let warnings =
+        In_channel.with_open_text path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "")
+        |> List.filter_map (fun l ->
+               let j = Json.parse l in
+               if str "event" j = Some "ame.fixpoint_capped" then
+                 Some (str "package" j, str "component" j)
+               else None)
+      in
+      (model, capped, warnings))
+
+let test_fixpoint_cap_reported () =
+  let sends_deep (model : App_model.t) =
+    List.exists
+      (fun i -> i.App_model.im_action = Some "deep")
+      (App_model.all_intents model)
+  in
+  let shallow, capped, warnings = extract_observed (chain_apk 20) in
+  check_int "20-deep chain converges" 0 capped;
+  check_int "no warning for the 20-deep chain" 0 (List.length warnings);
+  check "20-deep chain: deepest intent found" true (sends_deep shallow);
+  let deep, capped, warnings = extract_observed (chain_apk 120) in
+  check_int "120-deep chain hits the cap" 1 capped;
+  check "one warning naming package and component" true
+    (warnings = [ (Some "chain", Some "Deep") ]);
+  check "capped: deepest intent missing" false (sends_deep deep)
+
+(* --- pinned output ----------------------------------------------------------- *)
+
+(* The extracted models of every Table I case app and the first 200 apps
+   of the seed-2016 corpus, digested.  Extraction times are zeroed and the
+   marshalling ignores sharing, so the digest moves only when what AME
+   extracts changes; a deliberate change must update the digest and bump
+   [Extract.version]. *)
+let pinned_models_digest = "34056cfc5da5e658d96da1c392634f64"
+
+let test_pinned_output () =
+  let table1_apks =
+    List.concat_map
+      (fun (c : Separ_suites.Case.t) -> c.Separ_suites.Case.apks)
+      (Separ_suites.Table1.all_cases ())
+  in
+  (* Generation is sequential from one seeded stream, so the first
+     profile cut to 200 apps yields the corpus's first 200 apps. *)
+  let corpus_apks =
+    let module G = Separ_workload.Generator in
+    let first = { (List.hd G.default_profiles) with G.count = 200 } in
+    G.generate ~seed:2016 ~profiles:[ first ] ()
+    |> List.map (fun (g : G.generated) -> g.G.apk)
+  in
+  let models =
+    List.map
+      (fun apk ->
+        { (Extract.extract apk) with App_model.am_extraction_ms = 0.0 })
+      (table1_apks @ corpus_apks)
+  in
+  Alcotest.(check string)
+    "AME output digest" pinned_models_digest
+    (Digest.to_hex
+       (Digest.string (Marshal.to_string models [ Marshal.No_sharing ])))
+
 let tests =
   [
     Alcotest.test_case "motivating example model" `Quick test_extract_motivating;
@@ -256,4 +373,7 @@ let tests =
       test_passive_intent_resolution;
     Alcotest.test_case "bundle stats" `Quick test_bundle_stats;
     Alcotest.test_case "resolves_to" `Quick test_resolves_to;
+    Alcotest.test_case "fixpoint round cap reported" `Quick
+      test_fixpoint_cap_reported;
+    Alcotest.test_case "pinned output digest" `Quick test_pinned_output;
   ]

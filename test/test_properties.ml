@@ -105,21 +105,31 @@ let filter_antitone_in_categories =
 
 module Absval = Separ_static.Absval
 
+(* Up to 10 strings drawn from 12, so joins cross [Absval.max_strings] and
+   overflow to [str_top]; every facet (top, sites, incoming, taints,
+   permission checks) is drawn, so the laws also cover the [==] fast
+   paths and the overflow. *)
 let absval_gen =
-  QCheck.Gen.map
-    (fun (strs, sites, taints) ->
-      List.fold_left
-        (fun acc v -> Absval.join acc v)
-        Absval.bot
+  let open QCheck.Gen in
+  let strings = List.init 12 (Printf.sprintf "s%d") in
+  map
+    (fun ((strs, top, sites), (incoming, taints, perms)) ->
+      List.fold_left Absval.join Absval.bot
         (List.map Absval.of_string strs
+        @ (if top then [ Absval.str_top ] else [])
         @ List.map Absval.of_site sites
-        @ [ Absval.of_taints taints ]))
-    (QCheck.Gen.triple
-       (QCheck.Gen.list_size (QCheck.Gen.int_range 0 3)
-          (QCheck.Gen.oneofl [ "x"; "y"; "z" ]))
-       (QCheck.Gen.list_size (QCheck.Gen.int_range 0 3) (QCheck.Gen.int_range 0 5))
-       (QCheck.Gen.oneofl
-          [ []; [ Resource.Imei ]; [ Resource.Location; Resource.Sms ] ]))
+        @ (if incoming then [ Absval.incoming_intent ] else [])
+        @ [ Absval.of_taints taints ]
+        @ List.map Absval.of_perm_check perms))
+    (pair
+       (triple
+          (list_size (int_range 0 10) (oneofl strings))
+          bool
+          (list_size (int_range 0 3) (int_range 0 5)))
+       (triple bool
+          (oneofl [ []; [ Resource.Imei ]; [ Resource.Location; Resource.Sms ] ])
+          (list_size (int_range 0 2)
+             (oneofl [ Permission.send_sms; Permission.access_fine_location ]))))
 
 let absval = QCheck.make absval_gen
 

@@ -519,12 +519,86 @@ let test_guard_intersection_across_callers () =
          p.Interp.pf_sink = Resource.Sms && p.Interp.pf_guards = [])
        facts.Interp.paths)
 
+(* --- sparse register states ------------------------------------------------------ *)
+
+(* Generated methods hold hundreds of registers, most of them dead after
+   one use.  [high b] fills 300 registers with constants and returns a
+   fresh register above them, so these cases exercise the sparse state
+   far from the parameters. *)
+let high b =
+  for k = 1 to 300 do
+    ignore (B.const_str b (Printf.sprintf "pad%d" k))
+  done;
+  B.fresh_reg b
+
+let wide_service ~perms body =
+  let m = B.meth ~name:"onStartCommand" ~params:1 body in
+  check "method holds 300+ registers" true (m.Ir.n_regs > 300);
+  service_apk ~name:"S" ~perms [ m ]
+
+(* The tainted state reaches the join point second when the taint is
+   written on the fall-through branch, and first when the fall-through
+   branch overwrites it: the join must keep it either way. *)
+let test_sparse_taint_one_branch () =
+  let apk ~write_on_branch =
+    wide_service ~perms:[ Permission.read_phone_state ] (fun b ->
+        let v = B.get_device_id b in
+        let r = high b in
+        if not write_on_branch then B.move b ~dst:r ~src:v;
+        let c = B.get_string_extra b 0 ~key:"w" in
+        let skip = B.fresh_label b in
+        B.if_eqz b c skip;
+        if write_on_branch then B.move b ~dst:r ~src:v
+        else B.emit b (Ir.Const (r, Ir.Cstr "clean"));
+        B.place_label b skip;
+        B.write_log b ~payload:r)
+  in
+  check "taint written on one branch survives the join" true
+    (has_path (facts_of (apk ~write_on_branch:true) "S") Resource.Imei
+       Resource.Log);
+  check "taint overwritten on one branch survives the join" true
+    (has_path (facts_of (apk ~write_on_branch:false) "S") Resource.Imei
+       Resource.Log)
+
+let test_sparse_overwrite_with_bottom () =
+  let apk =
+    wide_service ~perms:[ Permission.read_phone_state ] (fun b ->
+        let v = B.get_device_id b in
+        let r = high b in
+        B.move b ~dst:r ~src:v;
+        B.emit b (Ir.Const (r, Ir.Cint 0));
+        B.write_log b ~payload:r)
+  in
+  check "overwritten taint reports no path" false
+    (has_path (facts_of apk "S") Resource.Imei Resource.Log)
+
+let test_sparse_guard_in_high_register () =
+  let apk =
+    wide_service ~perms:[ Permission.send_sms ] (fun b ->
+        let num = B.get_string_extra b 0 ~key:"n" in
+        let res = B.check_calling_permission b Permission.send_sms in
+        let r = high b in
+        B.move b ~dst:r ~src:res;
+        let deny = B.fresh_label b in
+        B.if_eqz b r deny;
+        B.send_text_message b ~number:num ~body:num;
+        B.place_label b deny)
+  in
+  check "check held in a high register guards the sink" true
+    (List.mem Permission.send_sms (guards_of (facts_of apk "S")))
+
 let extra_tests =
   [
     Alcotest.test_case "recursion terminates" `Quick
       test_recursive_program_terminates;
     Alcotest.test_case "guard intersection across callers" `Quick
       test_guard_intersection_across_callers;
+    Alcotest.test_case "sparse state: taint on one branch" `Quick
+      test_sparse_taint_one_branch;
+    Alcotest.test_case "sparse state: overwrite with bottom" `Quick
+      test_sparse_overwrite_with_bottom;
+    Alcotest.test_case "sparse state: guard in a high register" `Quick
+      test_sparse_guard_in_high_register;
   ]
 
 let tests = tests @ extra_tests
