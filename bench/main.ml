@@ -1,38 +1,40 @@
 (* The benchmark harness: regenerates every table and figure of the
    paper's evaluation, plus the ablations called out in DESIGN.md.
 
-     dune exec bench/main.exe                 run every experiment
-     dune exec bench/main.exe -- table1       one experiment
+     dune exec bench/main.exe                     run every section
+     dune exec bench/main.exe -- table1 fig5      the named sections
      dune exec bench/main.exe -- rq2 --bundles 20
+     dune exec bench/main.exe -- --smoke cache    one section as a gate
 
-   Experiments (see DESIGN.md's index):
-     table1            Table I   tool-comparison on DroidBench + ICC-Bench
-     rq2               §VII.B    vulnerable apps per category over 4,000 apps
-     fig5              Figure 5  extraction time vs app size
-     table2            Table II  bundle statistics and solver timing
-     rq4               §VII.D    policy enforcement overhead (33 reps, 95% CI)
-     scenario          §V/§VI    the running example's exploit + policy
-     parallel          ASE at -j 1/2/4 over Table I (BENCH_parallel.json)
-     cache             persistent cross-run cache: cold vs warm vs one-app-changed
-                       (BENCH_cache.json)
-     serve             app-store daemon: footprint-indexed selective re-analysis
-                       of an upload stream vs full repair (BENCH_serve.json)
-     enforce           compiled PDP vs linear scan at 10/100/1000 rules +
-                       device-fleet soak with hot swaps (BENCH_enforce.json)
-     ablation-minimal  minimal vs arbitrary scenarios
-     ablation-context  k = 1 vs k = 0 context sensitivity
-     ablation-pruning  entry-point reachability pruning on vs off
-     kernels           Bechamel micro-benchmarks of the pipeline stages *)
+   The sections are the [sections] table at the end of this file; an
+   unknown argument prints them.  Each section returns its outcome (the
+   BENCH_<name>.json body, history headline and named checks) and one
+   runner does the rest: header, JSON file, history line and, in smoke
+   mode, exit 1 on any failed check. *)
 
 open Separ
 module Generator = Separ_workload.Generator
 module Trace = Separ_obs.Trace
 module Metrics = Separ_obs.Metrics
-module Log = Separ_obs.Log
 module Telemetry = Separ_report.Telemetry
 module Json = Separ_report.Json
 module Provenance = Separ_report.Provenance
 module History = Separ_report.History
+
+(* What one section run produced, for the runner. *)
+type outcome = {
+  body : (string * Json.t) list;  (* BENCH_<name>.json fields; [] = no file *)
+  headline_ms : float option;  (* history wall time; None = the whole run *)
+  extra : (string * Json.t) list;  (* history extras *)
+  checks : (bool * string) list;  (* (holds, what is wrong if it does not) *)
+}
+
+let outcome ?(body = []) ?headline_ms ?(extra = []) ?(checks = []) () =
+  { body; headline_ms; extra; checks }
+
+(* [--bundles N] / [--apps N], as parsed from the command line. *)
+let options : (string * int) list ref = ref []
+let opt name default = Option.value ~default (List.assoc_opt name !options)
 
 let header title =
   Printf.printf "\n==================================================\n";
@@ -50,7 +52,7 @@ let provenance = lazy (Provenance.json (Provenance.collect ()))
 (* Append one (section, mode) trajectory point to BENCH_HISTORY.ndjson.
    The BENCH_*.json snapshots are overwritten on every run; the history
    file only grows, and `separ benchdiff` gates on it. *)
-let record_history ?(mode = "full") ?(extra = []) ~section wall_ms =
+let record_history ~mode ~extra ~section wall_ms =
   History.append ~path:history_path
     {
       History.e_section = section;
@@ -71,31 +73,27 @@ let ci95 = Separ_report.Stats.ci95_halfwidth
 
 (* --- Table I ---------------------------------------------------------------- *)
 
-let run_table1 () =
-  header "Table I: ICC vulnerability detection (DroidBench 2.0 + ICC-Bench)";
-  let rows, elapsed_ms =
-    Trace.timed "bench.table1" (fun () -> Separ_suites.Table1.run ())
-  in
+let table1 ~mode:_ =
+  let rows = Separ_suites.Table1.run () in
   print_string (Separ_suites.Table1.render rows);
   Printf.printf "\n(paper: DidFail 55/37/44, AmanDroid 86/48/63, SEPAR 100/97/98)\n";
-  Printf.printf "elapsed: %.1fs\n%!" (elapsed_ms /. 1000.0);
-  record_history ~section:"table1"
-    ~extra:[ ("cases", Json.Int (List.length rows)) ]
-    elapsed_ms
+  outcome ~extra:[ ("cases", Json.Int (List.length rows)) ] ()
 
 (* --- shared corpus ------------------------------------------------------------ *)
 
 let corpus = lazy (Generator.generate ())
 
+(* The running example's two apps (paper §II), as a bundle. *)
+let demo_apps () = [ Demo.navigation_app (); Demo.messenger_app () ]
+let demo_bundle () = Bundle.of_models (List.map Extract.extract (demo_apps ()))
+
 (* --- RQ2 ---------------------------------------------------------------------- *)
 
-let run_rq2 ~bundles:n_bundles () =
-  header
-    (Printf.sprintf
-       "RQ2: vulnerable apps per category (%d bundles of 50 apps)" n_bundles);
+let rq2 ~mode:_ =
   let corpus = Lazy.force corpus in
   let bundles = Generator.bundles ~size:50 corpus in
-  let chosen = List.filteri (fun i _ -> i < n_bundles) bundles in
+  let chosen = List.filteri (fun i _ -> i < opt "--bundles" 80) bundles in
+  Printf.printf "%d bundles of 50 apps\n%!" (List.length chosen);
   let tally : (string * string, unit) Hashtbl.t = Hashtbl.create 256 in
   let (), total_ms =
     Trace.timed "bench.rq2" (fun () ->
@@ -147,18 +145,17 @@ let run_rq2 ~bundles:n_bundles () =
       ("Information leakage", 128);
       ("Privilege escalation", 36);
     ];
-  Printf.printf "elapsed: %.1fs\n%!" (total_ms /. 1000.0);
-  record_history ~section:"rq2"
+  (* the headline leaves out generating the corpus *)
+  outcome ~headline_ms:total_ms
     ~extra:[ ("bundles", Json.Int (List.length chosen)) ]
-    total_ms
+    ()
 
 (* --- Figure 5 ------------------------------------------------------------------ *)
 
-let run_fig5 ~apps:n_apps () =
-  header
-    (Printf.sprintf "Figure 5: model extraction time vs app size (%d apps)"
-       n_apps);
-  let corpus = List.filteri (fun i _ -> i < n_apps) (Lazy.force corpus) in
+let fig5 ~mode:_ =
+  let corpus =
+    List.filteri (fun i _ -> i < opt "--apps" 4000) (Lazy.force corpus)
+  in
   let samples, total_ms =
     Trace.timed "bench.fig5" (fun () ->
         List.map
@@ -210,19 +207,17 @@ let run_fig5 ~apps:n_apps () =
      under 2 minutes (paper: 95%%)\n%!"
     total_s (List.length samples)
     (100.0 *. float_of_int under_2min /. float_of_int (List.length samples));
-  record_history ~section:"fig5"
+  outcome ~headline_ms:total_ms
     ~extra:[ ("apps", Json.Int (List.length samples)) ]
-    total_ms
+    ()
 
 (* --- Table II ------------------------------------------------------------------- *)
 
-let run_table2 ~bundles:n_bundles () =
-  header
-    (Printf.sprintf "Table II: per-bundle statistics and solver timing (%d bundles)"
-       n_bundles);
+let table2 ~mode:_ =
   let corpus = Lazy.force corpus in
   let bundles = Generator.bundles ~size:50 corpus in
-  let chosen = List.filteri (fun i _ -> i < n_bundles) bundles in
+  let chosen = List.filteri (fun i _ -> i < opt "--bundles" 10) bundles in
+  Printf.printf "%d bundles of 50 apps\n%!" (List.length chosen);
   let rows =
     List.map
       (fun bundle_apps ->
@@ -255,7 +250,8 @@ let run_table2 ~bundles:n_bundles () =
   Printf.printf "(paper:        313        322        148           260                57)\n";
   Printf.printf
     "shape check: construction dominates SAT solving, as in the paper: %b\n%!"
-    (avg (fun (_, _, _, c, _) -> c) > avg (fun (_, _, _, _, s) -> s))
+    (avg (fun (_, _, _, c, _) -> c) > avg (fun (_, _, _, _, s) -> s));
+  outcome ()
 
 (* --- RQ4 ------------------------------------------------------------------------- *)
 
@@ -326,7 +322,7 @@ let rq4_non_icc_app n =
 let demo_policies () =
   (* realistic policy store: the demo bundle's synthesized policies plus
      the benchmark component guarded by a prompt-on-foreign-sender rule *)
-  let analysis = analyze [ Demo.navigation_app (); Demo.messenger_app () ] in
+  let analysis = analyze (demo_apps ()) in
   analysis.policies
   @ [
       Policy.
@@ -354,8 +350,7 @@ let time_run apk ~pkg ~component ~enforcement ~policies =
   in
   ms /. 1000.0
 
-let run_rq4 () =
-  header "RQ4: policy enforcement overhead (33 repetitions, 95% CI)";
+let rq4 ~mode:_ =
   let n_ops = 2000 in
   let reps = 33 in
   let policies = demo_policies () in
@@ -426,28 +421,25 @@ let run_rq4 () =
      non-ICC calls)\n"
     md cid;
   Printf.printf "  p50 %.2f%%  p95 %.2f%%  p99 %.2f%%\n%!"
-    (percentile 0.50 diffs) (percentile 0.95 diffs) (percentile 0.99 diffs)
+    (percentile 0.50 diffs) (percentile 0.95 diffs) (percentile 0.99 diffs);
+  outcome ()
 
 (* --- the running example (E6) --------------------------------------------------- *)
 
-let run_scenario () =
-  header "Running example (paper SS V-VI): synthesized exploit and policy";
-  let analysis = analyze [ Demo.navigation_app (); Demo.messenger_app () ] in
+let scenario ~mode:_ =
+  let analysis = analyze (demo_apps ()) in
   List.iter
     (fun v ->
       Fmt.pr "--- %s ---@.%a@.@." v.Ase.v_kind Scenario.pp v.Ase.v_scenario)
     (vulnerabilities analysis);
   Fmt.pr "--- synthesized policies ---@.";
-  List.iter (fun p -> Fmt.pr "%a@.@." Policy.pp p) (policies analysis)
+  List.iter (fun p -> Fmt.pr "%a@.@." Policy.pp p) (policies analysis);
+  outcome ()
 
 (* --- ablations -------------------------------------------------------------------- *)
 
-let run_ablation_minimal () =
-  header "Ablation: minimal (Aluminum) vs arbitrary (plain SAT) scenarios";
-  let models =
-    List.map Extract.extract [ Demo.navigation_app (); Demo.messenger_app () ]
-  in
-  let bundle = Bundle.update_passive_targets (Bundle.of_models models) in
+let ablation_minimal ~mode:_ =
+  let bundle = Bundle.update_passive_targets (demo_bundle ()) in
   let sig_ = List.hd (Signatures.all ()) in
   let measure minimal =
     let env =
@@ -499,10 +491,10 @@ let run_ablation_minimal () =
     "synthesized filter elements:  minimal=%d arbitrary=%d\n" min_f raw_f;
   Printf.printf
     "minimal scenarios are no larger, giving the most specific policies: %b\n%!"
-    (min_size <= raw_size && min_f <= raw_f)
+    (min_size <= raw_size && min_f <= raw_f);
+  outcome ()
 
-let run_ablation_context () =
-  header "Ablation: context sensitivity (k = 1 vs k = 0)";
+let ablation_context ~mode:_ =
   (* a bundle containing the classic identity-helper trap *)
   let module B = Builder in
   let trap =
@@ -549,10 +541,10 @@ let run_ablation_context () =
   let fp_k1 = count true and fp_k0 = count false in
   Printf.printf "leak findings on the trap app: k=1 -> %d, k=0 -> %d\n" fp_k1 fp_k0;
   Printf.printf
-    "k=1 avoids the false positive that k=0 reports: %b\n%!" (fp_k1 < fp_k0)
+    "k=1 avoids the false positive that k=0 reports: %b\n%!" (fp_k1 < fp_k0);
+  outcome ()
 
-let run_ablation_pruning () =
-  header "Ablation: entry-point reachability pruning";
+let ablation_pruning ~mode:_ =
   let sample =
     List.map
       (fun apk -> Generator.{ apk; store = "suite"; injected = [] })
@@ -588,14 +580,14 @@ let run_ablation_pruning () =
   Printf.printf "without pruning (naive): %.2fs, %d facts\n" t_all f_all;
   Printf.printf
     "pruning removes dead-code facts (%d spurious) at comparable cost\n%!"
-    (f_all - f_pruned)
+    (f_all - f_pruned);
+  outcome ()
 
-let run_flowbench () =
-  header "FlowBench: intra-component taint precision (the FlowDroid substitute)";
-  print_string (Separ_suites.Flowbench.render ())
+let flowbench ~mode:_ =
+  print_string (Separ_suites.Flowbench.render ());
+  outcome ()
 
-let run_ablation_incremental () =
-  header "Extension: incremental re-analysis (the Marshmallow scenario)";
+let ablation_incremental ~mode:_ =
   let bundle_apps =
     List.filteri (fun i _ -> i < 50) (Lazy.force corpus)
     |> List.map (fun g -> g.Generator.apk)
@@ -613,7 +605,8 @@ let run_ablation_incremental () =
   let t_incr = incr_ms /. 1000.0 in
   Printf.printf "full analysis of 50 apps:        %.2fs\n" t_full;
   Printf.printf "re-analysis after 1 app changed: %.2fs (%.1fx faster extraction+synthesis)\n%!"
-    t_incr (t_full /. t_incr)
+    t_incr (t_full /. t_incr);
+  outcome ()
 
 (* --- solver benchmark (BENCH_solver.json) --------------------------------------- *)
 
@@ -648,11 +641,11 @@ let random_3sat rand nv nc =
    - pigeonhole: pure CDCL stress, guaranteed learnt-db churn
    - enumeration: Aluminum-style minimal-model enumeration on random
      3-SAT, exercising the shared activation literal *)
-let run_solver_bench ~mode () =
+let solver ~mode =
   let module S = Separ_sat.Solver in
-  (* The solver bench always runs with telemetry on so BENCH_solver.json
-     carries its per-phase breakdown; previous state is restored on the
-     way out so [--smoke] under `dune runtest` leaves no residue. *)
+  (* The solver section always runs with telemetry on so
+     BENCH_solver.json carries its per-phase breakdown; previous state is
+     restored on the way out so the smoke gate leaves no residue. *)
   let was_tracing = Trace.is_enabled () and was_metrics = Metrics.is_enabled () in
   Trace.enable ();
   Metrics.enable ();
@@ -662,13 +655,8 @@ let run_solver_bench ~mode () =
            pipeline. *)
         let report =
           Trace.with_span "bench.solver.workload" (fun () ->
-              let models =
-                List.map Extract.extract
-                  [ Demo.navigation_app (); Demo.messenger_app () ]
-              in
-              let bundle = Bundle.of_models models in
               let limit = if mode = "smoke" then 4 else 16 in
-              Ase.analyze ~limit_per_sig:limit bundle)
+              Ase.analyze ~limit_per_sig:limit (demo_bundle ()))
         in
         (* Pigeonhole stress. *)
         let php_result, php_stats =
@@ -693,15 +681,35 @@ let run_solver_bench ~mode () =
         in
         (report, php_result, php_stats, scenarios, enum_stats))
   in
+  let telemetry = Telemetry.telemetry_json () in
+  if not was_tracing then Trace.disable ();
+  if not was_metrics then Metrics.disable ();
   let elapsed = elapsed_ms /. 1000.0 in
   let solver = Separ_report.Report.of_solver_stats in
-  let json =
-    Json.Obj
+  let total f = f report.Ase.r_solver + f php_stats + f enum_stats in
+  (* Kernel throughput: conflicts/s measures learning+backtracking speed,
+     propagations/s the watcher hot path — the two rates the flat-arena
+     kernel is tuned for, tracked in the history for trend diffing. *)
+  let per_sec n = if elapsed > 0.0 then float_of_int n /. elapsed else 0.0 in
+  let conflicts_per_sec = per_sec (total (fun s -> s.S.s_conflicts)) in
+  let props_per_sec = per_sec (total (fun s -> s.S.s_propagations)) in
+  Printf.printf
+    "solver kernels (%.1fs): %d conflicts, %d propagations, %d learnt-db \
+     reductions (%d clauses deleted), %d literals minimized, activation \
+     vars retired %d\n  throughput: %.0f conflicts/s, %.0f propagations/s\n%!"
+    elapsed
+    (total (fun s -> s.S.s_conflicts))
+    (total (fun s -> s.S.s_propagations))
+    (total (fun s -> s.S.s_db_reductions))
+    (total (fun s -> s.S.s_learnts_deleted))
+    (total (fun s -> s.S.s_lits_minimized))
+    (total (fun s -> s.S.s_act_retired))
+    conflicts_per_sec props_per_sec;
+  outcome
+    ~body:
       [
-        ("mode", Json.Str mode);
-        ("provenance", Lazy.force provenance);
         ("elapsed_s", Json.Float elapsed);
-        ("telemetry", Telemetry.telemetry_json ());
+        ("telemetry", telemetry);
         ( "workload",
           Json.Obj
             [
@@ -728,54 +736,10 @@ let run_solver_bench ~mode () =
               ("scenarios", Json.Int (List.length scenarios));
               ("solver", solver enum_stats);
             ] );
+        ("conflicts_per_sec", Json.Float conflicts_per_sec);
+        ("propagations_per_sec", Json.Float props_per_sec);
       ]
-  in
-  if not was_tracing then Trace.disable ();
-  if not was_metrics then Metrics.disable ();
-  let total f =
-    f report.Ase.r_solver + f php_stats + f enum_stats
-  in
-  (* Kernel throughput: conflicts/s measures learning+backtracking speed,
-     propagations/s the watcher hot path — the two rates the flat-arena
-     kernel is tuned for, tracked in the history for trend diffing. *)
-  let conflicts_per_sec =
-    if elapsed > 0.0 then float_of_int (total (fun s -> s.S.s_conflicts)) /. elapsed
-    else 0.0
-  in
-  let props_per_sec =
-    if elapsed > 0.0 then
-      float_of_int (total (fun s -> s.S.s_propagations)) /. elapsed
-    else 0.0
-  in
-  let json =
-    match json with
-    | Json.Obj fields ->
-        Json.Obj
-          (fields
-          @ [
-              ("conflicts_per_sec", Json.Float conflicts_per_sec);
-              ("propagations_per_sec", Json.Float props_per_sec);
-            ])
-    | j -> j
-  in
-  let oc = open_out "BENCH_solver.json" in
-  output_string oc (Json.to_string json);
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf
-    "solver kernels (%.1fs): %d conflicts, %d propagations, %d learnt-db \
-     reductions (%d clauses deleted), %d literals minimized, activation \
-     vars retired %d\n  throughput: %.0f conflicts/s, %.0f propagations/s \
-     -> BENCH_solver.json\n%!"
-    elapsed
-    (total (fun s -> s.S.s_conflicts))
-    (total (fun s -> s.S.s_propagations))
-    (total (fun s -> s.S.s_db_reductions))
-    (total (fun s -> s.S.s_learnts_deleted))
-    (total (fun s -> s.S.s_lits_minimized))
-    (total (fun s -> s.S.s_act_retired))
-    conflicts_per_sec props_per_sec;
-  record_history ~mode ~section:"solver"
+    ~headline_ms:elapsed_ms
     ~extra:
       [
         ("conflicts", Json.Int (total (fun s -> s.S.s_conflicts)));
@@ -783,44 +747,25 @@ let run_solver_bench ~mode () =
         ("conflicts_per_sec", Json.Float conflicts_per_sec);
         ("propagations_per_sec", Json.Float props_per_sec);
       ]
-    elapsed_ms;
-  (report, php_result, php_stats, scenarios, enum_stats)
-
-(* Fast correctness/perf gate for `dune runtest`: fails (exit 1) when the
-   solver stops reducing its learnt database, stops terminating the
-   stress kernels in a sane number of conflicts, or leaks activation
-   variables again. *)
-let run_smoke () =
-  header "Smoke: solver kernels + demo-bundle synthesis (tier-1 gate)";
-  let module S = Separ_sat.Solver in
-  let report, php_result, php_stats, scenarios, enum_stats =
-    run_solver_bench ~mode:"smoke" ()
-  in
-  let failures = ref [] in
-  let expect cond msg = if not cond then failures := msg :: !failures in
-  expect (php_result = S.Unsat) "pigeonhole 8/7 must be unsat";
-  expect
-    (php_stats.S.s_db_reductions > 0)
-    "learnt-db reductions did not fire on the pigeonhole stress";
-  expect
-    (php_stats.S.s_conflicts < 500_000)
-    "pigeonhole 8/7 took an absurd number of conflicts";
-  expect
-    (php_stats.S.s_lits_minimized > 0)
-    "learnt-clause minimization removed no literals";
-  expect
-    (report.Ase.r_vulnerabilities <> [])
-    "demo bundle produced no exploit scenarios";
-  expect (scenarios <> []) "enumeration kernel produced no scenarios";
-  expect
-    (enum_stats.S.s_act_live = 0
-    && enum_stats.S.s_act_retired <= List.length scenarios + 1)
-    "activation literals leak again (one per shrink round?)";
-  match !failures with
-  | [] -> Printf.printf "smoke: all solver gates passed\n%!"
-  | fs ->
-      List.iter (fun f -> Printf.printf "smoke FAILURE: %s\n" f) fs;
-      exit 1
+      (* the learnt-db reduction, clause minimization and activation
+         hygiene the kernels are tuned for must keep firing *)
+    ~checks:
+      [
+        (php_result = S.Unsat, "pigeonhole 8/7 must be unsat");
+        ( php_stats.S.s_db_reductions > 0,
+          "learnt-db reductions did not fire on the pigeonhole stress" );
+        ( php_stats.S.s_conflicts < 500_000,
+          "pigeonhole 8/7 took an absurd number of conflicts" );
+        ( php_stats.S.s_lits_minimized > 0,
+          "learnt-clause minimization removed no literals" );
+        ( report.Ase.r_vulnerabilities <> [],
+          "demo bundle produced no exploit scenarios" );
+        (scenarios <> [], "enumeration kernel produced no scenarios");
+        ( enum_stats.S.s_act_live = 0
+          && enum_stats.S.s_act_retired <= List.length scenarios + 1,
+          "activation literals leak again (one per shrink round?)" );
+      ]
+    ()
 
 (* A report with its performance fields zeroed, serialized: the
    comparable "what was found" view.  Runs that differ only in how the
@@ -829,118 +774,6 @@ let stripped_report_string report =
   Separ_report.Report.to_string
     ~report:(Ase.strip_performance report)
     ~policies:[] ()
-
-(* --- telemetry smoke (tier-1 gate) ---------------------------------------- *)
-
-(* Runs the §V running example with tracing on and fails (exit 1) when
-   the observability layer regresses: empty span tree, non-monotone
-   timestamps, children escaping their parent span, a missing pipeline
-   phase, a SAT-span total that disagrees with the reported solving
-   time, or a Chrome-trace export that no longer parses. *)
-let run_telemetry_smoke () =
-  header "Telemetry smoke: span tree + Chrome-trace export (tier-1 gate)";
-  Trace.enable ();
-  Metrics.enable ();
-  Trace.reset ();
-  Metrics.reset ();
-  let analysis = analyze [ Demo.navigation_app (); Demo.messenger_app () ] in
-  let failures = ref [] in
-  let expect cond msg = if not cond then failures := msg :: !failures in
-  expect
-    (vulnerabilities analysis <> [])
-    "running example produced no vulnerabilities";
-  let roots = Trace.roots () in
-  expect (roots <> []) "span tree is empty with tracing enabled";
-  (* structural checks: non-negative durations, children contained in
-     their parent, sibling start times monotone *)
-  let rec check_span (sp : Trace.span) =
-    expect (sp.Trace.sp_dur_us >= 0.0)
-      (sp.Trace.sp_name ^ ": negative span duration");
-    let fin = sp.Trace.sp_start_us +. sp.Trace.sp_dur_us in
-    List.iter
-      (fun (c : Trace.span) ->
-        expect
-          (c.Trace.sp_start_us +. 1e-6 >= sp.Trace.sp_start_us
-          && c.Trace.sp_start_us +. c.Trace.sp_dur_us <= fin +. 1e-6)
-          (c.Trace.sp_name ^ " escapes parent span " ^ sp.Trace.sp_name))
-      sp.Trace.sp_children;
-    ignore
-      (List.fold_left
-         (fun prev (c : Trace.span) ->
-           expect
-             (c.Trace.sp_start_us +. 1e-6 >= prev)
-             (c.Trace.sp_name ^ ": sibling start times not monotone");
-           c.Trace.sp_start_us)
-         sp.Trace.sp_start_us sp.Trace.sp_children);
-    List.iter check_span sp.Trace.sp_children
-  in
-  List.iter check_span roots;
-  (* every pipeline phase shows up *)
-  List.iter
-    (fun name ->
-      expect (Trace.count name > 0) ("no " ^ name ^ " spans recorded"))
-    [
-      "ame.extract"; "ase.analyze"; "ase.signature"; "relog.translate";
-      "relog.bounds"; "relog.circuit"; "relog.tseitin"; "sat.solve";
-      "policy.derive";
-    ];
-  (* the trace agrees with the Table II numbers the report carries *)
-  let sat_ms = Trace.total_ms "sat.solve" in
-  let reported = analysis.Separ.report.Ase.r_solving_ms in
-  expect
-    (Float.abs (sat_ms -. reported) <= (0.01 *. reported) +. 1e-6)
-    (Printf.sprintf
-       "sat.solve span total (%.3f ms) disagrees with reported solving \
-        time (%.3f ms)"
-       sat_ms reported);
-  (* construction = base translations (relog.translate) + per-signature
-     deltas (relog.attach); a from-scratch run simply has no attach spans *)
-  let translate_ms =
-    Trace.total_ms "relog.translate" +. Trace.total_ms "relog.attach"
-  in
-  let constructed = analysis.Separ.report.Ase.r_construction_ms in
-  expect
-    (Float.abs (translate_ms -. constructed) <= (0.01 *. constructed) +. 1e-6)
-    "relog.translate+attach span total disagrees with reported construction \
-     time";
-  (* counters were bridged *)
-  expect
-    (Metrics.counter_value (Metrics.counter "sat.solves") > 0)
-    "sat.solves counter never incremented";
-  expect
-    (Metrics.counter_value (Metrics.counter "ame.apps_extracted") = 2)
-    "ame.apps_extracted counter is not 2";
-  (* the exported Chrome trace parses and its events are well-formed *)
-  let exported = Json.to_string (Telemetry.trace_json ()) in
-  (match Json.parse exported with
-  | exception Json.Parse_error msg ->
-      expect false ("exported trace.json does not parse: " ^ msg)
-  | parsed -> (
-      match Option.bind (Json.member "traceEvents" parsed) Json.to_list with
-      | None | Some [] -> expect false "traceEvents missing or empty"
-      | Some events ->
-          List.iter
-            (fun ev ->
-              let str k = Option.bind (Json.member k ev) Json.to_str in
-              let num k = Option.bind (Json.member k ev) Json.to_float in
-              expect (str "name" <> None) "trace event without name";
-              expect (str "ph" = Some "X") "trace event is not an X event";
-              expect
-                (match num "ts" with Some ts -> ts >= 0.0 | None -> false)
-                "trace event without numeric ts";
-              expect
-                (match num "dur" with Some d -> d >= 0.0 | None -> false)
-                "trace event without numeric dur")
-            events));
-  Trace.disable ();
-  Metrics.disable ();
-  match !failures with
-  | [] ->
-      Printf.printf "telemetry smoke: %d spans, all gates passed\n%!"
-        (Trace.fold_spans (fun acc _ -> acc + 1) 0)
-  | fs ->
-      List.iter (fun f -> Printf.printf "telemetry FAILURE: %s\n" f) fs;
-      exit 1
 
 (* --- parallel synthesis (BENCH_parallel.json) ------------------------------ *)
 
@@ -953,31 +786,24 @@ let scenario_keys (report : Ase.report) =
 
 module Pool = Separ_exec.Pool
 
-(* What the parallel bench measured, for the smoke gate. *)
-type parallel_bench = {
-  pb_identical : bool;
-  pb_degradations : Ase.degraded list;
-  pb_cores : int;
-  pb_speedup_at_2 : float;
-  pb_pool : (int * Pool.run_stats) list; (* per width, the pool's own view *)
-}
+(* The Table I cases, or the first six of them in smoke mode. *)
+let table1_cases ~mode =
+  let all = Separ_suites.Table1.all_cases () in
+  if mode = "smoke" then List.filteri (fun i _ -> i < 6) all else all
 
 (* The Table I workload (one bundle per DroidBench/ICC-Bench case) run
    through ASE at increasing worker-pool widths, sharded across
    *bundles* first (Ase.analyze_many): one persistent fork set serves
-   all the cases per width, with bundles batched over the wire.  Checks
-   that every width produces the identical scenario sets, that forks
-   scale with the pool width (not the task count), and measures the
-   1-vs-N wall-clock speedup, -j 1 and -j 2 as medians of [repeats]
-   alternated timings -> BENCH_parallel.json. *)
-let run_parallel_bench ~mode () =
-  header
-    "Parallel synthesis: ASE at -j 1/2/4, bundle-axis sharding (Table I \
-     workload)";
-  let cases =
-    let all = Separ_suites.Table1.all_cases () in
-    if mode = "smoke" then List.filteri (fun i _ -> i < 6) all else all
-  in
+   all the cases per width, with bundles batched over the wire.  Every
+   width must produce the identical scenario sets, and forks must scale
+   with the pool width, not the task count.  -j 1 and -j 2 are timed as
+   medians of [repeats] alternated runs; on hosts with at least two
+   cores -j 2 must not be slower (single-core hosts print an explicit
+   SKIPPED line instead).  The demo bundle then checks -j determinism
+   directly and that a zero conflict budget degrades every searching
+   signature (terminating, no scenarios) rather than hang or crash. *)
+let parallel ~mode =
+  let cases = table1_cases ~mode in
   let bundles =
     List.map
       (fun (c : Separ_suites.Case.t) ->
@@ -1007,7 +833,7 @@ let run_parallel_bench ~mode () =
   in
   (* One sample is at the mercy of the scheduler, and under `dune
      runtest` the other gates share the host: time -j 1 and -j 2, the
-     pair the smoke gate compares, [repeats] times, alternating which
+     pair the speed check compares, [repeats] times, alternating which
      runs first, and keep the medians.  -j 4 keeps its one sample, so
      the gate adds no 4-worker bursts to the gates running beside it.
      Scenario sets and pool counts come from the first round. *)
@@ -1048,11 +874,73 @@ let run_parallel_bench ~mode () =
      the recorded speedup is necessarily <= 1 there; the core count is
      part of the record so readers can interpret the ratios. *)
   let cores = Domain.recommended_domain_count () in
-  let json =
-    Json.Obj
+  List.iter
+    (fun (jobs, _, ms, (pool : Pool.run_stats)) ->
+      Printf.printf
+        "-j %d: %7.1f ms (speedup %.2fx, %d forks, %d batches of <= %d)\n"
+        jobs ms
+        (if ms > 0.0 then base_ms /. ms else 0.0)
+        pool.Pool.rs_forks pool.Pool.rs_batches pool.Pool.rs_batch)
+    runs;
+  Printf.printf "scenario sets identical across -j: %b\n" identical;
+  if cores = 1 then
+    Printf.printf
+      "(single-core host: workers time-slice one CPU, speedup <= 1 expected; \
+       speed check SKIPPED)\n";
+  Printf.printf "%!";
+  (* Forks must track the pool, not the workload: at every width the
+     persistent pool forks min(jobs, batches) children, reuses them
+     across batches, and never needs a respawn in a crash-free run. *)
+  let pool_checks (jobs, _, _, (pool : Pool.run_stats)) =
+    if jobs = 1 then []
+    else
       [
-        ("mode", Json.Str mode);
-        ("provenance", Lazy.force provenance);
+        ( pool.Pool.rs_forks = min jobs pool.Pool.rs_batches,
+          Printf.sprintf
+            "-j %d forked %d workers for %d batches (want min(jobs, batches) \
+             = %d)"
+            jobs pool.Pool.rs_forks pool.Pool.rs_batches
+            (min jobs pool.Pool.rs_batches) );
+        ( pool.Pool.rs_respawns = 0,
+          Printf.sprintf "-j %d respawned %d workers in a crash-free run" jobs
+            pool.Pool.rs_respawns );
+      ]
+  in
+  (* The regression the speed check exists to catch: parallel slower
+     than sequential, only meaningful when two workers can run at once. *)
+  let speed_checks =
+    if cores < 2 then []
+    else
+      [
+        ( speedup_at 2 >= 1.0,
+          Printf.sprintf "-j 2 is slower than -j 1 (speedup %.2fx) on a \
+                          %d-core host"
+            (speedup_at 2) cores );
+      ]
+  in
+  let demo = demo_bundle () in
+  let seq = Ase.analyze ~jobs:1 demo in
+  let par = Ase.analyze ~jobs:2 demo in
+  let budget =
+    { Separ_sat.Solver.b_max_conflicts = Some 0; b_max_time_ms = None }
+  in
+  let starved_checks jobs =
+    let starved = Ase.analyze ~jobs ~budget demo in
+    [
+      ( starved.Ase.r_vulnerabilities = [],
+        "zero-budget analysis still produced scenarios" );
+      ( starved.Ase.r_degraded <> [],
+        "zero-budget analysis recorded no degraded signatures" );
+    ]
+    @ List.map
+        (fun (d : Ase.degraded) ->
+          ( d.Ase.d_reason = "budget_exhausted",
+            "unexpected degradation reason: " ^ d.Ase.d_reason ))
+        starved.Ase.r_degraded
+  in
+  outcome
+    ~body:
+      [
         ("cpu_cores", Json.Int cores);
         ("cases", Json.Int (List.length bundles));
         ("timing_repeats", Json.Int repeats);
@@ -1080,128 +968,30 @@ let run_parallel_bench ~mode () =
         ("speedup_at_2", Json.Float (speedup_at 2));
         ("speedup_at_4", Json.Float (speedup_at 4));
       ]
-  in
-  let oc = open_out "BENCH_parallel.json" in
-  output_string oc (Json.to_string json);
-  output_string oc "\n";
-  close_out oc;
-  List.iter
-    (fun (jobs, _, ms, (pool : Pool.run_stats)) ->
-      Printf.printf
-        "-j %d: %7.1f ms (speedup %.2fx, %d forks, %d batches of <= %d)\n"
-        jobs ms
-        (if ms > 0.0 then base_ms /. ms else 0.0)
-        pool.Pool.rs_forks pool.Pool.rs_batches pool.Pool.rs_batch)
-    runs;
-  Printf.printf "scenario sets identical across -j: %b -> BENCH_parallel.json\n"
-    identical;
-  if cores = 1 then
-    Printf.printf
-      "(single-core host: workers time-slice one CPU, speedup <= 1 expected)\n";
-  Printf.printf "%!";
-  (* The trajectory headline is the -j 1 wall time: speedups divide it
-     away, so a sequential regression would otherwise hide. *)
-  record_history ~mode ~section:"parallel"
+      (* The trajectory headline is the -j 1 wall time: speedups divide
+         it away, so a sequential regression would otherwise hide. *)
+    ~headline_ms:base_ms
     ~extra:
       [
         ("cpu_cores", Json.Int cores);
         ("speedup_at_2", Json.Float (speedup_at 2));
         ("speedup_at_4", Json.Float (speedup_at 4));
       ]
-    base_ms;
-  {
-    pb_identical = identical;
-    pb_degradations = degradations;
-    pb_cores = cores;
-    pb_speedup_at_2 = speedup_at 2;
-    pb_pool =
-      List.map (fun (jobs, _, _, pool) -> (jobs, pool)) runs;
-  }
-
-(* Tier-1 gate for `dune runtest`: a small Table I slice plus the demo
-   bundle at -j 1 and -j 2 must produce byte-identical scenario sets, a
-   zero conflict budget must degrade every searching signature
-   (terminating, no scenarios) rather than hang or crash, forks must
-   scale with the pool width (not the task count), and — on hosts with
-   at least two cores — -j 2 must not be slower than -j 1.  On a
-   single-core host the speedup gate prints an explicit SKIPPED line
-   instead of silently passing. *)
-let run_parallel_smoke () =
-  header "Parallel smoke: -j determinism + budget degradation (tier-1 gate)";
-  let failures = ref [] in
-  let expect cond msg = if not cond then failures := msg :: !failures in
-  let pb = run_parallel_bench ~mode:"smoke" () in
-  expect pb.pb_identical "scenario sets differ across -j widths";
-  expect (pb.pb_degradations = [])
-    "un-budgeted parallel run reported degraded signatures";
-  (* Forks must track the pool, not the workload: at every width the
-     persistent pool forks min(jobs, batches) children, reuses them
-     across batches, and never needs a respawn in a crash-free run. *)
-  List.iter
-    (fun (jobs, (pool : Pool.run_stats)) ->
-      if jobs > 1 then begin
-        expect
-          (pool.Pool.rs_forks = min jobs pool.Pool.rs_batches)
-          (Printf.sprintf
-             "-j %d forked %d workers for %d batches (want min(jobs, \
-              batches) = %d)"
-             jobs pool.Pool.rs_forks pool.Pool.rs_batches
-             (min jobs pool.Pool.rs_batches));
-        expect
-          (pool.Pool.rs_respawns = 0)
-          (Printf.sprintf "-j %d respawned %d workers in a crash-free run"
-             jobs pool.Pool.rs_respawns)
-      end)
-    pb.pb_pool;
-  (* The regression this gate exists to catch: parallel slower than
-     sequential.  Only meaningful when the host can actually run two
-     workers at once, so single-core hosts skip it — loudly. *)
-  if pb.pb_cores >= 2 then
-    expect
-      (pb.pb_speedup_at_2 >= 1.0)
-      (Printf.sprintf
-         "-j 2 is slower than -j 1 (speedup %.2fx) on a %d-core host"
-         pb.pb_speedup_at_2 pb.pb_cores)
-  else
-    Printf.printf
-      "parallel smoke: speedup gate SKIPPED (single-core host, cpu_cores=%d)\n"
-      pb.pb_cores;
-  let demo_bundle =
-    Bundle.of_models
-      (List.map Extract.extract
-         [ Demo.navigation_app (); Demo.messenger_app () ])
-  in
-  let seq = Ase.analyze ~jobs:1 demo_bundle in
-  let par = Ase.analyze ~jobs:2 demo_bundle in
-  expect (seq.Ase.r_vulnerabilities <> [])
-    "demo bundle produced no scenarios";
-  expect
-    (scenario_keys seq = scenario_keys par)
-    "demo bundle scenario sets differ between -j 1 and -j 2";
-  let budget =
-    { Separ_sat.Solver.b_max_conflicts = Some 0; b_max_time_ms = None }
-  in
-  List.iter
-    (fun jobs ->
-      let starved = Ase.analyze ~jobs ~budget demo_bundle in
-      expect
-        (starved.Ase.r_vulnerabilities = [])
-        "zero-budget analysis still produced scenarios";
-      expect
-        (starved.Ase.r_degraded <> [])
-        "zero-budget analysis recorded no degraded signatures";
-      List.iter
-        (fun (d : Ase.degraded) ->
-          expect
-            (d.Ase.d_reason = "budget_exhausted")
-            ("unexpected degradation reason: " ^ d.Ase.d_reason))
-        starved.Ase.r_degraded)
-    [ 1; 2 ];
-  match !failures with
-  | [] -> Printf.printf "parallel smoke: all gates passed\n%!"
-  | fs ->
-      List.iter (fun f -> Printf.printf "parallel smoke FAILURE: %s\n" f) fs;
-      exit 1
+    ~checks:
+      ([
+         (identical, "scenario sets differ across -j widths");
+         ( degradations = [],
+           "un-budgeted parallel run reported degraded signatures" );
+       ]
+      @ List.concat_map pool_checks runs
+      @ speed_checks
+      @ [
+          (seq.Ase.r_vulnerabilities <> [], "demo bundle produced no scenarios");
+          ( scenario_keys seq = scenario_keys par,
+            "demo bundle scenario sets differ between -j 1 and -j 2" );
+        ]
+      @ List.concat_map starved_checks [ 1; 2 ])
+    ()
 
 (* --- persistent cache (BENCH_cache.json) ----------------------------------- *)
 
@@ -1233,31 +1023,17 @@ let cache_probe_app ~extra_path () =
          ())
     ~classes:[ B.cls ~name:"Probe" [ body ] ]
 
-type cache_bench = {
-  cb_warm_identical : bool;
-  cb_changed_identical : bool;
-  cb_warm_extractions : int;
-  cb_warm_solves : int;
-  cb_warm_hits : int;
-  cb_changed_extractions : int;
-  cb_changed_hits : int;
-  cb_changed_misses : int;
-  cb_cold_ms : float;
-  cb_warm_ms : float;
-  cb_changed_ms : float;
-}
-
 (* The Table I workload (each bundle augmented with the probe app)
    analyzed three times through one on-disk cache: cold (empty cache),
    warm (nothing changed), and with the probe's path edited (one app
    changed).  A from-scratch pass over the edited workload is the
-   correctness reference.  Measurements -> BENCH_cache.json. *)
-let run_cache_bench ~mode () =
-  header "Persistent cache: cold vs warm vs one-app-changed (Table I workload)";
-  let cases =
-    let all = Separ_suites.Table1.all_cases () in
-    if mode = "smoke" then List.filteri (fun i _ -> i < 6) all else all
-  in
+   correctness reference.  A warm re-run must do zero AME extractions
+   and zero SAT solves yet reproduce the cold stripped reports
+   byte-for-byte; the edit must re-extract exactly that app and re-solve
+   only the signatures whose delta footprint sees it (some hits AND some
+   misses), again byte-identical to the reference. *)
+let cache ~mode =
+  let cases = table1_cases ~mode in
   let workload ~extra_path =
     List.map
       (fun (c : Separ_suites.Case.t) ->
@@ -1321,21 +1097,10 @@ let run_cache_bench ~mode () =
   let changed_ms = percentile 0.50 (changed_ms1 :: List.map snd more) in
   (* reference: the edited workload from scratch, no cache *)
   let scratch_reports, _, _, _ = pass (workload ~extra_path:true) in
-  let result =
-    {
-      cb_warm_identical = cold_reports = warm_reports;
-      cb_changed_identical = changed_reports = scratch_reports;
-      cb_warm_extractions = warm_extracted;
-      cb_warm_solves = warm_solves;
-      cb_warm_hits = stat warm_cache "ase.hits";
-      cb_changed_extractions = changed_extracted;
-      cb_changed_hits = stat changed_cache "ase.hits";
-      cb_changed_misses = stat changed_cache "ase.misses";
-      cb_cold_ms = cold_ms;
-      cb_warm_ms = warm_ms;
-      cb_changed_ms = changed_ms;
-    }
-  in
+  let warm_identical = cold_reports = warm_reports in
+  let changed_identical = changed_reports = scratch_reports in
+  let changed_hits = stat changed_cache "ase.hits" in
+  let changed_misses = stat changed_cache "ase.misses" in
   let phase_json ms extracted solves cache =
     Json.Obj
       ([
@@ -1346,11 +1111,20 @@ let run_cache_bench ~mode () =
       @ List.map (fun (k, v) -> ("cache." ^ k, Json.Int v)) (Cache.stats cache))
   in
   let speedup over = if over > 0.0 then cold_ms /. over else 0.0 in
-  let json =
-    Json.Obj
+  Printf.printf
+    "cold:    %7.1f ms  (%d extractions, %d solves)\n\
+     warm:    %7.1f ms  (%d extractions, %d solves, %.1fx)\n\
+     changed: %7.1f ms  (%d extractions, %d solves, %.1fx)\n"
+    cold_ms cold_extracted cold_solves warm_ms warm_extracted warm_solves
+    (speedup warm_ms) changed_ms changed_extracted changed_solves
+    (speedup changed_ms);
+  Printf.printf "changed run: %d ASE verdicts from cache, %d re-solved\n"
+    changed_hits changed_misses;
+  Printf.printf "stripped reports identical (warm %b, changed %b)\n%!"
+    warm_identical changed_identical;
+  outcome
+    ~body:
       [
-        ("mode", Json.Str mode);
-        ("provenance", Lazy.force provenance);
         ("cases", Json.Int (List.length cases));
         ("signatures", Json.Int (List.length (Signatures.all ())));
         ("timing_repeats", Json.Int repeats);
@@ -1359,102 +1133,49 @@ let run_cache_bench ~mode () =
         ( "one_app_changed",
           phase_json changed_ms changed_extracted changed_solves changed_cache
         );
-        ("warm_identical_stripped_reports", Json.Bool result.cb_warm_identical);
-        ( "changed_identical_stripped_reports",
-          Json.Bool result.cb_changed_identical );
+        ("warm_identical_stripped_reports", Json.Bool warm_identical);
+        ("changed_identical_stripped_reports", Json.Bool changed_identical);
         ("warm_speedup", Json.Float (speedup warm_ms));
         ("changed_speedup", Json.Float (speedup changed_ms));
       ]
-  in
-  let oc = open_out "BENCH_cache.json" in
-  output_string oc (Json.to_string json);
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf
-    "cold:    %7.1f ms  (%d extractions, %d solves)\n\
-     warm:    %7.1f ms  (%d extractions, %d solves, %.1fx)\n\
-     changed: %7.1f ms  (%d extractions, %d solves, %.1fx)\n"
-    cold_ms cold_extracted cold_solves warm_ms warm_extracted warm_solves
-    (speedup warm_ms) changed_ms changed_extracted changed_solves
-    (speedup changed_ms);
-  Printf.printf
-    "changed run: %d ASE verdicts from cache, %d re-solved\n"
-    result.cb_changed_hits result.cb_changed_misses;
-  Printf.printf
-    "stripped reports identical (warm %b, changed %b) -> BENCH_cache.json\n%!"
-    result.cb_warm_identical result.cb_changed_identical;
-  record_history ~mode ~section:"cache"
+    ~headline_ms:cold_ms
     ~extra:
       [
         ("warm_ms", Json.Float warm_ms); ("changed_ms", Json.Float changed_ms);
       ]
-    cold_ms;
-  result
-
-(* Tier-1 gate for `dune runtest`: a warm re-run must do zero AME
-   extractions and zero SAT solves yet reproduce the cold stripped
-   reports byte-for-byte; editing one app must re-extract exactly that
-   app and re-solve only the signatures whose delta footprint sees the
-   edit (some hits AND some misses), again with a byte-identical
-   from-scratch reference. *)
-let run_cache_smoke () =
-  header "Cache smoke: warm identity + one-app-changed selectivity (tier-1 gate)";
-  let failures = ref [] in
-  let expect cond msg = if not cond then failures := msg :: !failures in
-  let r = run_cache_bench ~mode:"smoke" () in
-  expect r.cb_warm_identical "warm stripped reports differ from cold";
-  expect
-    (r.cb_warm_extractions = 0)
-    (Printf.sprintf "warm run extracted %d apps (expected 0)"
-       r.cb_warm_extractions);
-  expect
-    (r.cb_warm_solves = 0)
-    (Printf.sprintf "warm run ran %d SAT solves (expected 0)" r.cb_warm_solves);
-  expect (r.cb_warm_hits > 0) "warm run recorded no ASE cache hits";
-  expect
-    (r.cb_changed_extractions = 1)
-    (Printf.sprintf "one-app-changed run extracted %d apps (expected 1)"
-       r.cb_changed_extractions);
-  expect
-    (r.cb_changed_hits > 0)
-    "one-app-changed run kept no cached verdicts (expected path-blind hits)";
-  expect
-    (r.cb_changed_misses > 0)
-    "one-app-changed run re-solved nothing (expected path-sensitive misses)";
-  expect r.cb_changed_identical
-    "one-app-changed stripped reports differ from the from-scratch reference";
-  expect
-    (r.cb_warm_ms < r.cb_cold_ms)
-    (Printf.sprintf "warm run not faster than cold (%.1f >= %.1f ms)"
-       r.cb_warm_ms r.cb_cold_ms);
-  expect
-    (r.cb_changed_ms < r.cb_cold_ms)
-    (Printf.sprintf "one-app-changed run not faster than cold (%.1f >= %.1f ms)"
-       r.cb_changed_ms r.cb_cold_ms);
-  match !failures with
-  | [] -> Printf.printf "cache smoke: all gates passed\n%!"
-  | fs ->
-      List.iter (fun f -> Printf.printf "cache smoke FAILURE: %s\n" f) fs;
-      exit 1
+    ~checks:
+      [
+        (warm_identical, "warm stripped reports differ from cold");
+        ( warm_extracted = 0,
+          Printf.sprintf "warm run extracted %d apps (expected 0)"
+            warm_extracted );
+        ( warm_solves = 0,
+          Printf.sprintf "warm run ran %d SAT solves (expected 0)" warm_solves
+        );
+        (stat warm_cache "ase.hits" > 0, "warm run recorded no ASE cache hits");
+        ( changed_extracted = 1,
+          Printf.sprintf "one-app-changed run extracted %d apps (expected 1)"
+            changed_extracted );
+        ( changed_hits > 0,
+          "one-app-changed run kept no cached verdicts (expected path-blind \
+           hits)" );
+        ( changed_misses > 0,
+          "one-app-changed run re-solved nothing (expected path-sensitive \
+           misses)" );
+        ( changed_identical,
+          "one-app-changed stripped reports differ from the from-scratch \
+           reference" );
+        ( warm_ms < cold_ms,
+          Printf.sprintf "warm run not faster than cold (%.1f >= %.1f ms)"
+            warm_ms cold_ms );
+        ( changed_ms < cold_ms,
+          Printf.sprintf
+            "one-app-changed run not faster than cold (%.1f >= %.1f ms)"
+            changed_ms cold_ms );
+      ]
+    ()
 
 (* --- serve: the app-store daemon ------------------------------------------- *)
-
-type serve_bench_result = {
-  sb_store : int;
-  sb_updates : int;
-  sb_selected : int;  (* bundles dispatched across the update stream *)
-  sb_dispatch_full : int;  (* what per-update full repair would dispatch *)
-  sb_selective : bool;  (* every update analyzed < store-size bundles *)
-  sb_identical : bool;  (* selective stripped reports = full repair *)
-  sb_warm_identical : bool;  (* warm replay through the cache agrees *)
-  sb_index_consistent : bool;  (* hot-updated index = rebuild *)
-  sb_cold_ms : float;
-  sb_update_ms : float;
-  sb_repair_ms : float;
-  sb_warm_ms : float;
-  sb_p50_ms : float;
-  sb_p99_ms : float;
-}
 
 (* A synthetic store of N generated apps streamed into the daemon, then
    K "updates": the same packages regenerated under a different seed, so
@@ -1465,9 +1186,9 @@ type serve_bench_result = {
    only new content, and the repair runs in its own daemon whose cache
    directory is emptied after an untimed ingest of the final store.  A
    third daemon replaying the final store through the update stream's
-   cache directory measures the warm path. *)
-let run_serve_bench ~mode () =
-  header "App-store daemon: footprint-indexed selective re-analysis";
+   cache directory measures the warm path and must agree too, and every
+   hot-updated footprint index must equal a from-scratch rebuild. *)
+let serve ~mode =
   let n, k = if mode = "smoke" then (8, 2) else (24, 6) in
   let profile =
     {
@@ -1504,7 +1225,7 @@ let run_serve_bench ~mode () =
   let update_verdicts, update_ms =
     Trace.timed "bench.serve_updates" (fun () -> Serve.drain serve)
   in
-  let selective = stripped serve in
+  let selective_reports = stripped serve in
   let final_store =
     List.map
       (fun apk ->
@@ -1546,431 +1267,81 @@ let run_serve_bench ~mode () =
       (fun v -> v.Serve.vd_latency_ms)
       (cold_verdicts @ update_verdicts)
   in
-  let result =
-    {
-      sb_store = n;
-      sb_updates = List.length updates;
-      sb_selected =
-        List.fold_left
-          (fun acc v -> acc + v.Serve.vd_analyzed)
-          0 update_verdicts;
-      sb_dispatch_full = List.length updates * n;
-      sb_selective =
-        update_verdicts <> []
-        && List.for_all
-             (fun v -> v.Serve.vd_analyzed < v.Serve.vd_store_size)
-             update_verdicts;
-      sb_identical = selective = reference;
-      sb_warm_identical = stripped serve2 = reference;
-      sb_index_consistent =
-        List.for_all
-          (fun d -> Footprint.equal (Serve.index d) (Serve.rebuilt_index d))
-          [ serve; repair; serve2 ];
-      sb_cold_ms = cold_ms;
-      sb_update_ms = update_ms;
-      sb_repair_ms = repair_ms;
-      sb_warm_ms = warm_ms;
-      sb_p50_ms = percentile 0.50 latencies;
-      sb_p99_ms = percentile 0.99 latencies;
-    }
+  let selected =
+    List.fold_left (fun acc v -> acc + v.Serve.vd_analyzed) 0 update_verdicts
   in
+  let dispatch_full = List.length updates * n in
+  let selective =
+    update_verdicts <> []
+    && List.for_all
+         (fun v -> v.Serve.vd_analyzed < v.Serve.vd_store_size)
+         update_verdicts
+  in
+  let identical = selective_reports = reference in
+  let warm_identical = stripped serve2 = reference in
+  let index_consistent =
+    List.for_all
+      (fun d -> Footprint.equal (Serve.index d) (Serve.rebuilt_index d))
+      [ serve; repair; serve2 ]
+  in
+  let p50_ms = percentile 0.50 latencies and p99_ms = percentile 0.99 latencies in
   let apps_per_sec =
     if cold_ms > 0.0 then float_of_int n /. (cold_ms /. 1000.0) else 0.0
   in
-  let json =
-    Json.Obj
-      [
-        ("mode", Json.Str mode);
-        ("provenance", Lazy.force provenance);
-        ("store_apps", Json.Int result.sb_store);
-        ("updates", Json.Int result.sb_updates);
-        ("bundles_selected", Json.Int result.sb_selected);
-        ("bundles_full_repair", Json.Int result.sb_dispatch_full);
-        ("selective", Json.Bool result.sb_selective);
-        ("identical_stripped_reports", Json.Bool result.sb_identical);
-        ("warm_identical_stripped_reports", Json.Bool result.sb_warm_identical);
-        ("index_consistent", Json.Bool result.sb_index_consistent);
-        ("cold_ms", Json.Float cold_ms);
-        ("update_stream_ms", Json.Float update_ms);
-        ("full_repair_ms", Json.Float repair_ms);
-        ("warm_ms", Json.Float warm_ms);
-        ("upload_to_verdict_p50_ms", Json.Float result.sb_p50_ms);
-        ("upload_to_verdict_p99_ms", Json.Float result.sb_p99_ms);
-        ("cold_apps_per_sec", Json.Float apps_per_sec);
-      ]
-  in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc (Json.to_string json);
-  output_string oc "\n";
-  close_out oc;
   Printf.printf
     "store:   %d apps ingested cold in %.1f ms (%.1f apps/s)\n\
      updates: %d uploads re-analyzed %d bundles (full repair: %d) in %.1f ms\n\
      repair:  %.1f ms (cold)   warm replay: %.1f ms\n\
      latency: p50 %.1f ms  p99 %.1f ms (upload -> verdict)\n"
-    n cold_ms apps_per_sec result.sb_updates result.sb_selected
-    result.sb_dispatch_full update_ms repair_ms warm_ms result.sb_p50_ms
-    result.sb_p99_ms;
+    n cold_ms apps_per_sec (List.length updates) selected dispatch_full
+    update_ms repair_ms warm_ms p50_ms p99_ms;
   Printf.printf
-    "stripped reports identical (selective %b, warm %b), index consistent %b \
-     -> BENCH_serve.json\n%!"
-    result.sb_identical result.sb_warm_identical result.sb_index_consistent;
-  record_history ~mode ~section:"serve"
+    "stripped reports identical (selective %b, warm %b), index consistent %b\n%!"
+    identical warm_identical index_consistent;
+  outcome
+    ~body:
+      [
+        ("store_apps", Json.Int n);
+        ("updates", Json.Int (List.length updates));
+        ("bundles_selected", Json.Int selected);
+        ("bundles_full_repair", Json.Int dispatch_full);
+        ("selective", Json.Bool selective);
+        ("identical_stripped_reports", Json.Bool identical);
+        ("warm_identical_stripped_reports", Json.Bool warm_identical);
+        ("index_consistent", Json.Bool index_consistent);
+        ("cold_ms", Json.Float cold_ms);
+        ("update_stream_ms", Json.Float update_ms);
+        ("full_repair_ms", Json.Float repair_ms);
+        ("warm_ms", Json.Float warm_ms);
+        ("upload_to_verdict_p50_ms", Json.Float p50_ms);
+        ("upload_to_verdict_p99_ms", Json.Float p99_ms);
+        ("cold_apps_per_sec", Json.Float apps_per_sec);
+      ]
+    ~headline_ms:cold_ms
     ~extra:
       [
         ("update_stream_ms", Json.Float update_ms);
         ("full_repair_ms", Json.Float repair_ms);
-        ("p99_ms", Json.Float result.sb_p99_ms);
+        ("p99_ms", Json.Float p99_ms);
       ]
-    cold_ms;
-  result
+    ~checks:
+      [
+        (identical, "selective stripped reports differ from the full-repair \
+                     reference");
+        ( selective,
+          "an update re-analyzed the whole store (expected a strict subset)" );
+        ( selected < dispatch_full,
+          Printf.sprintf
+            "update stream dispatched %d bundles, full repair would dispatch %d"
+            selected dispatch_full );
+        ( warm_identical,
+          "warm replay through the cache produced different stripped reports" );
+        ( index_consistent,
+          "hot-updated footprint index differs from a from-scratch rebuild" );
+      ]
+    ()
 
-(* Tier-1 gate for `dune runtest`: on a tiny store, each upload's
-   selective re-analysis must dispatch strictly fewer bundles than the
-   store holds yet leave every stripped report byte-identical to a
-   brute-force full repair, and the hot-updated footprint index must
-   equal a from-scratch rebuild. *)
-let run_serve_smoke () =
-  header "Serve smoke: selective re-analysis identity (tier-1 gate)";
-  let failures = ref [] in
-  let expect cond msg = if not cond then failures := msg :: !failures in
-  let r = run_serve_bench ~mode:"smoke" () in
-  expect r.sb_identical
-    "selective stripped reports differ from the full-repair reference";
-  expect r.sb_selective
-    "an update re-analyzed the whole store (expected a strict subset)";
-  expect
-    (r.sb_selected < r.sb_dispatch_full)
-    (Printf.sprintf
-       "update stream dispatched %d bundles, full repair would dispatch %d"
-       r.sb_selected r.sb_dispatch_full);
-  expect r.sb_warm_identical
-    "warm replay through the cache produced different stripped reports";
-  expect r.sb_index_consistent
-    "hot-updated footprint index differs from a from-scratch rebuild";
-  match !failures with
-  | [] -> Printf.printf "serve smoke: all gates passed\n%!"
-  | fs ->
-      List.iter (fun f -> Printf.printf "serve smoke FAILURE: %s\n" f) fs;
-      exit 1
-
-(* --- observability smoke (tier-1 gate) ------------------------------------- *)
-
-(* Runs the demo bundle at -j 2 with the whole observability stack on —
-   NDJSON log sink at debug level, GC profiling, metrics — and fails
-   (exit 1) when the log stream stops being valid NDJSON, worker events
-   stop arriving pid-tagged through the pool, per-pid timestamps go
-   non-monotone (replay order broke), the rate limiter stops counting
-   drops, the OpenMetrics export stops validating, GC deltas vanish
-   from the translate/solve spans, or the span ring stops bounding
-   retention.  All observability state is restored on the way out. *)
-let run_obs_smoke () =
-  header
-    "Observability smoke: NDJSON log + OpenMetrics + GC profile (tier-1 gate)";
-  let failures = ref [] in
-  let expect cond msg = if not cond then failures := msg :: !failures in
-  let log_path = Filename.temp_file "separ_obs_smoke" ".ndjson" in
-  Trace.enable ();
-  Metrics.enable ();
-  Trace.set_profile_gc true;
-  Trace.reset ();
-  Metrics.reset ();
-  Log.to_file log_path;
-  Log.set_level Log.Debug;
-  Log.reset ();
-  let models =
-    List.map Extract.extract [ Demo.navigation_app (); Demo.messenger_app () ]
-  in
-  let report = Ase.analyze ~jobs:2 (Bundle.of_models models) in
-  expect
-    (report.Ase.r_vulnerabilities <> [])
-    "demo bundle produced no scenarios";
-  (* The rate limiter: flood one event name past the per-window limit
-     and check the overflow was counted, not written. *)
-  for i = 1 to Log.default_rate_limit + 50 do
-    Log.debug "obs.smoke_flood" ~fields:[ ("i", Trace.Int i) ]
-  done;
-  let _, suppressed = Log.stats () in
-  expect (suppressed >= 50)
-    (Printf.sprintf "rate limiter suppressed %d flood events (expected >= 50)"
-       suppressed);
-  Log.close ();
-  (* Every line of the sink must be one well-formed envelope; worker
-     events must be there under their own pids, in emission order. *)
-  let lines =
-    let ic = open_in log_path in
-    let acc = ref [] in
-    (try
-       while true do
-         let l = String.trim (input_line ic) in
-         if l <> "" then acc := l :: !acc
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !acc
-  in
-  expect (lines <> []) "log sink captured no events";
-  let parent = Unix.getpid () in
-  let worker_pids : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  let last_ts : (int, float) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun line ->
-      match Json.parse line with
-      | exception Json.Parse_error msg ->
-          expect false
-            (Printf.sprintf "log line is not valid JSON (%s): %s" msg line)
-      | j -> (
-          let ts = Option.bind (Json.member "ts_us" j) Json.to_float in
-          let level = Option.bind (Json.member "level" j) Json.to_str in
-          let event = Option.bind (Json.member "event" j) Json.to_str in
-          let pid = Option.bind (Json.member "pid" j) Json.to_float in
-          expect (ts <> None) "log event without numeric ts_us";
-          expect
-            (match level with
-            | Some ("debug" | "info" | "warn" | "error") -> true
-            | _ -> false)
-            "log event with missing or unknown level";
-          expect (event <> None) "log event without event name";
-          match (pid, ts) with
-          | Some p, Some t ->
-              let p = int_of_float p in
-              if p <> parent && event = Some "ase.signature" then
-                Hashtbl.replace worker_pids p ();
-              let prev =
-                Option.value ~default:neg_infinity (Hashtbl.find_opt last_ts p)
-              in
-              expect (t >= prev)
-                (Printf.sprintf "per-pid timestamps not monotone (pid %d)" p);
-              Hashtbl.replace last_ts p t
-          | _ -> expect false "log event without pid"))
-    lines;
-  expect
-    (Hashtbl.length worker_pids >= 1)
-    "no pid-tagged worker ase.signature events reached the parent sink";
-  (* GC profiling: the translate and solve phases allocate, so their
-     spans must carry non-zero minor-heap deltas, and the top-level
-     folds must have moved the gc.* counters. *)
-  let gc_minor name =
-    Trace.fold_spans
-      (fun acc sp ->
-        if sp.Trace.sp_name = name then
-          match List.assoc_opt "gc.minor_words" sp.Trace.sp_attrs with
-          | Some (Trace.Float f) -> Float.max acc f
-          | _ -> acc
-        else acc)
-      0.0
-  in
-  expect
-    (gc_minor "relog.translate" > 0.0)
-    "relog.translate spans carry no gc.minor_words delta";
-  expect (gc_minor "sat.solve" > 0.0)
-    "sat.solve spans carry no gc.minor_words delta";
-  expect
-    (Metrics.counter_value (Metrics.counter "gc.minor_words") > 0)
-    "gc.minor_words counter never moved with --profile-gc semantics on";
-  (* The OpenMetrics export must satisfy its own well-formedness
-     checker (TYPE'd families, cumulative ascending buckets, +Inf =
-     _count, trailing # EOF). *)
-  (match Telemetry.openmetrics_check (Telemetry.openmetrics_string ()) with
-  | Ok () -> ()
-  | Error msg -> expect false ("OpenMetrics export fails validation: " ^ msg));
-  (* The span ring stays bounded and keeps the newest roots. *)
-  let cap_before = Trace.root_cap () in
-  Trace.set_root_cap 2;
-  List.iter
-    (fun name -> Trace.with_span name (fun () -> ()))
-    [ "obs.ring_a"; "obs.ring_b"; "obs.ring_c" ];
-  expect
-    (List.length (Trace.roots ()) = 2)
-    "span ring retains more roots than its cap";
-  expect (Trace.dropped_roots () > 0) "span ring dropped roots went uncounted";
-  (match List.rev (Trace.roots ()) with
-  | newest :: _ ->
-      expect
-        (newest.Trace.sp_name = "obs.ring_c")
-        "span ring did not keep the newest root"
-  | [] -> ());
-  Trace.set_root_cap cap_before;
-  (* restore pristine observability state for whatever runs next *)
-  Log.set_level Log.Info;
-  Log.set_rate_limit Log.default_rate_limit;
-  Log.reset ();
-  Trace.set_profile_gc false;
-  Trace.disable ();
-  Metrics.disable ();
-  Trace.reset ();
-  Metrics.reset ();
-  (try Sys.remove log_path with Sys_error _ -> ());
-  match !failures with
-  | [] ->
-      Printf.printf "obs smoke: %d log lines, all gates passed\n%!"
-        (List.length lines)
-  | fs ->
-      List.iter (fun f -> Printf.printf "obs smoke FAILURE: %s\n" f) fs;
-      exit 1
-
-(* --- benchdiff smoke (tier-1 gate) ------------------------------------------ *)
-
-(* Exercises the trajectory regression gate against synthetic history
-   files, so the gate is deterministic under `dune runtest`: a missing
-   history skips, a single entry has no baseline, a stable trend
-   passes, an inflated latest run is flagged, smoke- and full-mode
-   entries never cross-compare, malformed lines are counted but not
-   fatal. *)
-let run_benchdiff_smoke () =
-  header "Benchdiff smoke: bench-trajectory regression gate (tier-1 gate)";
-  let failures = ref [] in
-  let expect cond msg = if not cond then failures := msg :: !failures in
-  let tmp = Filename.temp_file "separ_benchdiff" ".ndjson" in
-  Sys.remove tmp;
-  (* missing history: `separ benchdiff` skips (exit 0) rather than fail *)
-  let entries, malformed = History.load ~path:tmp in
-  expect
-    (entries = [] && malformed = 0)
-    "missing history file did not load as empty";
-  expect (History.diff entries = []) "missing history produced section diffs";
-  Printf.printf
-    "benchdiff smoke: no-baseline case SKIPPED by the gate (exit 0), as \
-     specified\n";
-  let entry ?(mode = "full") wall_ms =
-    {
-      History.e_section = "solver";
-      e_mode = mode;
-      e_wall_ms = wall_ms;
-      e_provenance = Json.Null;
-      e_extra = [];
-    }
-  in
-  (* one entry: nothing to compare against *)
-  History.append ~path:tmp (entry 100.0);
-  (match History.diff (fst (History.load ~path:tmp)) with
-  | [ d ] ->
-      expect
-        (d.History.sd_status = History.No_baseline)
-        "single entry did not report No_baseline"
-  | ds ->
-      expect false
-        (Printf.sprintf "expected 1 section diff, got %d" (List.length ds)));
-  (* stable trend: identical runs must pass *)
-  History.append ~path:tmp (entry 102.0);
-  History.append ~path:tmp (entry 98.0);
-  History.append ~path:tmp (entry 100.0);
-  (match History.diff (fst (History.load ~path:tmp)) with
-  | [ d ] ->
-      expect (d.History.sd_status = History.Ok)
-        "stable trend flagged as regression";
-      expect (d.History.sd_samples = 3)
-        (Printf.sprintf "baseline over %d samples (expected 3)"
-           d.History.sd_samples)
-  | ds ->
-      expect false
-        (Printf.sprintf "expected 1 section diff, got %d" (List.length ds)));
-  (* a smoke-mode run must not borrow the full-mode baseline *)
-  History.append ~path:tmp (entry ~mode:"smoke" 5.0);
-  (match
-     List.find_opt
-       (fun d -> d.History.sd_mode = "smoke")
-       (History.diff (fst (History.load ~path:tmp)))
-   with
-  | Some d ->
-      expect
-        (d.History.sd_status = History.No_baseline)
-        "smoke run compared against the full-mode baseline"
-  | None -> expect false "smoke-mode entry produced no section diff");
-  (* an inflated latest run must be flagged *)
-  History.append ~path:tmp (entry 160.0);
-  let regressed, _ = History.load ~path:tmp in
-  (match
-     List.find_opt (fun d -> d.History.sd_mode = "full") (History.diff regressed)
-   with
-  | Some d ->
-      expect
-        (d.History.sd_status = History.Regression)
-        (Printf.sprintf "+60%% latest run not flagged (delta %.1f%%)"
-           d.History.sd_delta_pct);
-      expect
-        (d.History.sd_delta_pct > History.default_threshold_pct)
-        "regression delta did not exceed the default threshold"
-  | None -> expect false "full-mode entries produced no section diff");
-  (* malformed lines: skipped and counted, never fatal *)
-  let oc = open_out_gen [ Open_wronly; Open_append ] 0o644 tmp in
-  output_string oc "{this is not json\n";
-  close_out oc;
-  let after, malformed = History.load ~path:tmp in
-  expect (malformed = 1)
-    (Printf.sprintf "%d malformed lines counted (expected 1)" malformed);
-  expect
-    (List.length after = List.length regressed)
-    "a malformed line changed the parsed entry count";
-  Sys.remove tmp;
-  match !failures with
-  | [] -> Printf.printf "benchdiff smoke: all gates passed\n%!"
-  | fs ->
-      List.iter (fun f -> Printf.printf "benchdiff smoke FAILURE: %s\n" f) fs;
-      exit 1
-
-(* --- Bechamel kernels ---------------------------------------------------------- *)
-
-let run_kernels () =
-  header "Bechamel micro-benchmarks of the pipeline stages";
-  let open Bechamel in
-  let apk = Demo.navigation_app () in
-  let models =
-    List.map Extract.extract [ Demo.navigation_app (); Demo.messenger_app () ]
-  in
-  let bundle = Bundle.of_models models in
-  let policies = demo_policies () in
-  let icc_apk = rq4_apps 50 in
-  let tests =
-    [
-      (* Table I / Fig 5 kernel: static extraction of one app *)
-      Test.make ~name:"ame_extract_app"
-        (Staged.stage (fun () -> ignore (Extract.extract apk)));
-      (* Table II kernel: encode + solve one signature *)
-      Test.make ~name:"ase_synthesize_bundle"
-        (Staged.stage (fun () ->
-             ignore
-               (Ase.analyze
-                  ~signatures:[ List.hd (Signatures.all ()) ]
-                  ~limit_per_sig:1 bundle)));
-      (* RQ4 kernels: dispatch with and without the PEP hooks *)
-      Test.make ~name:"runtime_icc_unhooked"
-        (Staged.stage (fun () ->
-             let d = Device.create () in
-             Device.install d icc_apk;
-             Device.start_component d ~pkg:"bench.icc" ~component:"Caller"));
-      Test.make ~name:"runtime_icc_hooked"
-        (Staged.stage (fun () ->
-             let d = Device.create () in
-             Device.install d icc_apk;
-             Device.set_policies d policies [ "bench.icc" ];
-             Device.set_enforcement d true;
-             Device.start_component d ~pkg:"bench.icc" ~component:"Caller"));
-    ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.8) ~kde:(Some 10) ()
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let stats = Analyze.all ols Toolkit.Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ est ] -> Printf.printf "%-26s %12.0f ns/run\n" name est
-          | _ -> Printf.printf "%-26s (no estimate)\n" name)
-        stats)
-    tests;
-  Printf.printf "%!";
-  (* Solver counters for the same pipeline, persisted for trend tracking. *)
-  ignore (run_solver_bench ~mode:"kernels" ())
-
-(* --- compiled PDP / fleet soak (BENCH_enforce.json) ------------------------ *)
+(* --- compiled PDP (BENCH_enforce.json) -------------------------------------- *)
 
 (* A synthetic store of [rules] ECA policies: the four derived shapes
    (privilege escalation, launch, hijack, leak) permuted over a
@@ -2126,89 +1497,6 @@ let enforce_latency ~mode ~rules =
     el_stats = Compile.stats compiled;
   }
 
-(* Nearest-bucket percentile estimate out of a metrics histogram: the
-   upper bound of the bucket the [q]-quantile falls in, saturating at
-   the last finite bound. *)
-let hist_percentile h q =
-  let total = Metrics.histogram_count h in
-  if total = 0 then 0.0
-  else begin
-    let target =
-      max 1 (int_of_float (ceil (q *. float_of_int total)))
-    in
-    let rec go acc last = function
-      | [] -> last
-      | (ub, c) :: rest ->
-          let acc = acc + c in
-          let last = if ub = infinity then last else ub in
-          if acc >= target then last else go acc last rest
-    in
-    go 0 0.0 (Metrics.histogram_buckets h)
-  end
-
-type fleet_row = {
-  fr_rules : int;
-  fr_devices : int;
-  fr_checks : int;
-  fr_wall_ms : float;
-  fr_checks_per_sec : float;
-  fr_p50_us : float;
-  fr_p99_us : float;
-  fr_swaps : int;
-  fr_swap_mean_us : float;
-  fr_serializations : int;  (* must be 0: the fleet runs in-process *)
-}
-
-(* N devices sustaining ICC traffic against one store, with hot policy
-   swaps interleaved between traffic waves. *)
-let enforce_fleet ~mode ~rules ~devices =
-  let st = Random.State.make [| 0xf1ee7; rules; devices |] in
-  let store = enforce_store ~rules st in
-  let rotated = match store with [] -> [] | p :: rest -> rest @ [ p ] in
-  let apk = rq4_apps (if mode = "smoke" then 20 else 50) in
-  let fleet =
-    List.init devices (fun _ ->
-        let d = Device.create () in
-        Device.install d apk;
-        Device.set_policies d store [ "bench.icc" ];
-        Device.set_enforcement d true;
-        d)
-  in
-  Metrics.reset ();
-  let waves = if mode = "smoke" then 2 else 4 in
-  let (), wall_ms =
-    Trace.timed "bench.enforce.fleet" (fun () ->
-        for w = 1 to waves do
-          List.iter
-            (fun d ->
-              Device.start_component d ~pkg:"bench.icc" ~component:"Caller")
-            fleet;
-          (* hot swap under sustained traffic *)
-          List.iter
-            (fun d ->
-              Device.swap_policies d (if w mod 2 = 0 then store else rotated))
-            fleet
-        done)
-  in
-  let count name = Metrics.counter_value (Metrics.counter name) in
-  let checks = count "runtime.hook_checks" in
-  let h_lat = Metrics.histogram "runtime.hook_latency_us" in
-  let h_swap = Metrics.histogram "runtime.swap_latency_us" in
-  {
-    fr_rules = rules;
-    fr_devices = devices;
-    fr_checks = checks;
-    fr_wall_ms = wall_ms;
-    fr_checks_per_sec =
-      (if wall_ms > 0.0 then float_of_int checks /. (wall_ms /. 1000.0)
-       else 0.0);
-    fr_p50_us = hist_percentile h_lat 0.50;
-    fr_p99_us = hist_percentile h_lat 0.99;
-    fr_swaps = count "runtime.policy_swaps";
-    fr_swap_mean_us = Metrics.histogram_mean h_swap;
-    fr_serializations = count "policy.serializations";
-  }
-
 (* Enforcement reports under one PDP mode, as the rendered effect lines
    — the byte-identity unit.  The Figure 1 bundle exercises the
    synthesized (Table I-derived) policies; the ICC benchmark app
@@ -2228,46 +1516,24 @@ let enforce_mode_report ~policies mode =
   String.concat "\n"
     (List.map (fun e -> Fmt.str "%a" Effect.pp e) (Device.effects d))
 
-type enforce_bench = {
-  eb_latency : enforce_latency list;
-  eb_fleet : fleet_row list;
-  eb_compiled_ratio : float;  (* compiled ns/check at 1000 rules vs 10 *)
-  eb_linear_ratio : float;
-  eb_identity_ok : bool;
-  eb_reports_identical : bool;  (* Compiled vs Reference vs Ipc, bytes *)
-  eb_fast_path_serializations : int;
-  eb_ipc_serializations : int;
-  eb_swaps : int;
-  eb_wall_ms : float;
-}
-
-let run_enforce_bench ~mode () =
-  header
-    "Compiled PDP: per-check latency vs store size + device-fleet soak";
-  let t_start = Unix.gettimeofday () in
+(* Per-check PDP latency against store size, compiled matcher vs linear
+   scan, with every sampled event decided identically (verdict and
+   deciding-policy id) by both; then the running example's enforcement
+   reports under each PDP mode, which must be byte-identical, with the
+   IPC mode the only one paying event serializations.  The compiled
+   matcher must beat the linear scan at 1000 rules. *)
+let enforce ~mode =
   let was_enabled = Metrics.is_enabled () in
   Metrics.enable ();
-  let sizes = [ 10; 100; 1000 ] in
-  let latency = List.map (fun rules -> enforce_latency ~mode ~rules) sizes in
+  let latency =
+    List.map (fun rules -> enforce_latency ~mode ~rules) [ 10; 100; 1000 ]
+  in
   let find_lat rules = List.find (fun l -> l.el_rules = rules) latency in
   let l10 = find_lat 10 and l1000 = find_lat 1000 in
   let ratio a b = if b > 0.0 then a /. b else 0.0 in
-  let combos =
-    if mode = "smoke" then [ (100, 1); (100, 8) ]
-    else
-      List.concat_map
-        (fun rules -> List.map (fun d -> (rules, d)) [ 1; 8; 64 ])
-        sizes
-  in
-  let fleet =
-    List.map (fun (rules, devices) -> enforce_fleet ~mode ~rules ~devices) combos
-  in
-  let fast_ser =
-    List.fold_left (fun acc r -> acc + r.fr_serializations) 0 fleet
-  in
-  let swaps = List.fold_left (fun acc r -> acc + r.fr_swaps) 0 fleet in
-  (* byte-identity of full enforcement reports across PDP modes, and
-     the serialization ledger: zero in-process, nonzero over IPC *)
+  let compiled_ratio = ratio l1000.el_compiled_ns l10.el_compiled_ns in
+  let linear_ratio = ratio l1000.el_linear_ns l10.el_linear_ns in
+  let identity_ok = List.for_all (fun l -> l.el_identical) latency in
   (* one store for all three modes: derived policy ids come from a
      global counter, so the store must be synthesized exactly once *)
   let mode_policies = demo_policies () in
@@ -2281,20 +1547,8 @@ let run_enforce_bench ~mode () =
     Metrics.counter_value (Metrics.counter "policy.serializations")
   in
   if not was_enabled then Metrics.disable ();
-  let result =
-    {
-      eb_latency = latency;
-      eb_fleet = fleet;
-      eb_compiled_ratio = ratio l1000.el_compiled_ns l10.el_compiled_ns;
-      eb_linear_ratio = ratio l1000.el_linear_ns l10.el_linear_ns;
-      eb_identity_ok = List.for_all (fun l -> l.el_identical) latency;
-      eb_reports_identical =
-        rep_compiled = rep_reference && rep_reference = rep_ipc;
-      eb_fast_path_serializations = fast_ser;
-      eb_ipc_serializations = ipc_ser;
-      eb_swaps = swaps;
-      eb_wall_ms = (Unix.gettimeofday () -. t_start) *. 1000.0;
-    }
+  let reports_identical =
+    rep_compiled = rep_reference && rep_reference = rep_ipc
   in
   let latency_json l =
     Json.Obj
@@ -2310,41 +1564,6 @@ let run_enforce_bench ~mode () =
           Json.Int l.el_stats.Compile.st_receiver_buckets );
       ]
   in
-  let fleet_json r =
-    Json.Obj
-      [
-        ("rules", Json.Int r.fr_rules);
-        ("devices", Json.Int r.fr_devices);
-        ("hook_checks", Json.Int r.fr_checks);
-        ("wall_ms", Json.Float r.fr_wall_ms);
-        ("checks_per_sec", Json.Float r.fr_checks_per_sec);
-        ("hook_p50_us", Json.Float r.fr_p50_us);
-        ("hook_p99_us", Json.Float r.fr_p99_us);
-        ("policy_swaps", Json.Int r.fr_swaps);
-        ("swap_mean_us", Json.Float r.fr_swap_mean_us);
-        ("serializations", Json.Int r.fr_serializations);
-      ]
-  in
-  let json =
-    Json.Obj
-      [
-        ("mode", Json.Str mode);
-        ("provenance", Lazy.force provenance);
-        ("latency_vs_store_size", Json.List (List.map latency_json latency));
-        ("fleet_soak", Json.List (List.map fleet_json fleet));
-        ("compiled_1000_vs_10_ratio", Json.Float result.eb_compiled_ratio);
-        ("linear_1000_vs_10_ratio", Json.Float result.eb_linear_ratio);
-        ("identity_ok", Json.Bool result.eb_identity_ok);
-        ("reports_identical_across_modes", Json.Bool result.eb_reports_identical);
-        ( "fast_path_serializations",
-          Json.Int result.eb_fast_path_serializations );
-        ("ipc_serializations", Json.Int result.eb_ipc_serializations);
-      ]
-  in
-  let oc = open_out "BENCH_enforce.json" in
-  output_string oc (Json.to_string json);
-  output_string oc "\n";
-  close_out oc;
   List.iter
     (fun l ->
       Printf.printf
@@ -2354,115 +1573,181 @@ let run_enforce_bench ~mode () =
     latency;
   Printf.printf
     "store 10 -> 1000 rules: compiled per-check cost x%.2f (linear x%.2f)\n"
-    result.eb_compiled_ratio result.eb_linear_ratio;
-  List.iter
-    (fun r ->
-      Printf.printf
-        "%5d rules x %2d devices: %6d checks, %8.0f checks/s, p50 <= %.1f \
-         us, p99 <= %.1f us, %d swaps (mean %.0f us)\n"
-        r.fr_rules r.fr_devices r.fr_checks r.fr_checks_per_sec r.fr_p50_us
-        r.fr_p99_us r.fr_swaps r.fr_swap_mean_us)
-    fleet;
+    compiled_ratio linear_ratio;
   Printf.printf
     "decisions identical: %b; reports byte-identical across modes: %b\n"
-    result.eb_identity_ok result.eb_reports_identical;
-  Printf.printf
-    "serializations: %d in-process (fast path), %d over IPC -> \
-     BENCH_enforce.json\n%!"
-    result.eb_fast_path_serializations result.eb_ipc_serializations;
-  record_history ~mode ~section:"enforce"
+    identity_ok reports_identical;
+  Printf.printf "serializations over IPC: %d\n%!" ipc_ser;
+  outcome
+    ~body:
+      [
+        ("latency_vs_store_size", Json.List (List.map latency_json latency));
+        ("compiled_1000_vs_10_ratio", Json.Float compiled_ratio);
+        ("linear_1000_vs_10_ratio", Json.Float linear_ratio);
+        ("identity_ok", Json.Bool identity_ok);
+        ("reports_identical_across_modes", Json.Bool reports_identical);
+        ("ipc_serializations", Json.Int ipc_ser);
+      ]
     ~extra:
       [
         ("compiled_1000_ns", Json.Float l1000.el_compiled_ns);
-        ("compiled_ratio", Json.Float result.eb_compiled_ratio);
+        ("compiled_ratio", Json.Float compiled_ratio);
       ]
-    result.eb_wall_ms;
-  result
-
-(* Tier-1 gate for `dune runtest`: the compiled PDP must agree with the
-   reference decide on verdict and deciding-policy id for every sampled
-   event at every store size; full enforcement reports must be
-   byte-identical across Compiled/Reference/Ipc modes; the in-process
-   fleet must perform zero event serializations while the IPC replay
-   performs some; hot swaps must be observed; and the compiled matcher
-   must beat the linear scan at 1000 rules. *)
-let run_enforce_smoke () =
-  header "Enforce smoke: compiled-PDP identity + zero-copy hook (tier-1 gate)";
-  let failures = ref [] in
-  let expect cond msg = if not cond then failures := msg :: !failures in
-  let r = run_enforce_bench ~mode:"smoke" () in
-  expect r.eb_identity_ok
-    "compiled PDP disagrees with reference decide (verdict or policy id)";
-  expect r.eb_reports_identical
-    "enforcement reports differ across Compiled/Reference/Ipc PDP modes";
-  expect
-    (r.eb_fast_path_serializations = 0)
-    (Printf.sprintf
-       "in-process fleet performed %d event serializations (expected 0)"
-       r.eb_fast_path_serializations);
-  expect
-    (r.eb_ipc_serializations > 0)
-    "IPC-mode replay performed no event serializations (expected > 0)";
-  expect (r.eb_swaps > 0) "fleet soak recorded no hot policy swaps";
-  (let l1000 = List.find (fun l -> l.el_rules = 1000) r.eb_latency in
-   expect
-     (l1000.el_compiled_ns < l1000.el_linear_ns)
-     (Printf.sprintf
-        "compiled PDP not faster than linear scan at 1000 rules (%.0f >= \
-         %.0f ns/check)"
-        l1000.el_compiled_ns l1000.el_linear_ns));
-  match !failures with
-  | [] -> Printf.printf "enforce smoke: all gates passed\n%!"
-  | fs ->
-      List.iter (fun f -> Printf.printf "enforce smoke FAILURE: %s\n" f) fs;
-      exit 1
+    ~checks:
+      [
+        ( identity_ok,
+          "compiled PDP disagrees with reference decide (verdict or policy id)"
+        );
+        ( reports_identical,
+          "enforcement reports differ across Compiled/Reference/Ipc PDP modes"
+        );
+        ( ipc_ser > 0,
+          "IPC-mode replay performed no event serializations (expected > 0)" );
+        ( l1000.el_compiled_ns < l1000.el_linear_ns,
+          Printf.sprintf
+            "compiled PDP not faster than linear scan at 1000 rules (%.0f >= \
+             %.0f ns/check)"
+            l1000.el_compiled_ns l1000.el_linear_ns );
+      ]
+    ()
 
 (* --- driver ----------------------------------------------------------------------- *)
 
-let () =
-  let args = Array.to_list Sys.argv in
-  let has name = List.mem name args in
-  let opt name default =
-    let rec go = function
-      | a :: b :: _ when a = name -> int_of_string b
-      | _ :: rest -> go rest
-      | [] -> default
-    in
-    go args
+type section = {
+  name : string;
+  doc : string;  (* one line: the section's header and its usage entry *)
+  run : mode:string -> outcome;
+}
+
+(* In [dune exec bench/main.exe] order. *)
+let sections =
+  [
+    { name = "table1"; run = table1;
+      doc = "Table I: ICC vulnerability detection (DroidBench 2.0 + ICC-Bench)" };
+    { name = "solver"; run = solver;
+      doc = "Solver kernels: demo-bundle synthesis, pigeonhole, minimal models" };
+    { name = "parallel"; run = parallel;
+      doc = "Parallel synthesis: ASE at -j 1/2/4 over the Table I workload" };
+    { name = "cache"; run = cache;
+      doc = "Persistent cache: cold vs warm vs one-app-changed (Table I)" };
+    { name = "serve"; run = serve;
+      doc = "App-store daemon: footprint-selective re-analysis vs full repair" };
+    { name = "enforce"; run = enforce;
+      doc = "Compiled PDP vs linear scan at 10/100/1000 rules, per PDP mode" };
+    { name = "flowbench"; run = flowbench;
+      doc = "FlowBench: intra-component taint precision (FlowDroid substitute)" };
+    { name = "scenario"; run = scenario;
+      doc = "Running example (paper SS V-VI): synthesized exploit and policy" };
+    { name = "fig5"; run = fig5;
+      doc = "Figure 5: extraction time vs app size (--apps N, default 4000)" };
+    { name = "table2"; run = table2;
+      doc = "Table II: bundle statistics and solver timing (--bundles N, default 10)" };
+    { name = "rq2"; run = rq2;
+      doc = "RQ2: vulnerable apps per category (--bundles N of 50 apps, default 80)" };
+    { name = "rq4"; run = rq4;
+      doc = "RQ4: policy enforcement overhead (33 repetitions, 95% CI)" };
+    { name = "ablation-minimal"; run = ablation_minimal;
+      doc = "Ablation: minimal (Aluminum) vs arbitrary (plain SAT) scenarios" };
+    { name = "ablation-context"; run = ablation_context;
+      doc = "Ablation: context sensitivity (k = 1 vs k = 0)" };
+    { name = "ablation-pruning"; run = ablation_pruning;
+      doc = "Ablation: entry-point reachability pruning" };
+    { name = "ablation-incremental"; run = ablation_incremental;
+      doc = "Extension: incremental re-analysis (the Marshmallow scenario)" };
+  ]
+
+let usage () =
+  prerr_string
+    "usage: main.exe [SECTION ...] [--smoke SECTION] [--bundles N] [--apps N] \
+     [--trace]\n\n\
+    \  no SECTION (or `all`) runs every section in full mode;\n\
+    \  --smoke SECTION runs it on a small workload and exits 1 if a check \
+     fails;\n\
+    \  --trace writes the run's Chrome trace to trace.json.\n\n\
+     sections:\n";
+  List.iter (fun s -> Printf.eprintf "  %-22s %s\n" s.name s.doc) sections;
+  exit 2
+
+(* Run one section: header, the section itself, its BENCH_<name>.json
+   (inside the common mode/provenance envelope) and history line, and
+   its failed checks, prefixed by the section.  True when a check
+   failed. *)
+let run_section ~mode s =
+  header s.doc;
+  let o, ms =
+    Trace.timed "bench.section"
+      ~attrs:[ Trace.attr_str "section" s.name ]
+      (fun () -> s.run ~mode)
   in
-  let all = List.length args <= 1 || has "all" in
-  (* [--trace] records the whole run and writes trace.json at exit. *)
-  let tracing = has "--trace" in
-  if tracing then begin
+  if o.body <> [] then begin
+    let file = "BENCH_" ^ s.name ^ ".json" in
+    let oc = open_out file in
+    output_string oc
+      (Json.to_string
+         (Json.Obj
+            (("mode", Json.Str mode)
+            :: ("provenance", Lazy.force provenance)
+            :: o.body)));
+    output_string oc "\n";
+    close_out oc;
+    Printf.printf "-> %s\n" file
+  end;
+  record_history ~mode ~extra:o.extra ~section:s.name
+    (Option.value o.headline_ms ~default:ms);
+  let failed =
+    List.filter_map (fun (ok, msg) -> if ok then None else Some msg) o.checks
+  in
+  List.iter (fun msg -> Printf.printf "%s FAILED: %s\n" s.name msg) failed;
+  if o.checks <> [] && failed = [] then
+    Printf.printf "%s: all %d checks passed\n" s.name (List.length o.checks);
+  Printf.printf "%s: %.1fs\n%!" s.name (ms /. 1000.0);
+  failed <> []
+
+let () =
+  let find name =
+    match List.find_opt (fun s -> s.name = name) sections with
+    | Some s -> s
+    | None -> usage ()
+  in
+  let tracing = ref false in
+  (* (section, mode) in command-line order; flags never name sections *)
+  let rec parse acc = function
+    | [] -> List.rev acc
+    | "--trace" :: rest ->
+        tracing := true;
+        parse acc rest
+    | "--smoke" :: name :: rest -> parse ((find name, "smoke") :: acc) rest
+    | (("--bundles" | "--apps") as o) :: v :: rest -> (
+        match int_of_string_opt v with
+        | Some n ->
+            options := (o, n) :: !options;
+            parse acc rest
+        | None -> usage ())
+    | "all" :: rest ->
+        parse (List.rev_map (fun s -> (s, "full")) sections @ acc) rest
+    | name :: rest when not (String.starts_with ~prefix:"-" name) ->
+        parse ((find name, "full") :: acc) rest
+    | _ -> usage ()
+  in
+  let runs =
+    match parse [] (List.tl (Array.to_list Sys.argv)) with
+    | [] -> List.map (fun s -> (s, "full")) sections
+    | runs -> runs
+  in
+  if !tracing then begin
     Trace.enable ();
     Metrics.enable ()
   end;
-  if has "--smoke" then run_smoke ();
-  if has "--telemetry-smoke" then run_telemetry_smoke ();
-  if has "--parallel-smoke" then run_parallel_smoke ();
-  if has "--cache-smoke" then run_cache_smoke ();
-  if has "--serve-smoke" then run_serve_smoke ();
-  if has "--obs-smoke" then run_obs_smoke ();
-  if has "--benchdiff-smoke" then run_benchdiff_smoke ();
-  if has "--enforce-smoke" then run_enforce_smoke ();
-  if all || has "table1" then run_table1 ();
-  if all || has "parallel" then ignore (run_parallel_bench ~mode:"full" ());
-  if all || has "cache" then ignore (run_cache_bench ~mode:"full" ());
-  if all || has "serve" then ignore (run_serve_bench ~mode:"full" ());
-  if all || has "enforce" then ignore (run_enforce_bench ~mode:"full" ());
-  if all || has "flowbench" then run_flowbench ();
-  if all || has "scenario" then run_scenario ();
-  if all || has "fig5" then run_fig5 ~apps:(opt "--apps" 4000) ();
-  if all || has "table2" then run_table2 ~bundles:(opt "--bundles" 10) ();
-  if all || has "rq2" then run_rq2 ~bundles:(opt "--bundles" 80) ();
-  if all || has "rq4" then run_rq4 ();
-  if all || has "ablation-minimal" then run_ablation_minimal ();
-  if all || has "ablation-context" then run_ablation_context ();
-  if all || has "ablation-pruning" then run_ablation_pruning ();
-  if all || has "ablation-incremental" then run_ablation_incremental ();
-  if all || has "kernels" then run_kernels ();
-  if tracing then begin
-    Separ_report.Telemetry.write_trace "trace.json";
+  let smoke_failed =
+    List.fold_left
+      (fun acc (s, mode) ->
+        let failed = run_section ~mode s in
+        acc || (failed && mode = "smoke"))
+      false runs
+  in
+  if !tracing then begin
+    Telemetry.write_trace "trace.json";
     Printf.printf "\nwrote Chrome trace to trace.json (load in \
                    chrome://tracing or https://ui.perfetto.dev)\n%!"
-  end
+  end;
+  if smoke_failed then exit 1

@@ -185,7 +185,8 @@ let read_lines path =
 
 (* Worker-side log events buffer per batch (workers must not write to
    the inherited sink fd), ship back in the reply payload, and replay
-   through the parent's sink carrying the worker's own pid. *)
+   through the parent's sink carrying the worker's own pid, the full
+   envelope, and each worker's timestamps in emission order. *)
 let test_worker_logs_shipped () =
   let path = Filename.temp_file "separ_test_pool_log" ".ndjson" in
   Log.to_file path;
@@ -196,9 +197,12 @@ let test_worker_logs_shipped () =
       Log.reset ();
       try Sys.remove path with Sys_error _ -> ())
     (fun () ->
+      (* two events per batch, a millisecond apart, so replay order
+         shows in the timestamps *)
       let results =
-        Pool.map ~jobs:2
+        Pool.map ~jobs:2 ~batch:2
           (fun n ->
+            Unix.sleepf 0.001;
             Log.info "test.pool_log" ~fields:[ ("n", Trace.Int n) ];
             n)
           [ 1; 2; 3; 4 ]
@@ -206,23 +210,35 @@ let test_worker_logs_shipped () =
       check_int "all done" 4 (List.length (done_values results));
       Log.close ();
       let parent = Unix.getpid () in
-      let pids =
+      let events =
         List.filter_map
           (fun l ->
             let j = Json.parse l in
             if
               Option.bind (Json.member "event" j) Json.to_str
               = Some "test.pool_log"
-            then Json.member "pid" j
+            then Some j
             else None)
           (read_lines path)
       in
-      check_int "all four worker events replayed" 4 (List.length pids);
+      check_int "all four worker events replayed" 4 (List.length events);
+      let last_ts = Hashtbl.create 4 in
       List.iter
-        (fun pid ->
+        (fun j ->
           check "event is pid-tagged with a worker, not the parent" true
-            (pid <> Json.Int parent))
-        pids)
+            (Json.member "pid" j <> Some (Json.Int parent));
+          check "replayed event keeps its level" true
+            (Option.bind (Json.member "level" j) Json.to_str = Some "info");
+          match
+            (Json.member "pid" j, Option.bind (Json.member "ts_us" j) Json.to_float)
+          with
+          | Some (Json.Int pid), Some ts ->
+              check "per-worker timestamps monotone" true
+                (ts >= Option.value ~default:neg_infinity
+                        (Hashtbl.find_opt last_ts pid));
+              Hashtbl.replace last_ts pid ts
+          | _ -> Alcotest.fail "replayed event without integer pid and ts_us")
+        events)
 
 (* Observability survives a worker dying mid-batch: events and GC
    metrics from every surviving batch still arrive (through the

@@ -261,11 +261,12 @@ let test_metrics_export () =
 
 (* A full pipeline run records the span hierarchy the report advertises:
    translation containing bounds/circuit/tseitin, sat.solve totals that
-   equal the reported solving time. *)
+   equal the reported solving time, translate+attach totals that equal
+   the reported construction time.  On the real clock every span lies
+   inside its parent, siblings start in order, and the whole trace
+   exports as well-formed events. *)
 let test_pipeline_spans_consistent () =
   with_deterministic_telemetry (fun _tick ->
-      (* the deterministic clock never advances: durations are all 0 but
-         structure must still be complete and well-nested *)
       Trace.use_default_clock ();
       let analysis =
         Separ.analyze
@@ -282,14 +283,59 @@ let test_pipeline_spans_consistent () =
       check_int "bounds under every translate and attach"
         (Trace.count "relog.translate" + Trace.count "relog.attach")
         (Trace.count "relog.bounds");
-      check "sat.solve spans" true (Trace.count "sat.solve" > 0);
+      List.iter
+        (fun name -> check (name ^ " spans") true (Trace.count name > 0))
+        [ "ase.analyze"; "ase.signature"; "relog.circuit"; "relog.tseitin";
+          "sat.solve" ];
       check "policy.derive span" true (Trace.count "policy.derive" = 1);
+      let report = analysis.Separ.report in
       let sat_ms = Trace.total_ms "sat.solve" in
-      let reported = analysis.Separ.report.Separ_ase.Ase.r_solving_ms in
+      let reported = report.Separ_ase.Ase.r_solving_ms in
       check "sat span total = reported solving time" true
         (Float.abs (sat_ms -. reported) <= (0.01 *. reported) +. 1e-6);
+      let built_ms =
+        Trace.total_ms "relog.translate" +. Trace.total_ms "relog.attach"
+      in
+      let constructed = report.Separ_ase.Ase.r_construction_ms in
+      check "translate+attach total = reported construction time" true
+        (Float.abs (built_ms -. constructed) <= (0.01 *. constructed) +. 1e-6);
       check "sat.solves counter bridged" true
-        (Metrics.counter_value (Metrics.counter "sat.solves") > 0))
+        (Metrics.counter_value (Metrics.counter "sat.solves") > 0);
+      check_int "ame.apps_extracted counter" 2
+        (Metrics.counter_value (Metrics.counter "ame.apps_extracted"));
+      let rec well_nested (sp : Trace.span) =
+        let fin = sp.Trace.sp_start_us +. sp.Trace.sp_dur_us in
+        sp.Trace.sp_dur_us >= 0.0
+        && snd
+             (List.fold_left
+                (fun (prev, ok) (c : Trace.span) ->
+                  ( c.Trace.sp_start_us,
+                    ok
+                    && c.Trace.sp_start_us +. 1e-6 >= prev
+                    && c.Trace.sp_start_us +. c.Trace.sp_dur_us <= fin +. 1e-6
+                    && well_nested c ))
+                (sp.Trace.sp_start_us, true)
+                sp.Trace.sp_children)
+      in
+      check "spans nest inside their parents, siblings in order" true
+        (List.for_all well_nested (Trace.roots ()));
+      match
+        Option.bind
+          (Json.member "traceEvents"
+             (Json.parse (Json.to_string (Telemetry.trace_json ()))))
+          Json.to_list
+      with
+      | None | Some [] -> Alcotest.fail "pipeline trace exported no events"
+      | Some events ->
+          check "every exported event is a timed X event" true
+            (List.for_all
+               (fun ev ->
+                 let num k = Option.bind (Json.member k ev) Json.to_float in
+                 Option.bind (Json.member "name" ev) Json.to_str <> None
+                 && Option.bind (Json.member "ph" ev) Json.to_str = Some "X"
+                 && Option.fold ~none:false ~some:(fun t -> t >= 0.0) (num "ts")
+                 && Option.fold ~none:false ~some:(fun d -> d >= 0.0) (num "dur"))
+               events))
 
 (* --- structured log --------------------------------------------------------- *)
 
@@ -473,10 +519,12 @@ let test_gc_profiling_spans () =
       Fun.protect
         ~finally:(fun () -> Trace.set_profile_gc false)
         (fun () ->
+          (* the inner span goes through [Trace.timed], as the
+             relog.translate and sat.solve spans do *)
           Trace.with_span "gc.outer" (fun () ->
-              Trace.with_span "gc.inner" (fun () ->
-                  ignore
-                    (Sys.opaque_identity
+              ignore
+                (Trace.timed "gc.inner" (fun () ->
+                     Sys.opaque_identity
                        (List.init 10_000 (fun i -> string_of_int i)))));
           match Trace.roots () with
           | [ outer ] ->

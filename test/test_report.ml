@@ -135,7 +135,21 @@ let test_history_diff_grouping () =
       history_entry "solver" 105.0;
     ]
   in
-  let diffs = H.diff entries in
+  (* the entries go through a history file: a missing file loads empty,
+     and a malformed line is counted and skipped, never fatal *)
+  let path = Filename.temp_file "separ_test_history" ".ndjson" in
+  Sys.remove path;
+  check "missing history loads empty, nothing to diff" true
+    (H.load ~path = ([], 0) && H.diff [] = []);
+  List.iter (H.append ~path) entries;
+  let oc = open_out_gen [ Open_wronly; Open_append ] 0o644 path in
+  output_string oc "{this is not json\n";
+  close_out oc;
+  let loaded, malformed = H.load ~path in
+  Sys.remove path;
+  Alcotest.(check int) "malformed line counted" 1 malformed;
+  check "entries survive the round trip" true (loaded = entries);
+  let diffs = H.diff loaded in
   (* groups come out in first-seen (section, mode) order *)
   Alcotest.(check (list (pair string string)))
     "first-seen group order"
@@ -168,6 +182,8 @@ let test_history_diff_grouping () =
       (H.diff regressed)
   in
   check "inflated latest flagged" true (d.H.sd_status = H.Regression);
+  check "flagged beyond the default threshold" true
+    (d.H.sd_delta_pct > H.default_threshold_pct);
   (* single-entry group has no baseline *)
   let d =
     List.find
