@@ -668,9 +668,13 @@ let generate_cmd =
     Arg.(value & opt int 5 & info [ "n" ] ~doc:"Number of apps to emit")
   in
   let dir =
-    Arg.(value & opt string "." & info [ "d"; "dir" ] ~doc:"Output directory")
+    Arg.(
+      value & opt string "."
+      & info [ "d"; "dir" ]
+          ~doc:"Output directory (created, parents included, if missing)")
   in
   let run n dir =
+    Separ.Cache.mkdir_p dir;
     let corpus = Separ_workload.Generator.generate () in
     List.iteri
       (fun i g ->

@@ -8,8 +8,9 @@
    of already-reported scenarios, so each result is a genuinely distinct
    exploit.
 
-   Signatures are independent problems, so [analyze ~jobs] partitions
-   them across a fork-based worker pool; per-signature solve budgets and
+   Signatures are independent problems, so [analyze_many ~jobs] (and
+   [analyze], its one-bundle case) partitions (bundle, signature shard)
+   tasks across a fork-based worker pool; per-signature solve budgets and
    crash isolation mean one pathological signature degrades to a
    recorded [degraded] entry instead of hanging or aborting the run.
 
@@ -202,137 +203,6 @@ let run_signature ?(limit = Solve.default_enum_limit) ?budget bundle
       let session = Solve.prepare ?budget problem in
       enumerate_signature ~limit sig_ env session)
 
-(* --- shared-base shards ---------------------------------------------------- *)
-
-(* Per-signature outcome inside a shard: kept marshal-safe so a forked
-   worker can ship the whole shard's results back in one payload. *)
-type item = Computed of sig_result | Crashed of string
-
-type shard_result = {
-  sh_items : item list; (* one per signature, in shard order *)
-  (* totals of the shard's shared solvers (one per distinct config),
-     snapshotted after the last signature — *not* per-signature sums,
-     which would double-count the shared base *)
-  sh_vars : int;
-  sh_clauses : int;
-  sh_solver : Separ_sat.Solver.stats_record;
-  sh_base_ms : float; (* base translation time, paid once per config *)
-}
-
-(* Run a shard of signatures on shared per-config bases.  The bundle
-   encoding depends on the signature's [config] (it decides which
-   adversary atoms exist), so signatures are grouped by config: the
-   first signature of each config pays for [Encode.encode_bundle] and
-   [Solve.prepare_base]; the rest attach delta sessions to it.
-
-   A signature that raises is recorded as [Crashed] without poisoning
-   the shard: any half-attached delta is retired (its guarded clauses
-   become permanently satisfied) and the next signature attaches to a
-   clean base. *)
-let run_shard ?(limit = Solve.default_enum_limit) ?budget bundle
-    (sigs : Signatures.t list) =
-  let bases : (Encode.config, Encode.env * Solve.base) Hashtbl.t =
-    Hashtbl.create 4
-  in
-  (* Config creation order: totals below fold over this list, not over
-     [Hashtbl.iter], whose order is unspecified — summing floats in
-     hash order would make shard timings (and anything derived from
-     them) differ run to run. *)
-  let base_order : (Encode.env * Solve.base) list ref = ref [] in
-  let get_base config =
-    match Hashtbl.find_opt bases config with
-    | Some eb -> eb
-    | None ->
-        let env =
-          Trace.with_span "ase.encode_base" (fun () ->
-              Encode.encode_bundle ~config bundle)
-        in
-        let base =
-          Solve.prepare_base
-            Solve.
-              { bounds = env.Encode.bounds; constraints = env.Encode.facts }
-        in
-        Hashtbl.add bases config (env, base);
-        base_order := !base_order @ [ (env, base) ];
-        (env, base)
-  in
-  let items =
-    List.map
-      (fun (sig_ : Signatures.t) ->
-        Trace.with_span "ase.signature"
-          ~attrs:[ Trace.attr_str "signature" sig_.Signatures.name ]
-          (fun () ->
-            Metrics.incr c_signatures;
-            try
-              let base_env, base = get_base sig_.Signatures.config in
-              let env =
-                Trace.with_span "ase.encode" (fun () ->
-                    Encode.encode_signature base_env sig_.Signatures.witnesses)
-              in
-              let constraints =
-                Encode.witness_facts env @ [ sig_.Signatures.formula env ]
-              in
-              let session =
-                Solve.attach ?budget base
-                  ~rels:(List.map snd env.Encode.r_witnesses)
-                  ~constraints
-              in
-              let result = enumerate_signature ~limit sig_ env session in
-              Solve.detach session;
-              Computed result
-            with e ->
-              (* Best-effort cleanup: retiring the (at most one) live
-                 activation literal permanently satisfies whatever this
-                 signature managed to assert, so the shard's remaining
-                 signatures see an intact base. *)
-              List.iter
-                (fun (_, b) ->
-                  Separ_sat.Solver.retire_activation (Solve.base_solver b))
-                !base_order;
-              Crashed (Printexc.to_string e)))
-      sigs
-  in
-  let sh_vars = ref 0 and sh_clauses = ref 0 and sh_base_ms = ref 0.0 in
-  let sh_solver = ref Separ_sat.Solver.empty_stats in
-  List.iter
-    (fun (_, b) ->
-      let s = Solve.base_solver b in
-      sh_vars := !sh_vars + Separ_sat.Solver.n_vars s;
-      sh_clauses := !sh_clauses + Separ_sat.Solver.n_clauses s;
-      sh_solver := Separ_sat.Solver.sum_stats !sh_solver (Solve.base_stats b);
-      sh_base_ms := !sh_base_ms +. Solve.base_translation_ms b)
-    !base_order;
-  {
-    sh_items = items;
-    sh_vars = !sh_vars;
-    sh_clauses = !sh_clauses;
-    sh_solver = !sh_solver;
-    sh_base_ms = !sh_base_ms;
-  }
-
-(* Split [xs] into at most [k] contiguous, balanced shards (first shards
-   get the remainder).  Contiguity keeps flattened shard results in
-   original signature order. *)
-let partition_contiguous k xs =
-  let n = List.length xs in
-  let k = max 1 (min k n) in
-  let base = n / k and extra = n mod k in
-  let rec take i xs acc =
-    if i = 0 then (List.rev acc, xs)
-    else
-      match xs with
-      | [] -> (List.rev acc, [])
-      | x :: rest -> take (i - 1) rest (x :: acc)
-  in
-  let rec go i xs acc =
-    if i >= k then List.rev acc
-    else
-      let sz = base + if i < extra then 1 else 0 in
-      let shard, rest = take sz xs [] in
-      go (i + 1) rest (shard :: acc)
-  in
-  go 0 xs []
-
 (* --- persistent verdict cache -------------------------------------------- *)
 
 module Store = Separ_cache.Store
@@ -374,42 +244,188 @@ let zero_solve_stats =
 (* The per-(bundle, signature) cache key: the encoded problem projected
    onto the signature's relation support ({!Encode.problem_fingerprint}),
    plus everything else that can change the verdict — encode + verdict
-   versions, encoding config, signature name, enumeration limit.  The
-   bundle is expected to have passive targets already resolved. *)
-let fingerprint_on ~limit base_env (sig_ : Signatures.t) =
-  let env = Encode.encode_signature base_env sig_.Signatures.witnesses in
-  let constraints = env.Encode.facts @ [ sig_.Signatures.formula env ] in
-  Printf.sprintf "%s;%s;limit=%d;sig=%s;%s" ase_cache_version
-    (Encode.config_fingerprint sig_.Signatures.config)
-    limit sig_.Signatures.name
-    (Encode.problem_fingerprint env constraints)
+   versions, encoding config, signature name, enumeration limit.  [env]
+   is the signature's encoding (witnesses layered on, passive targets
+   resolved) and [formula] its exploit formula over [env]. *)
+let cache_key ~limit (sig_ : Signatures.t) env formula =
+  Trace.with_span "ase.cache_fingerprint" (fun () ->
+      Printf.sprintf "%s;%s;limit=%d;sig=%s;%s" ase_cache_version
+        (Encode.config_fingerprint sig_.Signatures.config)
+        limit sig_.Signatures.name
+        (Encode.problem_fingerprint env (env.Encode.facts @ [ formula ])))
 
-(* One fingerprint per signature, sharing one bundle encoding per
-   distinct config (fingerprinting costs encode time, never solve
-   time). *)
-let fingerprints ~limit bundle (signatures : Signatures.t list) =
-  let envs : (Encode.config, Encode.env) Hashtbl.t = Hashtbl.create 4 in
-  let base_env config =
-    match Hashtbl.find_opt envs config with
-    | Some env -> env
-    | None ->
-        let env = Encode.encode_bundle ~config bundle in
-        Hashtbl.add envs config env;
-        env
+(* The key [analyze ?cache] computes for one signature, standalone — for
+   tests and tooling that reason about invalidation. *)
+let signature_fingerprint ?(limit = Solve.default_enum_limit) bundle
+    (sig_ : Signatures.t) =
+  let env =
+    Encode.build ~config:sig_.Signatures.config
+      ~witnesses:sig_.Signatures.witnesses
+      (Bundle.update_passive_targets bundle)
   in
-  List.map
-    (fun (sig_ : Signatures.t) ->
-      fingerprint_on ~limit (base_env sig_.Signatures.config) sig_)
-    signatures
+  cache_key ~limit sig_ env (sig_.Signatures.formula env)
 
-(* Standalone key computation, mirroring what [analyze ?cache] uses
-   (passive targets resolved first) — for tests and tooling that reason
-   about invalidation. *)
-let signature_fingerprint ?(limit = Solve.default_enum_limit) bundle sig_ =
-  let bundle = Bundle.update_passive_targets bundle in
-  match fingerprints ~limit bundle [ sig_ ] with
-  | [ fp ] -> fp
-  | _ -> assert false
+(* --- shards ---------------------------------------------------------------- *)
+
+(* Per-signature outcome inside a shard: kept marshal-safe so a forked
+   worker can ship the whole shard's results back in one payload. *)
+type item = Computed of sig_result | Crashed of string
+
+type shard_result = {
+  sh_items : item list; (* one per signature, in shard order *)
+  (* totals of the shard's shared solvers, snapshotted after the last
+     signature — per-signature sums would double-count the shared base *)
+  sh_vars : int;
+  sh_clauses : int;
+  sh_solver : Separ_sat.Solver.stats_record;
+  sh_base_ms : float; (* base translation time, paid once per config *)
+  sh_pid : int; (* the process that ran the shard *)
+  (* ASE-tier cache traffic: a worker's copy of the store handle counts
+     it where the parent never sees *)
+  sh_hits : int;
+  sh_misses : int;
+  sh_stores : int;
+}
+
+(* Run a shard of one bundle's signatures on shared per-config bases.
+   The bundle encoding depends on the signature's [config] (it decides
+   which adversary atoms exist): the first signature of each config pays
+   for [Encode.encode_bundle], on which every signature of the config is
+   keyed and solved.  A cache hit replays the stored verdict with zeroed
+   stats; the solver base ([Solve.prepare_base]) is translated when the
+   config's first signature misses, and each miss solves on a delta
+   session attached to it.
+
+   A signature that raises is recorded as [Crashed] without poisoning
+   the shard: any half-attached delta is retired (its guarded clauses
+   become permanently satisfied) and the next signature attaches to a
+   clean base. *)
+let run_shard ~limit ?budget ~cache bundle (sigs : Signatures.t list) =
+  (* In config creation order, so the float totals below are summed in
+     the same order every run. *)
+  let bases : (Encode.config * (Encode.env * Solve.base Lazy.t)) list ref =
+    ref []
+  in
+  let get_base config =
+    match List.assoc_opt config !bases with
+    | Some eb -> eb
+    | None ->
+        let env =
+          Trace.with_span "ase.encode_base" (fun () ->
+              Encode.encode_bundle ~config bundle)
+        in
+        (* Captured now: [Encode.encode_signature] binds witnesses into
+           this [Bounds.t], and a base forced later must leave them to
+           their signature's attach. *)
+        let rels = Bounds.relations env.Encode.bounds in
+        let base =
+          lazy
+            (Solve.prepare_base ~rels
+               Solve.
+                 { bounds = env.Encode.bounds; constraints = env.Encode.facts })
+        in
+        bases := !bases @ [ (config, (env, base)) ];
+        (env, base)
+  in
+  let built () =
+    List.filter_map
+      (fun (_, (_, b)) -> if Lazy.is_val b then Some (Lazy.force b) else None)
+      !bases
+  in
+  let solve (sig_ : Signatures.t) env formula base =
+    Metrics.incr c_signatures;
+    let session =
+      Solve.attach ?budget (Lazy.force base)
+        ~rels:(List.map snd env.Encode.r_witnesses)
+        ~constraints:(Encode.witness_facts env @ [ formula ])
+    in
+    let result = enumerate_signature ~limit sig_ env session in
+    Solve.detach session;
+    result
+  in
+  let hits = ref 0 and misses = ref 0 and stores = ref 0 in
+  let items =
+    List.map
+      (fun (sig_ : Signatures.t) ->
+        Trace.with_span "ase.signature"
+          ~attrs:[ Trace.attr_str "signature" sig_.Signatures.name ]
+          (fun () ->
+            try
+              let base_env, base = get_base sig_.Signatures.config in
+              let env =
+                Trace.with_span "ase.encode" (fun () ->
+                    Encode.encode_signature base_env sig_.Signatures.witnesses)
+              in
+              let formula = sig_.Signatures.formula env in
+              match cache with
+              | None -> Computed (solve sig_ env formula base)
+              | Some store -> (
+                  let key = cache_key ~limit sig_ env formula in
+                  match Store.find store ~tier:ase_cache_tier ~key with
+                  | Some cv ->
+                      incr hits;
+                      Computed
+                        {
+                          sr_scenarios = cv.cv_scenarios;
+                          sr_truncated = cv.cv_truncated;
+                          sr_outcome = Complete;
+                          sr_stats = zero_solve_stats;
+                        }
+                  | None ->
+                      incr misses;
+                      let sr = solve sig_ env formula base in
+                      (* a budget-exhausted signature must be re-attempted
+                         next run *)
+                      if sr.sr_outcome = Complete then begin
+                        Store.store store ~tier:ase_cache_tier ~key
+                          {
+                            cv_scenarios = sr.sr_scenarios;
+                            cv_truncated = sr.sr_truncated;
+                          };
+                        incr stores
+                      end;
+                      Computed sr)
+            with e ->
+              (* Best-effort cleanup: retiring the (at most one) live
+                 activation literal permanently satisfies whatever this
+                 signature managed to assert, so the shard's remaining
+                 signatures see an intact base. *)
+              List.iter
+                (fun b ->
+                  Separ_sat.Solver.retire_activation (Solve.base_solver b))
+                (built ());
+              Crashed (Printexc.to_string e)))
+      sigs
+  in
+  let built = built () in
+  let sum f = List.fold_left (fun acc b -> acc + f (Solve.base_solver b)) 0 in
+  {
+    sh_items = items;
+    sh_vars = sum Separ_sat.Solver.n_vars built;
+    sh_clauses = sum Separ_sat.Solver.n_clauses built;
+    sh_solver =
+      List.fold_left
+        (fun acc b -> Separ_sat.Solver.sum_stats acc (Solve.base_stats b))
+        Separ_sat.Solver.empty_stats built;
+    sh_base_ms =
+      List.fold_left (fun acc b -> acc +. Solve.base_translation_ms b) 0.0 built;
+    sh_pid = Unix.getpid ();
+    sh_hits = !hits;
+    sh_misses = !misses;
+    sh_stores = !stores;
+  }
+
+(* Split [xs] into at most [k] contiguous, balanced shards (first shards
+   get the remainder).  Contiguity keeps flattened shard results in
+   original signature order. *)
+let partition_contiguous k xs =
+  let n = List.length xs in
+  let k = max 1 (min k n) in
+  let start i = (i * (n / k)) + min i (n mod k) in
+  List.init k (fun i ->
+      List.filteri (fun j _ -> j >= start i && j < start (i + 1)) xs)
+
+(* --- reports --------------------------------------------------------------- *)
 
 let delta_of name (st : Solve.stats) =
   {
@@ -427,137 +443,31 @@ let delta_of name (st : Solve.stats) =
     sd_solving_ms = st.Solve.solving_ms;
   }
 
-let analyze ?(signatures = Signatures.all ())
-    ?(limit_per_sig = Solve.default_enum_limit) ?(jobs = 1) ?budget ?cache
-    (bundle : Bundle.t) : report =
-  Trace.with_span "ase.analyze"
-    ~attrs:
-      [
-        Trace.attr_int "jobs" jobs;
-        Trace.attr_bool "cache" (Option.is_some cache);
-      ]
-    (fun () ->
-  Log.info "ase.analyze"
-    ~fields:
-      [
-        ("signatures", Trace.Int (List.length signatures));
-        ("jobs", Trace.Int jobs);
-        ("cache", Trace.Bool (Option.is_some cache));
-      ];
-  (* Resolve passive-intent targets across the bundle first (Algorithm 1). *)
-  let bundle =
-    Trace.with_span "ase.resolve_targets" (fun () ->
-        Bundle.update_passive_targets bundle)
-  in
-  (* Persistent-cache pre-pass: fingerprint every signature's encoded
-     problem (encode work only — no solving), look each up, and keep
-     only the misses for the solving pipeline below.  Hits replay the
-     stored scenarios with zeroed per-signature stats. *)
-  let fps =
-    match cache with
-    | None -> None
-    | Some _ ->
-        Some
-          (Trace.with_span "ase.cache_fingerprint" (fun () ->
-               fingerprints ~limit:limit_per_sig bundle signatures))
-  in
-  let cached : cached_verdict option list =
-    match (cache, fps) with
-    | Some store, Some fps ->
-        List.map (fun fp -> Store.find store ~tier:ase_cache_tier ~key:fp) fps
-    | _ -> List.map (fun _ -> None) signatures
-  in
-  let to_run =
-    List.concat
-      (List.map2
-         (fun sig_ c -> match c with None -> [ sig_ ] | Some _ -> [])
-         signatures cached)
-  in
-  (* One pool task per contiguous shard of signatures, sharing
-     per-config solvers within the shard.  The pool runs tasks inline at
-     [jobs <= 1] and in forked workers otherwise, and results come back
-     in signature order — the merged (stripped) report is identical
-     across [-j N], because minimization is canonical.  Solver-level
-     totals are taken from the shards: per-signature sums would
-     double-count the shared base. *)
-  let shards = partition_contiguous jobs to_run in
-  let shard_results =
-    Pool.run ~jobs
-      (List.map
-         (fun shard () -> run_shard ~limit:limit_per_sig ?budget bundle shard)
-         shards)
-  in
-  let computed_items =
-    List.concat
-      (List.map2
-         (fun shard res ->
-           match res with
-           | Pool.Failed msg ->
-               (* the whole shard's worker died: every signature in it is
-                  unaccounted for *)
-               List.map (fun _ -> Crashed msg) shard
-           | Pool.Done sh -> sh.sh_items)
-         shards shard_results)
-  in
-  let r_vars = ref 0 and r_clauses = ref 0 and base_ms = ref 0.0 in
-  let r_solver = ref Separ_sat.Solver.empty_stats in
-  List.iter
-    (function
-      | Pool.Failed _ -> ()
-      | Pool.Done sh ->
-          r_vars := !r_vars + sh.sh_vars;
-          r_clauses := !r_clauses + sh.sh_clauses;
-          base_ms := !base_ms +. sh.sh_base_ms;
-          r_solver := Separ_sat.Solver.sum_stats !r_solver sh.sh_solver)
-    shard_results;
-  (* Store the freshly computed verdicts (complete outcomes only — a
-     budget-exhausted or crashed signature must be re-attempted next
-     run), then splice hits and computed results back into signature
-     order. *)
-  (match (cache, fps) with
-  | Some store, Some fps ->
-      let miss_fps =
-        List.concat
-          (List.map2
-             (fun fp c -> match c with None -> [ fp ] | Some _ -> [])
-             fps cached)
-      in
-      List.iter2
-        (fun fp item ->
-          match item with
-          | Computed sr when sr.sr_outcome = Complete ->
-              Store.store store ~tier:ase_cache_tier ~key:fp
-                {
-                  cv_scenarios = sr.sr_scenarios;
-                  cv_truncated = sr.sr_truncated;
-                }
-          | Computed _ | Crashed _ -> ())
-        miss_fps computed_items
-  | _ -> ());
+(* One bundle's report from the pool results of its shards, in shard
+   order.  A shard whose worker died leaves every one of its signatures
+   [worker_crashed].  Solver-level totals come from the shards:
+   per-signature sums would double-count the shared bases. *)
+let bundle_report ~signatures ~r_cache bundle shards results =
   let items =
-    let rec merge cached computed =
-      match cached with
-      | [] -> []
-      | Some cv :: rest ->
-          Computed
-            {
-              sr_scenarios = cv.cv_scenarios;
-              sr_truncated = cv.cv_truncated;
-              sr_outcome = Complete;
-              sr_stats = zero_solve_stats;
-            }
-          :: merge rest computed
-      | None :: rest -> (
-          match computed with
-          | item :: more -> item :: merge rest more
-          | [] -> assert false)
-    in
-    merge cached computed_items
+    List.concat
+      (List.map2
+         (fun shard -> function
+           | Pool.Failed msg -> List.map (fun _ -> Crashed msg) shard
+           | Pool.Done sh -> sh.sh_items)
+         shards results)
   in
-  let construction = ref 0.0 and solving = ref 0.0 in
-  let degraded = ref [] in
-  let truncated = ref [] in
-  let deltas = ref [] in
+  let done_ =
+    List.filter_map
+      (function Pool.Done sh -> Some sh | Pool.Failed _ -> None)
+      results
+  in
+  let degraded = ref [] and truncated = ref [] and deltas = ref [] in
+  let degrade name reason =
+    Metrics.incr c_degraded;
+    Log.warn "ase.degraded"
+      ~fields:[ ("signature", Trace.Str name); ("reason", Trace.Str reason) ];
+    degraded := { d_kind = name; d_reason = reason } :: !degraded
+  in
   let vulnerabilities =
     List.concat
       (List.map2
@@ -565,34 +475,12 @@ let analyze ?(signatures = Signatures.all ())
            let name = sig_.Signatures.name in
            match item with
            | Crashed msg ->
-               Metrics.incr c_degraded;
-               Log.warn "ase.degraded"
-                 ~fields:
-                   [
-                     ("signature", Trace.Str name);
-                     ("reason", Trace.Str ("worker_crashed: " ^ msg));
-                   ];
-               degraded :=
-                 { d_kind = name; d_reason = "worker_crashed: " ^ msg }
-                 :: !degraded;
+               degrade name ("worker_crashed: " ^ msg);
                []
            | Computed sr ->
-               let stats = sr.sr_stats in
-               construction := !construction +. stats.Solve.translation_ms;
-               solving := !solving +. stats.Solve.solving_ms;
-               deltas := delta_of name stats :: !deltas;
-               if sr.sr_outcome = Budget_exhausted then begin
-                 Metrics.incr c_degraded;
-                 Log.warn "ase.degraded"
-                   ~fields:
-                     [
-                       ("signature", Trace.Str name);
-                       ("reason", Trace.Str "budget_exhausted");
-                     ];
-                 degraded :=
-                   { d_kind = name; d_reason = "budget_exhausted" }
-                   :: !degraded
-               end;
+               deltas := delta_of name sr.sr_stats :: !deltas;
+               if sr.sr_outcome = Budget_exhausted then
+                 degrade name "budget_exhausted";
                if sr.sr_truncated then truncated := name :: !truncated;
                List.map
                  (fun sc ->
@@ -604,90 +492,118 @@ let analyze ?(signatures = Signatures.all ())
                  sr.sr_scenarios)
          signatures items)
   in
-  Trace.add_attr "vulnerabilities" (Trace.Int (List.length vulnerabilities));
-  let degraded = List.rev !degraded in
-  if degraded <> [] then
-    Trace.add_attr "degraded" (Trace.Int (List.length degraded));
+  let deltas = List.rev !deltas in
+  let sum f xs = List.fold_left (fun acc x -> acc +. f x) 0.0 xs in
+  let count f = List.fold_left (fun acc sh -> acc + f sh) 0 done_ in
   {
     r_stats = Bundle.stats bundle;
     r_vulnerabilities = vulnerabilities;
-    r_degraded = degraded;
+    r_degraded = List.rev !degraded;
     r_truncated = List.rev !truncated;
     (* construction = every base paid once + the per-signature deltas *)
-    r_construction_ms = !base_ms +. !construction;
-    r_solving_ms = !solving;
-    r_vars = !r_vars;
-    r_clauses = !r_clauses;
-    r_solver = !r_solver;
-    r_sig_deltas = List.rev !deltas;
-    r_cache = (match cache with Some s -> Store.stats s | None -> []);
-  })
-
-(* --- bundle-axis sharding -------------------------------------------------- *)
-
-(* The report for a bundle whose entire worker died: nothing was found,
-   every signature is degraded, and the gap is recorded per signature
-   exactly as a single-bundle run with an all-crashed pool would. *)
-let crashed_bundle_report ~signatures bundle msg =
-  {
-    r_stats = Bundle.stats bundle;
-    r_vulnerabilities = [];
-    r_degraded =
-      List.map
-        (fun (sig_ : Signatures.t) ->
-          {
-            d_kind = sig_.Signatures.name;
-            d_reason = "worker_crashed: " ^ msg;
-          })
-        signatures;
-    r_truncated = [];
-    r_construction_ms = 0.0;
-    r_solving_ms = 0.0;
-    r_vars = 0;
-    r_clauses = 0;
-    r_solver = Separ_sat.Solver.empty_stats;
-    r_sig_deltas = [];
-    r_cache = [];
+    r_construction_ms =
+      sum (fun sh -> sh.sh_base_ms) done_
+      +. sum (fun d -> d.sd_construction_ms) deltas;
+    r_solving_ms = sum (fun d -> d.sd_solving_ms) deltas;
+    r_vars = count (fun sh -> sh.sh_vars);
+    r_clauses = count (fun sh -> sh.sh_clauses);
+    r_solver =
+      List.fold_left
+        (fun acc sh -> Separ_sat.Solver.sum_stats acc sh.sh_solver)
+        Separ_sat.Solver.empty_stats done_;
+    r_sig_deltas = deltas;
+    r_cache;
   }
 
-(* Analyze several independent bundles, sharding across *bundles* first
-   and signatures second: with [jobs > 1], each bundle becomes one pool
-   task — one fork set serves all of them, batched — and any parallelism
-   left over ([jobs / #bundles], at least 1) runs *inside* each worker as
-   the usual signature sharding.  ASE thus still shares one base
-   encoding per config within every bundle, while a multi-bundle
-   (store-scale) run saturates cores on the bundle axis, where the
-   tasks are big enough to pay for transport.
+(* --- dispatch -------------------------------------------------------------- *)
 
-   Results come back in bundle order and each bundle's report is
-   byte-identical (stripped) to a [-j 1] run of that bundle: the pool
-   merge is deterministic and minimization canonical.  A worker dying
-   takes down only the bundles of its in-flight batch, each of which
-   degrades to a report with every signature marked [worker_crashed]. *)
+(* The first [n] elements of [xs], and the rest. *)
+let take n xs =
+  let rec go i xs acc =
+    match xs with
+    | x :: rest when i > 0 -> go (i - 1) rest (x :: acc)
+    | _ -> (List.rev acc, xs)
+  in
+  go n xs []
+
+(* The one ASE dispatch path: every bundle is split into the same
+   [jobs / #bundles] (at least 1) contiguous signature shards, and all
+   (bundle, shard) tasks go to one pool run — inline at [jobs <= 1],
+   forked otherwise, never nested.  Results come back in task order, so
+   each bundle's report is assembled from its shards in signature order
+   and, stripped, is byte-identical across [-j N] and cache states: the
+   pool merge is deterministic and minimization canonical.  A worker
+   dying degrades exactly the signatures of its in-flight tasks. *)
 let analyze_many ?(signatures = Signatures.all ())
     ?(limit_per_sig = Solve.default_enum_limit) ?(jobs = 1) ?budget ?cache
     (bundles : Bundle.t list) : report list =
-  let analyze_one ~jobs bundle =
-    analyze ~signatures ~limit_per_sig ~jobs ?budget ?cache bundle
-  in
-  let n_bundles = List.length bundles in
-  if jobs <= 1 || n_bundles <= 1 then
-    List.map (analyze_one ~jobs) bundles
-  else begin
-    let inner_jobs = max 1 (jobs / n_bundles) in
-    let results =
-      Pool.run ~jobs
-        (List.map (fun bundle () -> analyze_one ~jobs:inner_jobs bundle)
-           bundles)
-    in
-    List.map2
-      (fun bundle result ->
-        match result with
-        | Pool.Done report -> report
-        | Pool.Failed msg ->
-            crashed_bundle_report ~signatures bundle msg)
-      bundles results
-  end
+  Trace.with_span "ase.analyze"
+    ~attrs:
+      [
+        Trace.attr_int "jobs" jobs;
+        Trace.attr_int "bundles" (List.length bundles);
+        Trace.attr_bool "cache" (Option.is_some cache);
+      ]
+    (fun () ->
+      Log.info "ase.analyze"
+        ~fields:
+          [
+            ("signatures", Trace.Int (List.length signatures));
+            ("bundles", Trace.Int (List.length bundles));
+            ("jobs", Trace.Int jobs);
+            ("cache", Trace.Bool (Option.is_some cache));
+          ];
+      (* Resolve passive-intent targets first (Algorithm 1). *)
+      let bundles =
+        Trace.with_span "ase.resolve_targets" (fun () ->
+            List.map Bundle.update_passive_targets bundles)
+      in
+      let shards =
+        partition_contiguous (jobs / max 1 (List.length bundles)) signatures
+      in
+      let results =
+        Pool.run ~jobs
+          (List.concat_map
+             (fun bundle ->
+               List.map
+                 (fun shard () ->
+                   run_shard ~limit:limit_per_sig ?budget ~cache bundle shard)
+                 shards)
+             bundles)
+      in
+      (* Shards that ran inline already counted on the store handle. *)
+      let r_cache =
+        match cache with
+        | None -> []
+        | Some store ->
+            List.iter
+              (function
+                | Pool.Done sh when sh.sh_pid <> Unix.getpid () ->
+                    Store.credit store ~tier:ase_cache_tier ~hits:sh.sh_hits
+                      ~misses:sh.sh_misses ~stores:sh.sh_stores
+                | Pool.Done _ | Pool.Failed _ -> ())
+              results;
+            Store.stats store
+      in
+      let rec per_bundle bundles results =
+        match bundles with
+        | [] -> []
+        | bundle :: rest ->
+            let mine, others = take (List.length shards) results in
+            bundle_report ~signatures ~r_cache bundle shards mine
+            :: per_bundle rest others
+      in
+      let reports = per_bundle bundles results in
+      let total f = List.fold_left (fun acc r -> acc + List.length (f r)) 0 in
+      Trace.add_attr "vulnerabilities"
+        (Trace.Int (total (fun r -> r.r_vulnerabilities) reports));
+      let degraded = total (fun r -> r.r_degraded) reports in
+      if degraded > 0 then Trace.add_attr "degraded" (Trace.Int degraded);
+      reports)
+
+let analyze ?signatures ?limit_per_sig ?jobs ?budget ?cache bundle =
+  List.hd
+    (analyze_many ?signatures ?limit_per_sig ?jobs ?budget ?cache [ bundle ])
 
 (* Forget everything about *how* the analysis ran, keeping only what it
    found.  Reports at any [-j], with or without the cache, must agree

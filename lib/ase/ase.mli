@@ -4,8 +4,9 @@
     instances, and decodes each into an attack scenario.  Enumeration
     yields one scenario per distinct witness valuation.
 
-    Signatures are independent, so {!analyze} can partition them across
-    a fork-based worker pool ([jobs]); per-signature solve budgets and
+    Signatures are independent, so {!analyze_many} (and {!analyze}, its
+    one-bundle case) partitions them across a fork-based worker pool
+    ([jobs]); per-signature solve budgets and
     worker-crash isolation degrade a pathological signature to a
     recorded {!degraded} entry instead of hanging or aborting the
     analysis. *)
@@ -72,8 +73,9 @@ type report = {
   r_sig_deltas : sig_delta list;  (** per signature, in signature order *)
   r_cache : (string * int) list;
       (** persistent-cache counters (per-tier hits/misses, stores,
-          evictions, corrupt entries), sorted by name; [[]] when no
-          cache was used *)
+          evictions, corrupt entries) of the store handle after the
+          whole run — lookups made in forked workers included — sorted
+          by name; [[]] when no cache was used *)
 }
 
 (** The device components implicated in a scenario. *)
@@ -93,19 +95,8 @@ val run_signature :
   Signatures.t ->
   sig_result
 
-(** Run all (or the given) signatures over the bundle, after resolving
-    passive-intent targets (Algorithm 1).  [jobs] (default 1) sets the
-    worker-pool width: above 1, work runs in forked worker processes,
-    [jobs] at a time, and results — including worker trace spans and
-    metrics — are merged back in signature order, so the report is
-    identical across [jobs] values for deterministic signatures.
-    [budget] applies per signature, not to the whole analysis.
-
-    The signatures of each encoding config within a worker's shard share
-    one solver: the bundle encoding is translated once, each signature
-    rides on an activation-literal delta session, and learnt clauses
-    persist.  Minimization is canonical, so the scenarios are those
-    {!run_signature} finds from scratch. *)
+(** [analyze b] is [analyze_many [b]]: all (or the given) signatures
+    over one bundle, cut into [jobs] signature shards. *)
 val analyze :
   ?signatures:Signatures.t list ->
   ?limit_per_sig:int ->
@@ -115,16 +106,30 @@ val analyze :
   Bundle.t ->
   report
 
-(** Analyze several independent bundles on one worker pool, sharding
-    across {e bundles} first and signatures second.  With [jobs > 1],
-    each bundle becomes one pool task — one fork set, persistent across
-    batched tasks, serves the whole run — and leftover parallelism
-    ([jobs / #bundles], at least 1) becomes signature sharding inside
-    each worker, so ASE still shares one base encoding per config within
-    every bundle.  Reports come back in bundle order and are
-    byte-identical (stripped) to per-bundle [-j 1] runs; a worker death
-    degrades only its in-flight bundles, each to a report with every
-    signature marked [worker_crashed]. *)
+(** Run all (or the given) signatures over each bundle, after resolving
+    passive-intent targets (Algorithm 1) — ASE's only dispatch path.
+    Each bundle's signatures are cut into [jobs / #bundles] (at least 1)
+    contiguous shards, and every (bundle, shard) task goes to one
+    {!Separ_exec.Pool.run} of width [jobs] (default 1: inline; above 1,
+    forked workers, none of which forks a pool of its own).  Results —
+    including worker trace spans and metrics — are merged back in task
+    order, so reports come back in bundle order and are byte-identical
+    (stripped) across [jobs] values and cache states.  [budget] applies
+    per signature, not to the whole analysis.  A worker death degrades
+    exactly the signatures of its in-flight tasks to [worker_crashed].
+
+    The signatures of each encoding config within a shard share one
+    bundle encoding and one solver: each signature rides on an
+    activation-literal delta session, and learnt clauses persist.
+    Minimization is canonical, so the scenarios are those
+    {!run_signature} finds from scratch.
+
+    With [cache], the shard keys each signature
+    ({!signature_fingerprint}) on the encoding it would solve on: a hit
+    replays the stored verdict, a miss solves and stores a complete
+    outcome, and a config's solver base is translated only if one of its
+    signatures misses.  Lookups made in forked workers are credited to
+    [cache]'s counters. *)
 val analyze_many :
   ?signatures:Signatures.t list ->
   ?limit_per_sig:int ->
@@ -137,13 +142,14 @@ val analyze_many :
 (** The ASE tier name in a {!Separ_cache.Store.t} ("ase"). *)
 val ase_cache_tier : string
 
-(** The persistent-cache key [analyze ?cache] uses for one signature
-    over one bundle: a digest of the encoded problem projected onto the
-    signature's relation support, plus the encode/verdict versions,
-    encoding config, signature name and enumeration [limit].  Two
-    bundles that agree on the signature's support relations share the
-    key — so a change touching only relations a signature never reads
-    leaves its verdict cached. *)
+(** The persistent-cache key {!analyze_many} uses for one signature
+    over one bundle, computed standalone by the same key function
+    (passive targets resolved first): a digest of the encoded problem
+    projected onto the signature's relation support, plus the
+    encode/verdict versions, encoding config, signature name and
+    enumeration [limit].  Two bundles that agree on the signature's
+    support relations share the key — so a change touching only
+    relations a signature never reads leaves its verdict cached. *)
 val signature_fingerprint : ?limit:int -> Bundle.t -> Signatures.t -> string
 
 (** Zero out every field describing {e how} the analysis ran (timings,

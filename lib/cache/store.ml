@@ -256,6 +256,14 @@ let store t ~tier ~key v =
   Metrics.incr c_stores;
   evict_to_cap t
 
+(* Counters only: the [Metrics] side of a worker's lookups already
+   reaches the parent through the pool's telemetry merge. *)
+let credit t ~tier ~hits ~misses ~stores =
+  let h, m = tier_counts t tier in
+  h := !h + hits;
+  m := !m + misses;
+  t.stores <- t.stores + stores
+
 let stats t =
   let per_tier =
     Hashtbl.fold

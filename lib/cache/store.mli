@@ -31,6 +31,9 @@ val open_ : dir:string -> ?max_bytes:int -> unit -> t
 
 val dir : t -> string
 
+(** [mkdir_p path] creates directory [path] and any missing parents. *)
+val mkdir_p : string -> unit
+
 (** [find t ~tier ~key] returns the cached value for [key], or [None]
     on a miss (absent, truncated, garbled, or wrong-digest entry — the
     latter kinds are deleted and counted as corrupt).  The value is
@@ -47,6 +50,12 @@ val store : t -> tier:string -> key:string -> 'a -> unit
     by name: per-tier ["<tier>.hits"] / ["<tier>.misses"], and global
     ["corrupt"], ["evictions"], ["stores"], ["tmp_swept"]. *)
 val stats : t -> (string * int) list
+
+(** [credit t ~tier ~hits ~misses ~stores] adds lookups and stores
+    made through a copy of [t] — a forked worker's, whose counters the
+    parent never sees — to [t]'s counters.  Metric counters are left
+    alone: the worker pool merges those back itself. *)
+val credit : t -> tier:string -> hits:int -> misses:int -> stores:int -> unit
 
 (** Total payload bytes currently on disk (sum of entry file sizes). *)
 val size_bytes : t -> int

@@ -95,12 +95,11 @@ let analyze ?(k1 = true) ?signatures
   analyze_models ?signatures ?jobs ?budget ?cache ~limit_per_sig
     (List.map (Extract.extract_cached ?cache ~k1) apks)
 
-(* Analyze several independent bundles in one go, sharding across
-   bundles first (see Ase.analyze_many): one persistent worker pool
-   serves every bundle, so a store-scale run at [jobs > 1] pays fork
-   startup once — not once per bundle — and each bundle still shares
-   its encoding across signatures.  Returns one analysis
-   per bundle, in order. *)
+(* Analyze several independent bundles in one go (see
+   Ase.analyze_many): every bundle's signature shards share one
+   worker-pool run, so a store-scale run at [jobs > 1] pays fork
+   startup once — not once per bundle.  Returns one analysis per
+   bundle, in order. *)
 let analyze_bundles ?(k1 = true) ?signatures
     ?(limit_per_sig = Separ_relog.Solve.default_enum_limit) ?jobs ?budget
     ?cache (bundles : Apk.t list list) : analysis list =

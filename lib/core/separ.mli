@@ -98,10 +98,10 @@ val analyze :
   Apk.t list ->
   analysis
 
-(** Analyze several independent bundles in one go, sharding across
-    bundles first (see {!Ase.analyze_many}): one persistent worker pool
-    serves every bundle, so a store-scale run at [jobs > 1] pays fork
-    startup once — not once per bundle — while each bundle still shares
+(** Analyze several independent bundles in one go (see
+    {!Ase.analyze_many}): every bundle's signature shards share one
+    worker-pool run, so a store-scale run at [jobs > 1] pays fork
+    startup once — not once per bundle — while each shard still shares
     its encoding across signatures.  Returns one {!analysis} per bundle,
     in order. *)
 val analyze_bundles :

@@ -131,13 +131,13 @@ let soft_of_rels translation rels =
   List.concat_map (Translate.soft_vars_of translation) rels
 
 (* Translation proper, shared by [prepare] and [prepare_base]: bound
-   matrices, formula -> circuit, Tseitin encoding, with per-phase trace
-   spans. *)
-let translate_into solver problem =
+   matrices for [rels], formula -> circuit, Tseitin encoding, with
+   per-phase trace spans. *)
+let translate_into solver ~rels problem =
   Trace.timed "relog.translate" (fun () ->
       let tr =
         Trace.with_span "relog.bounds" (fun () ->
-            Translate.create problem.bounds solver)
+            Translate.create ~rels problem.bounds solver)
       in
       let gates =
         Trace.with_span "relog.circuit" (fun () ->
@@ -168,13 +168,15 @@ let publish_sizes translation solver =
    solve past the budget answers [Unknown]. *)
 let prepare ?(budget = Separ_sat.Solver.no_budget) problem =
   let solver = Separ_sat.Solver.create () in
-  let translation, translation_ms = translate_into solver problem in
+  let decode_rels = Bounds.relations problem.bounds in
+  let translation, translation_ms =
+    translate_into solver ~rels:decode_rels problem
+  in
   Metrics.incr c_translations;
   publish_sharing
     ~before:(0, 0, 0, 0)
     ~after:(sharing_counts translation);
   publish_sizes translation solver;
-  let decode_rels = Bounds.relations problem.bounds in
   let soft = soft_of_rels translation decode_rels in
   let hc_hits, hc_misses = Circuit.hashcons_counts translation.Translate.circuit in
   let cache_hits, cache_misses = Translate.cache_counts translation in
@@ -215,9 +217,10 @@ let prepare ?(budget = Separ_sat.Solver.no_budget) problem =
 
 (* One solver + translation per bundle, holding the bundle-common bounds
    and constraints.  Signatures then [attach] their delta formulas under
-   an activation literal.  The base records the relations (and their
-   soft variables) bounded at build time, because later attaches grow
-   the shared [Bounds.t] with per-signature witness relations. *)
+   an activation literal.  The base is built over the relations [rels]
+   the caller names, not over whatever [Bounds.t] holds when it is built:
+   callers grow the shared bounds with per-signature witness relations,
+   possibly before the base is built, and those belong to attaches. *)
 type base = {
   b_problem : problem;
   b_translation : Translate.t;
@@ -227,15 +230,14 @@ type base = {
   b_translation_ms : float;
 }
 
-let prepare_base problem =
+let prepare_base ~rels problem =
   let solver = Separ_sat.Solver.create () in
-  let translation, b_translation_ms = translate_into solver problem in
+  let translation, b_translation_ms = translate_into solver ~rels problem in
   Metrics.incr c_translations;
   publish_sharing
     ~before:(0, 0, 0, 0)
     ~after:(sharing_counts translation);
   publish_sizes translation solver;
-  let rels = Bounds.relations problem.bounds in
   {
     b_problem = problem;
     b_translation = translation;

@@ -69,9 +69,13 @@ val remaining_budget : session -> Separ_sat.Solver.budget
     constraints. *)
 type base
 
-(** Translate the bundle-common problem once.  Per-signature deltas are
-    then layered on with {!attach}. *)
-val prepare_base : problem -> base
+(** [prepare_base ~rels problem] translates the bundle-common problem
+    once, allocating exactly the relations [rels] (all bounded in
+    [problem.bounds]).  Relations bounded into the same [Bounds.t] but
+    not listed — a signature's witnesses, bounded before the base is
+    built — are left to the {!attach} that brings them.  Per-signature
+    deltas are then layered on with {!attach}. *)
+val prepare_base : rels:Relation.t list -> problem -> base
 
 (** The base's solver (for aggregate statistics). *)
 val base_solver : base -> Separ_sat.Solver.t

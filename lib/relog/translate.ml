@@ -41,7 +41,9 @@ let alloc_relation circuit solver ~n bounds rel =
     upper;
   (m, List.rev !vars)
 
-let create bounds solver =
+(* [rels] are the relations to allocate now, all bounded in [bounds];
+   relations bounded later join through [add_relation]. *)
+let create ~rels bounds solver =
   let circuit = Circuit.create () in
   let universe = Bounds.universe bounds in
   let n = Universe.size universe in
@@ -52,7 +54,7 @@ let create bounds solver =
       let m, vars = alloc_relation circuit solver ~n bounds rel in
       rel_matrices := Relation.Map.add rel m !rel_matrices;
       rel_vars := Relation.Map.add rel vars !rel_vars)
-    (Bounds.relations bounds);
+    rels;
   {
     circuit;
     solver;

@@ -83,8 +83,8 @@ let strs xs = List (List.map (fun s -> Str s) xs)
 
    Recursive-descent parser for the subset of JSON this module emits
    (which is plain RFC 8259 minus unicode escapes beyond \uXXXX for
-   control characters).  Used by the telemetry tests and the
-   [telemetry-smoke] gate to validate exported trace files. *)
+   control characters).  Used by the telemetry tests to validate
+   exported trace files, metrics and NDJSON log lines. *)
 
 exception Parse_error of string
 

@@ -200,11 +200,10 @@ let write_openmetrics path =
   close_out oc
 
 (* Well-formedness check over the exporter's output (used by the
-   [--obs-smoke] gate and the CLI after [--metrics-out]): every
-   histogram family must have at least one bucket, ascending [le]
-   labels, non-decreasing cumulative counts, a final [le="+Inf"] bucket
-   equal to its [_count] sample, and a [_sum] sample; the exposition
-   must end with [# EOF]. *)
+   test_obs "OpenMetrics round-trip" case): every histogram family must
+   have at least one bucket, ascending [le] labels, non-decreasing
+   cumulative counts, a final [le="+Inf"] bucket equal to its [_count]
+   sample, and a [_sum] sample; the exposition must end with [# EOF]. *)
 let openmetrics_check text =
   let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
   let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' text) in

@@ -240,7 +240,7 @@ let drain t =
 
 (* The brute-force reference: re-analyze every app's scope bundle.
    Selective processing must agree with this byte for byte (stripped),
-   which the [--serve-smoke] gate and test_serve.ml assert. *)
+   which the [--smoke serve] gate and test_serve.ml assert. *)
 let full_repair t =
   let pkgs = packages t in
   Trace.with_span "serve.full_repair"

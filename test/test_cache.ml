@@ -325,6 +325,91 @@ let test_analyze_warm_rerun () =
   Metrics.reset ();
   Metrics.disable ()
 
+(* The cache behaves the same at any pool width: a directory filled at
+   one [-j] serves another, and the store handle counts lookups and
+   stores made in forked workers exactly as an inline run counts them.
+   The builtin signatures share no key across these two bundles (the
+   cold reference asserts it): a key two bundles of one run share is
+   hit by the second at -j 1 but may miss in both when they are solved
+   concurrently. *)
+let test_cache_across_jobs () =
+  let signatures = Signatures.builtin in
+  Metrics.enable ();
+  let demo =
+    Bundle.of_models
+      (List.map Extract.extract [ Demo.navigation_app (); Demo.messenger_app () ])
+  in
+  let relay =
+    Bundle.of_models
+      (List.map Extract.extract
+         [ Demo.navigation_app (); Demo.messenger_app (); Demo.relay_malware () ])
+  in
+  let counter name = Metrics.counter_value (Metrics.counter name) in
+  let ase_counts t =
+    let stat k = Option.value ~default:0 (List.assoc_opt k (Store.stats t)) in
+    (stat "ase.hits", stat "ase.misses", stat "stores")
+  in
+  (* A cold run at [cold_jobs], then a warm one at [warm_jobs], each
+     through a fresh handle on one directory. *)
+  let cold_then_warm bundles (cold_jobs, warm_jobs) =
+    let dir = fresh_dir () in
+    List.map
+      (fun jobs ->
+        let t = Store.open_ ~dir () in
+        Metrics.reset ();
+        let reports = Ase.analyze_many ~signatures ~jobs ~cache:t bundles in
+        check
+          (Printf.sprintf "report cache section = handle counters at -j %d" jobs)
+          true
+          (List.for_all (fun r -> r.Ase.r_cache = Store.stats t) reports);
+        ( jobs,
+          List.map stripped reports,
+          ase_counts t,
+          counter "sat.solves",
+          counter "relog.translations" ))
+      [ cold_jobs; warm_jobs ]
+  in
+  List.iter
+    (fun bundles ->
+      let n = List.length bundles in
+      let expected =
+        List.map stripped (Ase.analyze_many ~signatures ~jobs:1 bundles)
+      in
+      let reference = cold_then_warm bundles (1, 1) in
+      List.iter
+        (fun order ->
+          List.iter2
+            (fun (jobs, reports, counts, solves, translations)
+                 (_, _, ref_counts, _, _) ->
+              let what =
+                Printf.sprintf "%d bundle(s), %s run at -j %d" n
+                  (if solves = 0 then "warm" else "cold") jobs
+              in
+              check (what ^ ": stripped reports = uncached -j 1") true
+                (reports = expected);
+              let h, m, st = counts and rh, rm, rst = ref_counts in
+              check_int (what ^ ": ASE hits as at -j 1") rh h;
+              check_int (what ^ ": ASE misses as at -j 1") rm m;
+              check_int (what ^ ": stores as at -j 1") rst st;
+              if m = 0 then begin
+                check_int (what ^ ": zero SAT solves") 0 solves;
+                check_int (what ^ ": zero translations") 0 translations
+              end)
+            (cold_then_warm bundles order)
+            reference)
+        [ (1, 2); (2, 1) ];
+      (* the reference itself: a cold run misses, a warm run only hits *)
+      match reference with
+      | [ (_, _, (0, cold_misses, _), _, _); (_, _, (warm_hits, 0, _), 0, 0) ] ->
+          check_int "cold -j 1 misses every signature of every bundle"
+            (n * List.length signatures)
+            cold_misses;
+          check_int "warm -j 1 hits them all" cold_misses warm_hits
+      | _ -> Alcotest.fail "-j 1 reference: expected a cold miss, warm hit run")
+    [ [ demo ]; [ demo; relay ] ];
+  Metrics.reset ();
+  Metrics.disable ()
+
 (* --- worker wire protocol ------------------------------------------------- *)
 
 let test_check_protocol () =
@@ -369,6 +454,8 @@ let tests =
       test_fingerprint_selectivity;
     Alcotest.test_case "warm re-analysis: zero solves, identical report" `Quick
       test_analyze_warm_rerun;
+    Alcotest.test_case "cache across -j: same reports, counts, no solves"
+      `Quick test_cache_across_jobs;
     Alcotest.test_case "worker wire protocol validation" `Quick
       test_check_protocol;
   ]

@@ -520,6 +520,21 @@ let test_bundle_sharding_matches_sequential () =
         sharded)
     [ 2; 4 ]
 
+let test_one_flat_pool () =
+  (* -j 4 over two bundles: two signature shards per bundle, four tasks
+     in one pool run — four forks in all, none of them by a worker. *)
+  let module Metrics = Separ_obs.Metrics in
+  Metrics.enable ();
+  Metrics.reset ();
+  let bundle apks = Bundle.of_models (List.map Extract.extract apks) in
+  ignore
+    (Ase.analyze_many ~jobs:4
+       [ bundle (demo_apks ()); bundle (demo_apks () @ [ Demo.relay_malware () ]) ]);
+  check_int "forks across parent and workers" 4
+    (Metrics.counter_value (Metrics.counter "pool.forks"));
+  Metrics.reset ();
+  Metrics.disable ()
+
 let test_truncation_reported () =
   let bundle = Bundle.of_models (List.map Extract.extract (demo_apks ())) in
   let full = Ase.analyze bundle in
@@ -564,6 +579,8 @@ let extension_tests =
       test_worker_crash_degrades;
     Alcotest.test_case "bundle sharding matches sequential" `Quick
       test_bundle_sharding_matches_sequential;
+    Alcotest.test_case "one flat pool: no nested forks" `Quick
+      test_one_flat_pool;
     Alcotest.test_case "truncation reported" `Quick test_truncation_reported;
   ]
 

@@ -385,7 +385,11 @@ let test_shared_base_matches_prepare () =
      instances, in the same order, as a fresh [prepare] of base + delta;
      only the attached sessions start from the clauses already there. *)
   let base_problem, (application, component, cmps) = paper_problem no_extra in
-  let base = Solve.prepare_base base_problem in
+  let base =
+    Solve.prepare_base
+      ~rels:(Bounds.relations base_problem.Solve.bounds)
+      base_problem
+  in
   List.iter
     (fun (name, delta) ->
       let ref_problem, (a', c', p') = paper_problem delta in
@@ -412,7 +416,9 @@ let test_detach_retires_delta () =
   (* An attached delta and its blocking clauses hold for that session
      only: after [detach] the base answers as if they were never there. *)
   let problem, (application, component, cmps) = paper_problem no_extra in
-  let base = Solve.prepare_base problem in
+  let base =
+    Solve.prepare_base ~rels:(Bounds.relations problem.Solve.bounds) problem
+  in
   let rels = [ application; component; cmps ] in
   let fresh () = Solve.attach base ~rels:[] ~constraints:[] in
   let unsat =
@@ -434,17 +440,24 @@ let test_detach_retires_delta () =
   Solve.detach again
 
 let test_attach_binds_new_relations () =
-  (* Relations bounded into the base's bounds after [prepare_base] (a
-     signature's witnesses) are translated at [attach] and decoded from
-     its instances; each attach may bring its own. *)
+  (* Relations bounded into the base's bounds but left out of
+     [prepare_base ~rels] (a signature's witnesses, bounded before or
+     after the base is built) are translated at [attach] and decoded
+     from its instances; each attach may bring its own. *)
   let problem, (_, component, _) = paper_problem no_extra in
-  let base = Solve.prepare_base problem in
   let bounds = problem.Solve.bounds in
+  let rels = Bounds.relations bounds in
+  let witness name =
+    let w = Relation.make name 1 in
+    Bounds.bound bounds w ~lower:(Tuple_set.empty 1)
+      ~upper:(Bounds.tuples bounds [ [ "Cmp0" ]; [ "Cmp1" ] ]);
+    w
+  in
+  let early = witness "w1" in
+  let base = Solve.prepare_base ~rels problem in
   List.iter
-    (fun name ->
-      let w = Relation.make name 1 in
-      Bounds.bound bounds w ~lower:(Tuple_set.empty 1)
-        ~upper:(Bounds.tuples bounds [ [ "Cmp0" ]; [ "Cmp1" ] ]);
+    (fun w ->
+      let name = Relation.name w in
       let delta = Ast.Dsl.[ one (rel w); rel w <: rel component ] in
       let session = Solve.attach base ~rels:[ w ] ~constraints:delta in
       (match Solve.next session with
@@ -457,13 +470,15 @@ let test_attach_binds_new_relations () =
                inst)
       | Solve.Unsat | Solve.Unknown -> Alcotest.fail "expected sat");
       Solve.detach session)
-    [ "w1"; "w2" ]
+    [ early; witness "w2" ]
 
 let test_attach_budget_scoped () =
   (* A budget given to [attach] meters that session alone: it runs out
      there, and the next attach on the same base is unaffected. *)
   let problem, _ = paper_problem no_extra in
-  let base = Solve.prepare_base problem in
+  let base =
+    Solve.prepare_base ~rels:(Bounds.relations problem.Solve.bounds) problem
+  in
   let starved =
     Solve.attach
       ~budget:
