@@ -107,11 +107,11 @@ let product c a b =
     a;
   m
 
-(* Join, indexed on the first column of [b] to avoid the quadratic scan. *)
+(* Join, indexed on the first column of [b] to avoid the quadratic scan.
+   Each output cell is one disjunction over all its witnesses. *)
 let join c a b =
   let out_arity = a.arity + b.arity - 2 in
   if out_arity < 1 then invalid_arg "Matrix.join: result arity 0";
-  let m = create ~n:a.n ~arity:out_arity in
   let index : (int, (int array * Circuit.gate) list) Hashtbl.t =
     Hashtbl.create 64
   in
@@ -122,6 +122,7 @@ let join c a b =
       let prev = Option.value ~default:[] (Hashtbl.find_opt index k) in
       Hashtbl.replace index k ((rest, gb) :: prev))
     b;
+  let witnesses : (int, Circuit.gate list) Hashtbl.t = Hashtbl.create 16 in
   iter
     (fun ta ga ->
       let last = ta.(a.arity - 1) in
@@ -131,9 +132,19 @@ let join c a b =
       | Some entries ->
           List.iter
             (fun (rest, gb) ->
-              add_or c m (Array.append head rest) (Circuit.and_ c ga gb))
+              let key = encode ~n:a.n (Array.append head rest) in
+              let prev =
+                Option.value ~default:[] (Hashtbl.find_opt witnesses key)
+              in
+              Hashtbl.replace witnesses key (Circuit.and_ c ga gb :: prev))
             entries)
     a;
+  let m = create ~n:a.n ~arity:out_arity in
+  Hashtbl.iter
+    (fun key gs ->
+      let g = Circuit.big_or c gs in
+      if not (Circuit.is_false g) then Hashtbl.replace m.cells key g)
+    witnesses;
   m
 
 let transpose c a =

@@ -129,71 +129,72 @@ and expr_uncached t (env : env) (e : Ast.expr) : Matrix.t =
   | Ast.RClosure a ->
       Matrix.union c (Matrix.closure c (expr t env a)) (Matrix.iden c ~n:t.n)
 
-let subset_gate t a b =
+(* The implications [a[t] => b[t]] over the cells of [a], onto [acc]:
+   the conjuncts of [a in b]. *)
+let subset_terms t a b acc =
   let c = t.circuit in
   Matrix.fold
     (fun tup g acc ->
-      let g' = Matrix.get_or b ~default:(Circuit.ff c) tup in
-      Circuit.and_ c acc (Circuit.implies c g g'))
-    a (Circuit.tt c)
+      Circuit.implies c g (Matrix.get_or b ~default:(Circuit.ff c) tup) :: acc)
+    a acc
 
-let lone_gate t m =
-  (* at most one member: pairwise exclusion *)
+(* At most one member: pairwise exclusion. *)
+let lone_gate t cells =
   let c = t.circuit in
-  let cells = Matrix.fold (fun _ g acc -> g :: acc) m [] in
   let rec pairs acc = function
     | [] -> acc
     | g :: rest ->
-        let acc =
-          List.fold_left
-            (fun acc g' ->
-              Circuit.and_ c acc
-                (Circuit.not_ c (Circuit.and_ c g g')))
-            acc rest
-        in
-        pairs acc rest
+        pairs
+          (List.fold_left
+             (fun acc g' -> Circuit.not_ c (Circuit.and_ c g g') :: acc)
+             acc rest)
+          rest
   in
-  pairs (Circuit.tt c) cells
+  Circuit.big_and c (pairs [] cells)
+
+(* The operands of a nest of [And_f] (or of [Or_f]), left to right. *)
+let rec conjuncts f acc =
+  match f with Ast.And_f (a, b) -> conjuncts a (conjuncts b acc) | f -> f :: acc
+
+let rec disjuncts f acc =
+  match f with Ast.Or_f (a, b) -> disjuncts a (disjuncts b acc) | f -> f :: acc
 
 let rec formula t (env : env) (f : Ast.formula) : Circuit.gate =
   let c = t.circuit in
   match f with
   | Ast.True_f -> Circuit.tt c
   | Ast.False_f -> Circuit.ff c
-  | Ast.Subset (a, b) -> subset_gate t (expr t env a) (expr t env b)
+  | Ast.Subset (a, b) ->
+      Circuit.big_and c (subset_terms t (expr t env a) (expr t env b) [])
   | Ast.Eq (a, b) ->
       let ma = expr t env a and mb = expr t env b in
-      Circuit.and_ c (subset_gate t ma mb) (subset_gate t mb ma)
+      Circuit.big_and c (subset_terms t ma mb (subset_terms t mb ma []))
   | Ast.Mult (m, e) -> (
-      let mat = expr t env e in
-      let some_g =
-        Matrix.fold (fun _ g acc -> Circuit.or_ c acc g) mat (Circuit.ff c)
-      in
+      let cells = Matrix.fold (fun _ g acc -> g :: acc) (expr t env e) [] in
       match m with
-      | Ast.Mno -> Circuit.not_ c some_g
-      | Ast.Msome -> some_g
-      | Ast.Mlone -> lone_gate t mat
-      | Ast.Mone -> Circuit.and_ c some_g (lone_gate t mat))
+      | Ast.Mno -> Circuit.not_ c (Circuit.big_or c cells)
+      | Ast.Msome -> Circuit.big_or c cells
+      | Ast.Mlone -> lone_gate t cells
+      | Ast.Mone -> Circuit.and_ c (Circuit.big_or c cells) (lone_gate t cells))
   | Ast.Not_f f -> Circuit.not_ c (formula t env f)
-  | Ast.And_f (a, b) -> Circuit.and_ c (formula t env a) (formula t env b)
-  | Ast.Or_f (a, b) -> Circuit.or_ c (formula t env a) (formula t env b)
+  | Ast.And_f _ ->
+      Circuit.big_and c (List.map (formula t env) (conjuncts f []))
+  | Ast.Or_f _ -> Circuit.big_or c (List.map (formula t env) (disjuncts f []))
   | Ast.Implies (a, b) ->
       Circuit.implies c (formula t env a) (formula t env b)
   | Ast.Iff (a, b) -> Circuit.iff c (formula t env a) (formula t env b)
   | Ast.All (v, dom, body) ->
-      let dm = expr t env dom in
-      Matrix.fold
-        (fun tup g acc ->
-          let body_g = formula t ((v, tup.(0)) :: env) body in
-          Circuit.and_ c acc (Circuit.implies c g body_g))
-        dm (Circuit.tt c)
+      Circuit.big_and c
+        (Matrix.fold
+           (fun tup g acc ->
+             Circuit.implies c g (formula t ((v, tup.(0)) :: env) body) :: acc)
+           (expr t env dom) [])
   | Ast.Exists (v, dom, body) ->
-      let dm = expr t env dom in
-      Matrix.fold
-        (fun tup g acc ->
-          let body_g = formula t ((v, tup.(0)) :: env) body in
-          Circuit.or_ c acc (Circuit.and_ c g body_g))
-        dm (Circuit.ff c)
+      Circuit.big_or c
+        (Matrix.fold
+           (fun tup g acc ->
+             Circuit.and_ c g (formula t ((v, tup.(0)) :: env) body) :: acc)
+           (expr t env dom) [])
 
 (* The two halves of constraint assertion, split so the caller can
    trace circuit construction and Tseitin encoding separately. *)

@@ -119,6 +119,11 @@ let n_clauses t = Vec.size t.clauses + t.n_bin_problem
 let n_learnt_clauses t = Vec.size t.learnts + t.n_bin_learnt
 let n_conflicts t = t.n_conflicts
 
+(* The shared, always-empty watch list of every literal nothing has been
+   pushed onto yet, so growth allocates no per-literal list.  Only
+   [push_watch] adds to a list; clearing or filtering leaves it empty. *)
+let no_watches : int Vec.t = Vec.create ~capacity:1 0
+
 let grow_arrays t n =
   let old = Array.length t.assigns in
   if n > old then begin
@@ -135,12 +140,19 @@ let grow_arrays t n =
     t.activity <- extend t.activity 0.0;
     t.seen <- extend t.seen false;
     let extend_watch w =
-      Array.init (2 * cap) (fun i ->
-          if i < Array.length w then w.(i) else Vec.create ~capacity:4 0)
+      let w' = Array.make (2 * cap) no_watches in
+      Array.blit w 0 w' 0 (Array.length w);
+      w'
     in
     t.watches <- extend_watch t.watches;
     t.bin_watches <- extend_watch t.bin_watches
   end
+
+(* Push onto the watch list of literal [l] in [ws], giving the literal
+   its own list on its first push. *)
+let push_watch ws l x =
+  if ws.(l) == no_watches then ws.(l) <- Vec.create ~capacity:4 0;
+  Vec.push ws.(l) x
 
 (* Allocates a fresh variable and returns its external (1-based) index. *)
 let new_var t =
@@ -212,15 +224,15 @@ let cancel_until t lvl =
    two literals; the initial blocker is the other watched literal. *)
 let attach t c =
   let l0 = Arena.lit t.arena c 0 and l1 = Arena.lit t.arena c 1 in
-  Vec.push t.watches.(Lit.negate l0) (watcher c l1);
-  Vec.push t.watches.(Lit.negate l1) (watcher c l0)
+  push_watch t.watches (Lit.negate l0) (watcher c l1);
+  push_watch t.watches (Lit.negate l1) (watcher c l0)
 
 (* Record a binary clause [(a, b)] inline in the binary watch lists: the
    entry under literal [l] describes the clause [(negate l, other)]. *)
 let add_binary t ~learnt a b =
   let tag = if learnt then 1 else 0 in
-  Vec.push t.bin_watches.(Lit.negate a) ((b lsl 1) lor tag);
-  Vec.push t.bin_watches.(Lit.negate b) ((a lsl 1) lor tag);
+  push_watch t.bin_watches (Lit.negate a) ((b lsl 1) lor tag);
+  push_watch t.bin_watches (Lit.negate b) ((a lsl 1) lor tag);
   if learnt then t.n_bin_learnt <- t.n_bin_learnt + 1
   else t.n_bin_problem <- t.n_bin_problem + 1
 
@@ -407,7 +419,7 @@ let propagate t =
                  let nk = Array.unsafe_get data (base + !k) in
                  Array.unsafe_set data (base + 1) nk;
                  Array.unsafe_set data (base + !k) nl;
-                 Vec.push t.watches.(Lit.negate nk) (watcher c first);
+                 push_watch t.watches (Lit.negate nk) (watcher c first);
                  Vec.swap_remove ws !i
                end
                else if lit_val first = -1 then begin

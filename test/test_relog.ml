@@ -503,6 +503,196 @@ let test_attach_budget_scoped () =
   | Solve.Unsat | Solve.Unknown -> Alcotest.fail "expected sat");
   Solve.detach session
 
+(* --- circuits: normal form and Tseitin encoding ---------------------------- *)
+
+let check_gate msg (want : Circuit.gate) (got : Circuit.gate) =
+  check_int msg want.Circuit.id got.Circuit.id
+
+(* Direct evaluation under [env.(v)] for input variable [v]. *)
+let rec eval_gate env (g : Circuit.gate) =
+  match g.Circuit.node with
+  | Circuit.True -> true
+  | Circuit.False -> false
+  | Circuit.Lit v -> env.(v)
+  | Circuit.Not a -> not (eval_gate env a)
+  | Circuit.And ins -> Array.for_all (eval_gate env) ins
+  | Circuit.Or ins -> Array.exists (eval_gate env) ins
+
+(* The normal form the constructors promise for every n-ary node. *)
+let normalized (g : Circuit.gate) =
+  match g.Circuit.node with
+  | Circuit.And ins | Circuit.Or ins ->
+      let n = Array.length ins in
+      let ids = Array.map (fun (x : Circuit.gate) -> x.Circuit.id) ins in
+      n >= 2
+      && Array.for_all
+           (fun (x : Circuit.gate) ->
+             not (Circuit.is_true x || Circuit.is_false x))
+           ins
+      && List.for_all
+           (fun i -> ids.(i) < ids.(i + 1))
+           (List.init (n - 1) Fun.id)
+      && not
+           (Array.exists
+              (fun (x : Circuit.gate) ->
+                match x.Circuit.node with
+                | Circuit.Not y -> Array.mem y.Circuit.id ids
+                | _ -> false)
+              ins)
+  | _ -> true
+
+let test_circuit_canonical () =
+  let c = Circuit.create () in
+  let a = Circuit.lit c 1 and b = Circuit.lit c 2 and d = Circuit.lit c 3 in
+  let ab = Circuit.and_ c a b in
+  check_gate "and_ commutes" ab (Circuit.and_ c b a);
+  check_gate "big_and of a pair" ab (Circuit.big_and c [ b; a ]);
+  check_gate "big_and drops repeats" ab (Circuit.big_and c [ a; b; a; b; b ]);
+  check_gate "big_or of a pair" (Circuit.or_ c a b)
+    (Circuit.big_or c [ b; a; a ]);
+  let abd = Circuit.big_and c [ a; b; d ] in
+  check "three inputs, one gate" true
+    (match abd.Circuit.node with
+    | Circuit.And ins -> Array.length ins = 3
+    | _ -> false);
+  check_gate "three inputs, any order" abd (Circuit.big_and c [ d; a; d; b ]);
+  check "and_ over an and is not flattened" true
+    ((Circuit.and_ c ab d).Circuit.id <> abd.Circuit.id);
+  check_gate "one input is that input" d (Circuit.big_or c [ d; d ]);
+  let _, misses = Circuit.hashcons_counts c in
+  let n = Circuit.gate_count c in
+  ignore (Circuit.big_and c [ b; d; a ]);
+  ignore (Circuit.and_ c b a);
+  check_int "rebuilding makes no gate" n (Circuit.gate_count c);
+  check_int "rebuilding misses nothing" misses
+    (snd (Circuit.hashcons_counts c));
+  (* random permutations and repeats of random input lists *)
+  let rand = Random.State.make [| 5 |] in
+  let pool = Array.init 6 (fun i -> Circuit.lit c (i + 1)) in
+  let pool = Array.append pool (Array.map (Circuit.not_ c) pool) in
+  for _ = 1 to 200 do
+    let gs =
+      List.init (Random.State.int rand 5) (fun _ ->
+          pool.(Random.State.int rand (Array.length pool)))
+    in
+    let shuffled =
+      List.map snd
+        (List.sort compare
+           (List.map (fun g -> (Random.State.bits rand, g)) (gs @ gs)))
+    in
+    let x = Circuit.big_and c gs and y = Circuit.big_or c gs in
+    check_gate "big_and permutation" x (Circuit.big_and c shuffled);
+    check_gate "big_or permutation" y (Circuit.big_or c shuffled);
+    check "big_and normalized" true (normalized x);
+    check "big_or normalized" true (normalized y);
+    match
+      List.sort_uniq compare
+        (List.map (fun (g : Circuit.gate) -> g.Circuit.id) gs)
+    with
+    | [ _; _ ] ->
+        let g1 = List.hd gs and g2 = List.find (fun g -> g != List.hd gs) gs in
+        check_gate "big_and = and_" x (Circuit.and_ c g1 g2);
+        check_gate "big_or = or_" y (Circuit.or_ c g2 g1)
+    | _ -> ()
+  done
+
+let test_circuit_folding () =
+  let c = Circuit.create () in
+  let tt = Circuit.tt c and ff = Circuit.ff c in
+  let a = Circuit.lit c 1 and b = Circuit.lit c 2 in
+  let na = Circuit.not_ c a in
+  check_gate "empty and" tt (Circuit.big_and c []);
+  check_gate "empty or" ff (Circuit.big_or c []);
+  check_gate "true input dropped" (Circuit.and_ c a b)
+    (Circuit.big_and c [ a; tt; b ]);
+  check_gate "false input dropped" (Circuit.or_ c a b)
+    (Circuit.big_or c [ ff; a; b ]);
+  check_gate "false decides and" ff (Circuit.big_and c [ a; ff; b ]);
+  check_gate "true decides or" tt (Circuit.big_or c [ a; b; tt ]);
+  check_gate "and_ with true" a (Circuit.and_ c tt a);
+  check_gate "or_ with true" tt (Circuit.or_ c a tt);
+  check_gate "complement in and_" ff (Circuit.and_ c na a);
+  check_gate "complement in or_" tt (Circuit.or_ c a na);
+  check_gate "complement in big_and" ff (Circuit.big_and c [ b; a; b; na ]);
+  check_gate "complement in big_or" tt (Circuit.big_or c [ na; b; a ]);
+  check_gate "double negation" a (Circuit.not_ c na);
+  check_gate "not true" ff (Circuit.not_ c tt);
+  check_gate "not hash-consed" na (Circuit.not_ c a);
+  check_gate "ff implies anything" tt (Circuit.implies c ff b);
+  check_gate "a iff a" tt (Circuit.iff c a a);
+  Alcotest.check_raises "lit 0 rejected"
+    (Invalid_argument "Circuit.lit: non-positive variable") (fun () ->
+      ignore (Circuit.lit c 0))
+
+(* A random circuit over input variables [1..k]: every gate built,
+   newest (the root) first.  Inputs are drawn from what is already built, so
+   gates share subterms and meet their own complements. *)
+let random_circuit rand c k =
+  let built = ref [ Circuit.tt c; Circuit.ff c ] in
+  for v = 1 to k do
+    built := Circuit.lit c v :: !built
+  done;
+  let pick () =
+    let l = !built in
+    List.nth l (Random.State.int rand (min 8 (List.length l)))
+  in
+  for _ = 1 to 4 + Random.State.int rand 12 do
+    let ins () = List.init (Random.State.int rand 5) (fun _ -> pick ()) in
+    let g =
+      match Random.State.int rand 7 with
+      | 0 -> Circuit.not_ c (pick ())
+      | 1 -> Circuit.and_ c (pick ()) (pick ())
+      | 2 -> Circuit.or_ c (pick ()) (pick ())
+      | 3 -> Circuit.big_and c (ins ())
+      | 4 -> Circuit.big_or c (ins ())
+      | 5 -> Circuit.implies c (pick ()) (pick ())
+      | _ -> Circuit.iff c (pick ()) (pick ())
+    in
+    built := g :: !built
+  done;
+  !built
+
+(* Under every assignment of the inputs: with the guard assumed, the
+   CNF is satisfiable exactly when the root evaluates true; with the
+   guard false it is always satisfiable; and in every model each gate's
+   literal carries the gate's value. *)
+let test_circuit_tseitin_vs_eval () =
+  let module S = Separ_sat.Solver in
+  let rand = Random.State.make [| 31 |] in
+  for _ = 1 to 150 do
+    let k = 1 + Random.State.int rand 6 in
+    let s = S.create () in
+    for _ = 1 to k do
+      ignore (S.new_var s)
+    done;
+    let c = Circuit.create () in
+    let gates = random_circuit rand c k in
+    List.iter (fun g -> check "normalized" true (normalized g)) gates;
+    let root = List.hd gates in
+    let enc = Circuit.encoder c s in
+    let guard = S.new_var s in
+    Circuit.assert_gate_under enc ~guard root;
+    let lits = List.map (fun g -> (g, Circuit.encode enc g)) gates in
+    for bits = 0 to (1 lsl k) - 1 do
+      let env =
+        Array.init (k + 1) (fun v -> v > 0 && bits land (1 lsl (v - 1)) <> 0)
+      in
+      let inputs =
+        List.init k (fun i -> if env.(i + 1) then i + 1 else -(i + 1))
+      in
+      let holds = eval_gate env root in
+      check "guarded: sat iff the root holds" holds
+        (S.solve ~assumptions:(guard :: inputs) s = S.Sat);
+      check "false guard: always sat" true
+        (S.solve ~assumptions:(-guard :: inputs) s = S.Sat);
+      List.iter
+        (fun (g, l) ->
+          check "literal = value" (eval_gate env g)
+            (if l > 0 then S.value s l else not (S.value s (-l))))
+        lits
+    done
+  done
+
 let test_universe () =
   let u = Universe.of_atoms [ "x"; "y" ] in
   check_int "size" 2 (Universe.size u);
@@ -552,4 +742,10 @@ let tests =
     Alcotest.test_case "attach budget is per session" `Quick
       test_attach_budget_scoped;
     Alcotest.test_case "universe" `Quick test_universe;
+    Alcotest.test_case "circuit canonical n-ary gates" `Quick
+      test_circuit_canonical;
+    Alcotest.test_case "circuit constant and complement folding" `Quick
+      test_circuit_folding;
+    Alcotest.test_case "circuit tseitin vs direct eval" `Quick
+      test_circuit_tseitin_vs_eval;
   ]

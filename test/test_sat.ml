@@ -91,18 +91,40 @@ let random_clauses rand nv nc =
           let v = 1 + Random.State.int rand nv in
           if Random.State.bool rand then v else -v))
 
+(* After the first solve, each instance grows past the solver's
+   power-of-two array capacities (16, 32): fresh variables from
+   [new_var], each followed by a clause tying it to earlier ones, then a
+   second solve of the grown clause set. *)
 let test_differential () =
   let rand = Random.State.make [| 7 |] in
+  let agrees s clauses =
+    let r = Solver.solve s in
+    check "sat agrees with reference" (Reference.satisfiable clauses)
+      (r = Solver.Sat);
+    if r = Solver.Sat then
+      check "model satisfies clauses" true
+        (Reference.check_model (Solver.model s) clauses)
+  in
   for _ = 1 to 500 do
     let nv = 3 + Random.State.int rand 9 in
     let nc = 3 + Random.State.int rand 35 in
     let clauses = random_clauses rand nv nc in
-    let r, s = solve_clauses clauses in
-    let expected = Reference.satisfiable clauses in
-    check "sat agrees with reference" expected (r = Solver.Sat);
-    if r = Solver.Sat then
-      check "model satisfies clauses" true
-        (Reference.check_model (Solver.model s) clauses)
+    let s = Solver.create () in
+    List.iter (Solver.add_clause s) clauses;
+    agrees s clauses;
+    let grown = ref clauses in
+    let target = 14 + Random.State.int rand 24 in
+    while Solver.n_vars s < target do
+      let v = Solver.new_var s in
+      check_int "new_var is the next variable" v (Solver.n_vars s);
+      let c =
+        (if Random.State.bool rand then v else -v)
+        :: List.hd (random_clauses rand (v - 1) 1)
+      in
+      Solver.add_clause s c;
+      grown := c :: !grown
+    done;
+    agrees s !grown
   done
 
 let test_minimize_properties () =
