@@ -793,8 +793,8 @@ let table1_cases ~mode =
 
 (* The Table I workload (one bundle per DroidBench/ICC-Bench case) run
    through ASE at increasing worker-pool widths, sharded across
-   *bundles* first (Ase.analyze_many): one persistent fork set serves
-   all the cases per width, with bundles batched over the wire.  Every
+   *bundles* first (Ase.analyze_many): one pool run, forked once, serves
+   all the cases per width, one task per wire message.  Every
    width must produce the identical scenario sets, and forks must scale
    with the pool width, not the task count.  -j 1 and -j 2 are timed as
    medians of [repeats] alternated runs; on hosts with at least two
@@ -877,10 +877,10 @@ let parallel ~mode =
   List.iter
     (fun (jobs, _, ms, (pool : Pool.run_stats)) ->
       Printf.printf
-        "-j %d: %7.1f ms (speedup %.2fx, %d forks, %d batches of <= %d)\n"
+        "-j %d: %7.1f ms (speedup %.2fx, %d forks, %d tasks)\n"
         jobs ms
         (if ms > 0.0 then base_ms /. ms else 0.0)
-        pool.Pool.rs_forks pool.Pool.rs_batches pool.Pool.rs_batch)
+        pool.Pool.rs_forks pool.Pool.rs_tasks)
     runs;
   Printf.printf "scenario sets identical across -j: %b\n" identical;
   if cores = 1 then
@@ -889,18 +889,18 @@ let parallel ~mode =
        speed check SKIPPED)\n";
   Printf.printf "%!";
   (* Forks must track the pool, not the workload: at every width the
-     persistent pool forks min(jobs, batches) children, reuses them
-     across batches, and never needs a respawn in a crash-free run. *)
+     run forks min(jobs, tasks) children, reuses them across tasks, and
+     never needs a respawn in a crash-free run. *)
   let pool_checks (jobs, _, _, (pool : Pool.run_stats)) =
     if jobs = 1 then []
     else
       [
-        ( pool.Pool.rs_forks = min jobs pool.Pool.rs_batches,
+        ( pool.Pool.rs_forks = min jobs pool.Pool.rs_tasks,
           Printf.sprintf
-            "-j %d forked %d workers for %d batches (want min(jobs, batches) \
-             = %d)"
-            jobs pool.Pool.rs_forks pool.Pool.rs_batches
-            (min jobs pool.Pool.rs_batches) );
+            "-j %d forked %d workers for %d tasks (want min(jobs, tasks) = \
+             %d)"
+            jobs pool.Pool.rs_forks pool.Pool.rs_tasks
+            (min jobs pool.Pool.rs_tasks) );
         ( pool.Pool.rs_respawns = 0,
           Printf.sprintf "-j %d respawned %d workers in a crash-free run" jobs
             pool.Pool.rs_respawns );
@@ -959,8 +959,6 @@ let parallel ~mode =
                             0 keys) );
                      ("forks", Json.Int pool.Pool.rs_forks);
                      ("respawns", Json.Int pool.Pool.rs_respawns);
-                     ("batches", Json.Int pool.Pool.rs_batches);
-                     ("batch_size", Json.Int pool.Pool.rs_batch);
                    ])
                runs) );
         ("identical_scenario_sets", Json.Bool identical);
@@ -1027,11 +1025,12 @@ let cache_probe_app ~extra_path () =
    analyzed three times through one on-disk cache: cold (empty cache),
    warm (nothing changed), and with the probe's path edited (one app
    changed).  A from-scratch pass over the edited workload is the
-   correctness reference.  A warm re-run must do zero AME extractions
-   and zero SAT solves yet reproduce the cold stripped reports
-   byte-for-byte; the edit must re-extract exactly that app and re-solve
-   only the signatures whose delta footprint sees it (some hits AND some
-   misses), again byte-identical to the reference. *)
+   correctness reference.  A warm re-run must miss no ASE verdict and
+   run no relational translation and no SAT solve, yet reproduce the
+   cold stripped reports byte-for-byte; the edit must re-solve only the
+   signatures whose delta footprint sees it (some hits AND some misses),
+   again byte-identical to the reference.  Extraction is not cached: it
+   runs on every pass. *)
 let cache ~mode =
   let cases = table1_cases ~mode in
   let workload ~extra_path =
@@ -1049,17 +1048,14 @@ let cache ~mode =
       Trace.timed "bench.cache_pass" (fun () ->
           List.map
             (fun apks ->
-              let bundle =
-                Bundle.of_models
-                  (List.map (Extract.extract_cached ?cache) apks)
-              in
+              let bundle = Bundle.of_models (List.map Extract.extract apks) in
               Ase.analyze ?cache bundle)
             apk_lists)
     in
     let count name = Metrics.counter_value (Metrics.counter name) in
     ( List.map stripped_report_string reports,
       wall_ms,
-      count "ame.apps_extracted",
+      count "relog.translations",
       count "sat.solves" )
   in
   let stat cache name =
@@ -1067,15 +1063,15 @@ let cache ~mode =
   in
   let dir = fresh_cache_dir "separ_cache_bench" in
   let cold_cache = Cache.open_ ~dir () in
-  let cold_reports, cold_ms1, cold_extracted, cold_solves =
+  let cold_reports, cold_ms1, cold_translations, cold_solves =
     pass ~cache:cold_cache (workload ~extra_path:false)
   in
   let warm_cache = Cache.open_ ~dir () in
-  let warm_reports, warm_ms, warm_extracted, warm_solves =
+  let warm_reports, warm_ms, warm_translations, warm_solves =
     pass ~cache:warm_cache (workload ~extra_path:false)
   in
   let changed_cache = Cache.open_ ~dir () in
-  let changed_reports, changed_ms1, changed_extracted, changed_solves =
+  let changed_reports, changed_ms1, changed_translations, changed_solves =
     pass ~cache:changed_cache (workload ~extra_path:true)
   in
   (* One sample per side is at the mercy of the scheduler: time cold and
@@ -1101,23 +1097,23 @@ let cache ~mode =
   let changed_identical = changed_reports = scratch_reports in
   let changed_hits = stat changed_cache "ase.hits" in
   let changed_misses = stat changed_cache "ase.misses" in
-  let phase_json ms extracted solves cache =
+  let phase_json ms translations solves cache =
     Json.Obj
       ([
          ("wall_ms", Json.Float ms);
-         ("ame_extractions", Json.Int extracted);
+         ("relog_translations", Json.Int translations);
          ("sat_solves", Json.Int solves);
        ]
       @ List.map (fun (k, v) -> ("cache." ^ k, Json.Int v)) (Cache.stats cache))
   in
   let speedup over = if over > 0.0 then cold_ms /. over else 0.0 in
   Printf.printf
-    "cold:    %7.1f ms  (%d extractions, %d solves)\n\
-     warm:    %7.1f ms  (%d extractions, %d solves, %.1fx)\n\
-     changed: %7.1f ms  (%d extractions, %d solves, %.1fx)\n"
-    cold_ms cold_extracted cold_solves warm_ms warm_extracted warm_solves
-    (speedup warm_ms) changed_ms changed_extracted changed_solves
-    (speedup changed_ms);
+    "cold:    %7.1f ms  (%d translations, %d solves)\n\
+     warm:    %7.1f ms  (%d translations, %d solves, %.1fx)\n\
+     changed: %7.1f ms  (%d translations, %d solves, %.1fx)\n"
+    cold_ms cold_translations cold_solves warm_ms warm_translations
+    warm_solves (speedup warm_ms) changed_ms changed_translations
+    changed_solves (speedup changed_ms);
   Printf.printf "changed run: %d ASE verdicts from cache, %d re-solved\n"
     changed_hits changed_misses;
   Printf.printf "stripped reports identical (warm %b, changed %b)\n%!"
@@ -1128,11 +1124,11 @@ let cache ~mode =
         ("cases", Json.Int (List.length cases));
         ("signatures", Json.Int (List.length (Signatures.all ())));
         ("timing_repeats", Json.Int repeats);
-        ("cold", phase_json cold_ms cold_extracted cold_solves cold_cache);
-        ("warm", phase_json warm_ms warm_extracted warm_solves warm_cache);
+        ("cold", phase_json cold_ms cold_translations cold_solves cold_cache);
+        ("warm", phase_json warm_ms warm_translations warm_solves warm_cache);
         ( "one_app_changed",
-          phase_json changed_ms changed_extracted changed_solves changed_cache
-        );
+          phase_json changed_ms changed_translations changed_solves
+            changed_cache );
         ("warm_identical_stripped_reports", Json.Bool warm_identical);
         ("changed_identical_stripped_reports", Json.Bool changed_identical);
         ("warm_speedup", Json.Float (speedup warm_ms));
@@ -1146,16 +1142,16 @@ let cache ~mode =
     ~checks:
       [
         (warm_identical, "warm stripped reports differ from cold");
-        ( warm_extracted = 0,
-          Printf.sprintf "warm run extracted %d apps (expected 0)"
-            warm_extracted );
+        ( stat warm_cache "ase.misses" = 0,
+          Printf.sprintf "warm run missed %d ASE verdicts (expected 0)"
+            (stat warm_cache "ase.misses") );
+        ( warm_translations = 0,
+          Printf.sprintf "warm run ran %d relational translations (expected 0)"
+            warm_translations );
         ( warm_solves = 0,
           Printf.sprintf "warm run ran %d SAT solves (expected 0)" warm_solves
         );
         (stat warm_cache "ase.hits" > 0, "warm run recorded no ASE cache hits");
-        ( changed_extracted = 1,
-          Printf.sprintf "one-app-changed run extracted %d apps (expected 1)"
-            changed_extracted );
         ( changed_hits > 0,
           "one-app-changed run kept no cached verdicts (expected path-blind \
            hits)" );

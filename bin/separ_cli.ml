@@ -162,11 +162,11 @@ let cache_dir_arg =
     & info [ "cache" ] ~docv:"DIR"
         ~env:(Cmd.Env.info "SEPAR_CACHE_DIR")
         ~doc:
-          "Persist analysis results under $(docv): per-app extraction \
-           models and per-signature verdicts are stored content-addressed, \
-           so re-analyzing an unchanged bundle re-runs no extraction and \
-           no solving, and a one-app change re-analyzes only what the \
-           change touches.  Corrupt entries degrade to recomputation.")
+          "Persist per-signature verdicts under $(docv), keyed by the \
+           content of each encoded problem, so re-analyzing an unchanged \
+           bundle re-runs no solving, and a one-app change re-solves only \
+           the signatures the change touches.  Apps are extracted on every \
+           run.  Corrupt entries degrade to recomputation.")
 
 let no_cache_arg =
   Arg.(
@@ -264,9 +264,9 @@ let analyze_cmd =
       & opt (int_at_least ~min:1 ~what:"--jobs") 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Run the analysis in $(docv) persistent worker processes \
-             ($(docv) >= 1): the pool forks once and streams task batches \
-             to the workers.  With multiple bundle directories the work is \
+            "Run the analysis in $(docv) worker processes ($(docv) >= 1): \
+             the pool forks them once per run and streams tasks to them, \
+             one at a time.  With multiple bundle directories the work is \
              sharded across whole bundles first, then across signatures \
              within each bundle.  Results are merged in order, so output is \
              identical across $(docv); a crashed worker degrades only its \
@@ -720,8 +720,8 @@ let serve_cmd =
       & opt (int_at_least ~min:1 ~what:"--jobs") 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Fan multi-bundle events out over $(docv) persistent worker \
-             processes ($(docv) >= 1)")
+            "Fan multi-bundle events out over $(docv) worker processes \
+             ($(docv) >= 1), forked afresh for each such event")
   in
   let limit =
     Arg.(

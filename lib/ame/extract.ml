@@ -225,38 +225,3 @@ let extract ?(k1 = true) ?(all_methods = false) (apk : Apk.t) : App_model.t =
         ("extraction_ms", Trace.Float extraction_ms);
       ];
   { model with App_model.am_extraction_ms = extraction_ms }
-
-(* Bump whenever extraction semantics change: static-analysis precision,
-   multi-value expansion, path/permission splitting, the model record
-   itself.  Old cache entries then key under a stale version string and
-   degrade to misses. *)
-let version = "ame-v1"
-
-let cache_tier = "ame"
-
-(* Content-addressed key for one app's extraction: the APK's bytes (the
-   marshalled manifest + classes stand in for the .apk file), the
-   extractor version, and the analysis flags.  Any change to the app or
-   the extractor yields a fresh key. *)
-let cache_key ~k1 ~all_methods (apk : Apk.t) =
-  Digest.to_hex
-    (Digest.string
-       (Printf.sprintf "%s;k1=%b;all_methods=%b;%s" version k1 all_methods
-          (Marshal.to_string apk [])))
-
-(* [extract], with a read-through persistent cache.  A hit skips the
-   static analyses entirely ([ame.apps_extracted] does not move); the
-   stored model's extraction time is preserved, so warm reports still
-   carry the Figure-5 coordinates of the original run. *)
-let extract_cached ?cache ?(k1 = true) ?(all_methods = false) (apk : Apk.t) :
-    App_model.t =
-  match cache with
-  | None -> extract ~k1 ~all_methods apk
-  | Some store -> (
-      let key = cache_key ~k1 ~all_methods apk in
-      match Separ_cache.Store.find store ~tier:cache_tier ~key with
-      | Some (model : App_model.t) -> model
-      | None ->
-          let model = extract ~k1 ~all_methods apk in
-          Separ_cache.Store.store store ~tier:cache_tier ~key model;
-          model)

@@ -17,24 +17,3 @@ val extract_component :
 (** Extract the full app model; records wall-clock extraction time and
     app size for the Figure 5 experiment. *)
 val extract : ?k1:bool -> ?all_methods:bool -> Apk.t -> App_model.t
-
-(** Extractor version; part of every AME cache key, bumped whenever
-    extraction semantics change. *)
-val version : string
-
-(** The AME tier name in a {!Separ_cache.Store.t} ("ame"). *)
-val cache_tier : string
-
-(** The content-addressed cache key for one app's extraction: digest of
-    the APK content, [version], and the analysis flags. *)
-val cache_key : k1:bool -> all_methods:bool -> Apk.t -> string
-
-(** {!extract} through a read-through persistent cache: a hit returns
-    the stored model without running the static analyses; a miss
-    extracts and stores.  [?cache:None] is plain {!extract}. *)
-val extract_cached :
-  ?cache:Separ_cache.Store.t ->
-  ?k1:bool ->
-  ?all_methods:bool ->
-  Apk.t ->
-  App_model.t

@@ -68,48 +68,11 @@ type analysis = {
   policies : Policy.t list;
 }
 
-let analyze_models ?signatures ?jobs ?budget ?cache ~limit_per_sig models
-    : analysis =
-  let bundle = Bundle.of_models models in
-  let report =
-    Ase.analyze ?signatures ~limit_per_sig ?jobs ?budget ?cache bundle
-  in
-  let scenarios =
-    List.map (fun v -> v.Ase.v_scenario) report.Ase.r_vulnerabilities
-  in
-  let policies =
-    Derive.of_report (Bundle.update_passive_targets bundle) scenarios
-  in
-  { bundle; report; policies }
-
-(* Run AME and ASE over a bundle of apps and synthesize policies.
-   [jobs] widens ASE's worker pool; [budget] bounds each signature's
-   solver session (exhausted signatures degrade, see Ase.degraded);
-   [cache] makes both AME
-   extraction and ASE verdicts read-through a persistent store, so
-   re-analyzing an unchanged (or barely changed) bundle skips the
-   corresponding extraction and solving. *)
-let analyze ?(k1 = true) ?signatures
-    ?(limit_per_sig = Separ_relog.Solve.default_enum_limit) ?jobs ?budget
-    ?cache (apks : Apk.t list) : analysis =
-  analyze_models ?signatures ?jobs ?budget ?cache ~limit_per_sig
-    (List.map (Extract.extract_cached ?cache ~k1) apks)
-
-(* Analyze several independent bundles in one go (see
-   Ase.analyze_many): every bundle's signature shards share one
-   worker-pool run, so a store-scale run at [jobs > 1] pays fork
-   startup once — not once per bundle.  Returns one analysis per
-   bundle, in order. *)
-let analyze_bundles ?(k1 = true) ?signatures
-    ?(limit_per_sig = Separ_relog.Solve.default_enum_limit) ?jobs ?budget
-    ?cache (bundles : Apk.t list list) : analysis list =
-  let bundles =
-    List.map
-      (fun apks ->
-        Bundle.of_models
-          (List.map (Extract.extract_cached ?cache ~k1) apks))
-      bundles
-  in
+(* One analysis per bundle of extracted models: every bundle's
+   signature shards share one worker-pool run (see Ase.analyze_many),
+   then each report derives its bundle's policies. *)
+let analyze_models ?signatures ?jobs ?budget ?cache ~limit_per_sig models =
+  let bundles = List.map Bundle.of_models models in
   let reports =
     Ase.analyze_many ?signatures ~limit_per_sig ?jobs ?budget ?cache bundles
   in
@@ -124,6 +87,28 @@ let analyze_bundles ?(k1 = true) ?signatures
       { bundle; report; policies })
     bundles reports
 
+(* Analyze several independent bundles in one go: extract every app,
+   then synthesize over all bundles in one pool run, so a store-scale
+   run at [jobs > 1] pays fork startup once — not once per bundle.
+   Returns one analysis per bundle, in order. *)
+let analyze_bundles ?(k1 = true) ?signatures
+    ?(limit_per_sig = Separ_relog.Solve.default_enum_limit) ?jobs ?budget
+    ?cache (bundles : Apk.t list list) : analysis list =
+  analyze_models ?signatures ?jobs ?budget ?cache ~limit_per_sig
+    (List.map (List.map (Extract.extract ~k1)) bundles)
+
+(* Run AME and ASE over a bundle of apps and synthesize policies: the
+   one-bundle case of [analyze_bundles].  [jobs] widens ASE's worker
+   pool; [budget] bounds each signature's solver session (exhausted
+   signatures degrade, see Ase.degraded); [cache] makes ASE verdicts
+   read-through a persistent store, so re-analyzing an unchanged (or
+   barely changed) bundle skips the solving. *)
+let analyze ?k1 ?signatures ?limit_per_sig ?jobs ?budget ?cache
+    (apks : Apk.t list) : analysis =
+  List.hd
+    (analyze_bundles ?k1 ?signatures ?limit_per_sig ?jobs ?budget ?cache
+       [ apks ])
+
 (* Incremental re-analysis, the paper's Marshmallow scenario: when apps
    change (an update, or the user revoking a permission), only the
    changed apps are re-extracted; the other app models are reused and
@@ -137,8 +122,9 @@ let reanalyze ?(k1 = true) ?signatures
       (fun m -> not (List.mem m.App_model.am_package changed_pkgs))
       (Bundle.apps previous.bundle)
   in
-  analyze_models ?signatures ?jobs ?budget ?cache ~limit_per_sig
-    (kept @ List.map (Extract.extract_cached ?cache ~k1) changed)
+  List.hd
+    (analyze_models ?signatures ?jobs ?budget ?cache ~limit_per_sig
+       [ kept @ List.map (Extract.extract ~k1) changed ])
 
 let vulnerabilities analysis = analysis.report.Ase.r_vulnerabilities
 let policies analysis = analysis.policies

@@ -78,16 +78,18 @@ type analysis = {
   policies : Policy.t list;
 }
 
-(** Run AME and ASE over a bundle of apps and synthesize policies.
-    [k1] selects context sensitivity of extraction; [signatures]
-    restricts the vulnerability signatures (default: all registered);
-    [limit_per_sig] caps scenarios per signature; [jobs] widens ASE's
-    fork-based worker pool (default sequential); [budget] bounds each
-    signature's solver session — exhausted or crashed signatures degrade
-    to {!Ase.degraded} entries in the report instead of failing the
-    analysis; [cache] makes AME extraction and ASE verdicts read-through
-    a persistent {!Cache.t}, so re-analyzing an unchanged (or barely
-    changed) bundle skips the corresponding extraction and solving. *)
+(** Run AME and ASE over a bundle of apps and synthesize policies: the
+    one-bundle case of {!analyze_bundles}.  [k1] selects context
+    sensitivity of extraction; [signatures] restricts the vulnerability
+    signatures (default: all registered); [limit_per_sig] caps scenarios
+    per signature; [jobs] widens ASE's fork-based worker pool (default
+    sequential); [budget] bounds each signature's solver session —
+    exhausted or crashed signatures degrade to {!Ase.degraded} entries
+    in the report instead of failing the analysis; [cache] makes ASE
+    verdicts read-through a persistent {!Cache.t}, so re-analyzing an
+    unchanged (or barely changed) bundle skips the solving of every
+    signature whose encoded problem is unchanged.  Extraction always
+    runs: it costs about as much as a cache lookup. *)
 val analyze :
   ?k1:bool ->
   ?signatures:Signatures.t list ->

@@ -93,9 +93,16 @@ let parse text : Apk.t =
               | "Provider" -> Component.Provider
               | k -> failwith ("Apk_text.parse: bad component kind " ^ k)
             in
+            if Hashtbl.mem comps name then
+              failwith ("Apk_text.parse: duplicate component " ^ name);
             let kvs = kv_list attrs in
             let exported =
-              Option.map bool_of_string (List.assoc_opt "exported" kvs)
+              Option.map
+                (fun b ->
+                  match bool_of_string_opt b with
+                  | Some b -> b
+                  | None -> failwith ("Apk_text.parse: bad exported=" ^ b))
+                (List.assoc_opt "exported" kvs)
             in
             let permission = List.assoc_opt "permission" kvs in
             Hashtbl.replace comps name (kind, exported, permission);

@@ -81,18 +81,19 @@ let parse_instr line =
       when kw = "invoke-virtual" || kw = "invoke-static" -> (
         let kind = if kw = "invoke-virtual" then Ir.Virtual else Ir.Static in
         let s = String.concat " " rest in
+        let n = String.length s in
         match String.index_opt s '(' with
-        | None -> fail "bad invoke %S" line
-        | Some i ->
+        | Some i when s.[n - 1] = ')' ->
             let mref = parse_mref (String.sub s 0 i) in
-            let args_s = String.sub s (i + 1) (String.length s - i - 2) in
+            let args_s = String.sub s (i + 1) (n - i - 2) in
             let args =
               if String.trim args_s = "" then []
               else
                 String.split_on_char ',' args_s
                 |> List.map (fun a -> parse_reg (String.trim a))
             in
-            Ir.Invoke (kind, mref, args))
+            Ir.Invoke (kind, mref, args)
+        | _ -> fail "bad invoke %S" line)
     | _ -> fail "unrecognised instruction %S" line
 
 (* Parse one or more classes from assembler text. *)

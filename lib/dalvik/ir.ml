@@ -62,10 +62,14 @@ let label_table (m : meth) =
     m.body;
   tbl
 
-(* Static well-formedness: registers in range, labels resolved,
-   move-result only after an invoke. *)
+(* Static well-formedness: labels unique, registers in range, labels
+   resolved, move-result only after an invoke. *)
 let validate_method (m : meth) =
-  let labels = label_table m in
+  let labels =
+    try label_table m
+    with Invalid_argument msg ->
+      failwith (Printf.sprintf "Ir.validate: %s in %s" msg m.mname)
+  in
   let check_reg r =
     if r < 0 || r >= m.n_regs then
       failwith

@@ -47,7 +47,8 @@ val find_method : cls -> string -> meth option
     @raise Invalid_argument on duplicate labels. *)
 val label_table : meth -> (label, int) Hashtbl.t
 
-(** Registers in range, labels resolved, move-result placement.
+(** Labels unique, registers in range, labels resolved, move-result
+    placement.
     @raise Failure on violations. *)
 val validate_method : meth -> unit
 

@@ -1,31 +1,29 @@
-(* Persistent fork-based worker pool.
+(* Fork-based worker pool, forked once per run.
 
    Concurrency without threads: [run ~jobs tasks] forks at most [jobs]
-   children *once per run* and streams batches of task indices to them
-   over pipes.  A worker loops — read a framed batch, run its tasks,
-   write back one framed reply carrying the outcomes plus the batch's
+   children *once per run* and streams task indices to them over pipes,
+   one task per message.  A worker loops — read a framed index, run
+   that task, write back one framed reply carrying its outcome plus its
    telemetry — until its task pipe reaches EOF, so N tasks cost
-   min(jobs, batches) forks, not N: fork + pipe setup is paid once per
-   worker, and small (~ms-scale) tasks amortize the Marshal round-trip
-   across a whole batch.  Tasks are closures, which never cross the
-   process boundary: each child inherits the full task array at fork
-   time and the wire carries only indices one way and marshalled
+   min(jobs, N) forks, not N.  Tasks are closures, which never cross
+   the process boundary: each child inherits the full task array at
+   fork time and the wire carries only indices one way and marshalled
    results the other.
 
    Wire protocol, both directions: the [protocol_tag] magic/version
-   ("SEPARP2\n") followed by one [Marshal] value — [int list] (batch
-   indices) parent→worker, ['r payload] (outcomes + telemetry)
+   ("SEPARP3\n") followed by one [Marshal] value — [int] (the task
+   index) parent→worker, ['r payload] (outcome + telemetry)
    worker→parent.  The parent validates the tag before unmarshalling;
    a stale or garbage-spewing worker surfaces as [Failed], never as a
    deserialization of garbage.
 
    Crash isolation is the point: a task that raises reports its
-   exception inside the batch reply; a worker that dies outright
-   (segfault, [_exit], kill) fails *only its in-flight batch* — the
-   parent maps those tasks to [Failed], reaps the corpse, and forks a
-   replacement to drain the remaining batches.  EPIPE/ECONNRESET on the
-   pool's own pipes (SIGPIPE is ignored for the duration of the run)
-   are treated as worker death, not parent crashes.
+   exception in its reply; a worker that dies outright (segfault,
+   [_exit], kill) fails *only its in-flight task* — the parent maps it
+   to [Failed], reaps the corpse, and forks a replacement to drain the
+   remaining tasks.  EPIPE/ECONNRESET on the pool's own pipes (SIGPIPE
+   is ignored for the duration of the run) are treated as worker death,
+   not parent crashes.
 
    File-descriptor hygiene: pipes are opened [~cloexec:true] (so an
    exec'ing grandchild drops them), and — because cloexec is invisible
@@ -34,16 +32,15 @@
    inherited write end would keep a dead worker's result pipe from ever
    reaching EOF.
 
-   Telemetry: workers reset trace/metrics/log state per batch and ship
-   the batch's span roots, metric snapshot and buffered log events in
+   Telemetry: workers reset trace/metrics/log state per task and ship
+   the task's span roots, metric snapshot and buffered log events in
    the reply; the parent grafts/merges/replays them back — pid-tagged —
-   in *batch* order.  Workers never write to the log sink fd they
+   in *task* order.  Workers never write to the log sink fd they
    inherit (concurrent children interleaving partial lines would
    corrupt the NDJSON stream); they buffer via [Log.capture_begin] and
-   the parent replays through its own sink.  Batches are precomputed
-   contiguous chunks, so their composition (and hence the merged
-   telemetry) is deterministic regardless of which worker ran which
-   batch. *)
+   the parent replays through its own sink.  Merging by task index
+   keeps the combined telemetry deterministic regardless of which
+   worker ran which task. *)
 
 module Trace = Separ_obs.Trace
 module Metrics = Separ_obs.Metrics
@@ -51,10 +48,10 @@ module Log = Separ_obs.Log
 
 type 'r result = Done of 'r | Failed of string
 
-(* What a worker ships back per batch: each task's outcome (keyed by
-   task index) plus the telemetry recorded while running the batch. *)
+(* What a worker ships back per task: the outcome plus the telemetry
+   recorded while running it. *)
 type 'r payload =
-  (int * ('r, string) Stdlib.result) list
+  ('r, string) Stdlib.result
   * Trace.span list
   * Metrics.snapshot
   * Log.event list
@@ -64,9 +61,9 @@ type 'r payload =
    no protocol identity: feeding it bytes produced by a stale or
    mismatched worker binary deserializes garbage (or worse) — with the
    tag, the mismatch surfaces as an honest [Failed].  Bump the version
-   whenever the message layout changes (SEPARP2: log events joined the
-   reply payload). *)
-let protocol_tag = "SEPARP2\n"
+   whenever the message layout changes (SEPARP3: one task per message,
+   an [int] index out and a single outcome back). *)
+let protocol_tag = "SEPARP3\n"
 let tag_len = String.length protocol_tag
 
 (* Validate a raw worker payload's leading tag; [Ok offset] is where the
@@ -86,24 +83,16 @@ type run_stats = {
   rs_jobs : int; (* pool width the run was allowed *)
   rs_forks : int; (* processes forked, including respawns *)
   rs_respawns : int; (* replacement workers forked after a death *)
-  rs_batches : int; (* task batches sent over the wire *)
-  rs_batch : int; (* batch size used (tasks per message) *)
+  rs_tasks : int; (* tasks sent over the wire, one per message *)
 }
 
-let inline_stats =
-  { rs_jobs = 1; rs_forks = 0; rs_respawns = 0; rs_batches = 0; rs_batch = 1 }
+let inline_stats = { rs_jobs = 1; rs_forks = 0; rs_respawns = 0; rs_tasks = 0 }
 
 let last_stats = ref inline_stats
 let last_run_stats () = !last_stats
 let c_forks = Metrics.counter "pool.forks"
 let c_respawns = Metrics.counter "pool.respawns"
-let c_batches = Metrics.counter "pool.batches"
-
-(* Auto batch size: enough tasks per message that ms-scale tasks
-   amortize the framing + Marshal round-trip, yet at least 4 batches
-   per worker so a crash loses little and the tail of the run stays
-   balanced; capped so one message never hoards a huge slice. *)
-let default_batch ~jobs n = max 1 (min 16 (n / (max 1 jobs * 4)))
+let c_tasks = Metrics.counter "pool.tasks"
 
 let run_task task =
   match task () with
@@ -120,9 +109,9 @@ let run_inline tasks =
 
 (* --- worker side ---------------------------------------------------------- *)
 
-(* Serve batches until the task pipe reaches EOF (the parent's shutdown
-   signal).  Exit statuses: 0 clean, 2 reply write failed or a batch
-   blew up outside task containment, 3 protocol mismatch on the task
+(* Serve tasks until the task pipe reaches EOF (the parent's shutdown
+   signal).  Exit statuses: 0 clean, 2 reply write failed or a task
+   blew up outside its containment, 3 protocol mismatch on the task
    pipe. *)
 let worker_main tasks task_r result_w =
   let ic = Unix.in_channel_of_descr task_r in
@@ -134,15 +123,15 @@ let worker_main tasks task_r result_w =
     | () ->
         if Bytes.to_string tag <> protocol_tag then 3
         else begin
-          let indices : int list = Marshal.from_channel ic in
-          (* Only this batch's own activity should ship back; capture
+          let i : int = Marshal.from_channel ic in
+          (* Only this task's own activity should ship back; capture
              mode also keeps this child off the parent's log sink. *)
           Trace.reset ();
           Metrics.reset ();
           Log.capture_begin ();
-          let outcomes = List.map (fun i -> (i, run_task tasks.(i))) indices in
+          let outcome = run_task tasks.(i) in
           let payload : _ payload =
-            (outcomes, Trace.roots (), Metrics.snapshot (), Log.capture_take ())
+            (outcome, Trace.roots (), Metrics.snapshot (), Log.capture_take ())
           in
           output_string oc protocol_tag;
           Marshal.to_channel oc payload [];
@@ -159,7 +148,7 @@ let worker_main tasks task_r result_w =
 
 let status_string = function
   | Unix.WEXITED code ->
-      Printf.sprintf "worker exited with status %d mid-batch" code
+      Printf.sprintf "worker exited with status %d mid-task" code
   | Unix.WSIGNALED sg -> Printf.sprintf "worker killed by signal %d" sg
   | Unix.WSTOPPED sg -> Printf.sprintf "worker stopped by signal %d" sg
 
@@ -182,33 +171,19 @@ let rec write_retry fd bytes off len =
 
 type worker = {
   wk_pid : int;
-  wk_task_w : Unix.file_descr; (* parent -> worker: framed index batches *)
+  wk_task_w : Unix.file_descr; (* parent -> worker: framed task indices *)
   wk_res_r : Unix.file_descr; (* worker -> parent: framed replies *)
   wk_buf : Buffer.t; (* reply bytes, accumulated incrementally *)
-  mutable wk_inflight : int list; (* indices of the batch on the wire *)
-  mutable wk_batch_id : int; (* for batch-ordered telemetry merge *)
+  mutable wk_inflight : int option; (* index of the task on the wire *)
   mutable wk_closed : bool; (* task pipe closed (shutdown sent) *)
 }
 
-let run_forked ~jobs ~batch tasks_list =
+let run_forked ~jobs tasks_list =
   let tasks = Array.of_list tasks_list in
   let n = Array.length tasks in
   let results = Array.make n (Failed "not run") in
-  (* Contiguous batches, precomputed up front: their composition does
-     not depend on scheduling, only their worker assignment does — so
-     results and batch-ordered telemetry are deterministic. *)
-  let batches =
-    let rec go i acc =
-      if i >= n then List.rev acc
-      else
-        let len = min batch (n - i) in
-        go (i + len) (List.init len (fun k -> i + k) :: acc)
-    in
-    Array.of_list (go 0 [])
-  in
-  let n_batches = Array.length batches in
-  let telemetry = Array.make n_batches None in
-  let next_batch = ref 0 in
+  let telemetry = Array.make n None in
+  let next_task = ref 0 in
   let forks = ref 0 and respawns = ref 0 in
   (* Every parent-side pipe end currently open, so each fork can close
      the sibling fds it inherited (cloexec only helps across exec). *)
@@ -249,8 +224,7 @@ let run_forked ~jobs ~batch tasks_list =
             wk_task_w = task_w;
             wk_res_r = res_r;
             wk_buf = Buffer.create 4096;
-            wk_inflight = [];
-            wk_batch_id = -1;
+            wk_inflight = None;
             wk_closed = false;
           }
         in
@@ -264,22 +238,19 @@ let run_forked ~jobs ~batch tasks_list =
       close_parent_fd wk.wk_task_w
     end
   in
-  (* Remove a worker and reap it; [failed_inflight] are the task
-     indices its death takes down. *)
+  (* Remove a worker and reap it; [failed_inflight] is the task its
+     death takes down, if any. *)
   let reap wk ~failed_inflight =
     Hashtbl.remove live wk.wk_res_r;
     close_parent_fd wk.wk_res_r;
     shutdown wk;
     let status = waitpid_retry wk.wk_pid in
-    (match failed_inflight with
-    | [] -> ()
-    | idxs ->
-        let msg = status_string status in
-        List.iter (fun i -> results.(i) <- Failed msg) idxs);
-    status
+    Option.iter
+      (fun i -> results.(i) <- Failed (status_string status))
+      failed_inflight
   in
-  let try_send wk indices =
-    let body = Marshal.to_bytes (indices : int list) [] in
+  let try_send wk i =
+    let body = Marshal.to_bytes (i : int) [] in
     let msg = Bytes.cat (Bytes.of_string protocol_tag) body in
     match write_retry wk.wk_task_w msg 0 (Bytes.length msg) with
     | () -> true
@@ -289,29 +260,25 @@ let run_forked ~jobs ~batch tasks_list =
            return, not a fatal signal. *)
         false
   in
-  (* Hand the next batch to an idle worker, or shut it down when the
+  (* Hand the next task to an idle worker, or shut it down when the
      queue is drained.  A worker found dead at send time never received
-     the batch, so the batch goes to a replacement instead of failing —
+     the task, so the task goes to a replacement instead of failing —
      bounded retries in case forked children keep dying instantly. *)
   let rec assign ?(attempts = 0) wk =
-    if !next_batch >= n_batches then shutdown wk
+    if !next_task >= n then shutdown wk
     else begin
-      let bid = !next_batch in
-      if try_send wk batches.(bid) then begin
-        incr next_batch;
-        wk.wk_inflight <- batches.(bid);
-        wk.wk_batch_id <- bid;
-        Metrics.incr c_batches
+      let i = !next_task in
+      if try_send wk i then begin
+        incr next_task;
+        wk.wk_inflight <- Some i;
+        Metrics.incr c_tasks
       end
       else begin
-        ignore (reap wk ~failed_inflight:[]);
+        reap wk ~failed_inflight:None;
         if attempts >= 2 then begin
-          List.iter
-            (fun i ->
-              results.(i) <- Failed "worker died before receiving batch")
-            batches.(bid);
-          incr next_batch;
-          if !next_batch < n_batches then begin
+          results.(i) <- Failed "worker died before receiving task";
+          incr next_task;
+          if !next_task < n then begin
             incr respawns;
             Metrics.incr c_respawns;
             assign (spawn ())
@@ -326,12 +293,12 @@ let run_forked ~jobs ~batch tasks_list =
     end
   in
   (* A worker died (EOF or read error on its reply pipe).  Its in-flight
-     batch — and only that batch — becomes [Failed]; a replacement is
-     forked if batches remain. *)
+     task — and only that task — becomes [Failed]; a replacement is
+     forked if tasks remain. *)
   let on_death wk =
     let inflight = wk.wk_inflight in
-    ignore (reap wk ~failed_inflight:inflight);
-    if inflight <> [] && !next_batch < n_batches then begin
+    reap wk ~failed_inflight:inflight;
+    if inflight <> None && !next_task < n then begin
       incr respawns;
       Metrics.incr c_respawns;
       assign (spawn ())
@@ -346,15 +313,15 @@ let run_forked ~jobs ~batch tasks_list =
     shutdown wk;
     (try Unix.kill wk.wk_pid Sys.sigkill with Unix.Unix_error _ -> ());
     ignore (waitpid_retry wk.wk_pid);
-    List.iter (fun i -> results.(i) <- Failed msg) inflight;
-    if !next_batch < n_batches then begin
+    Option.iter (fun i -> results.(i) <- Failed msg) inflight;
+    if !next_task < n then begin
       incr respawns;
       Metrics.incr c_respawns;
       assign (spawn ())
     end
   in
   (* Try to complete one reply from the worker's buffer.  The exchange
-     is strictly ping-pong (one reply per batch, next batch only after
+     is strictly ping-pong (one reply per task, next task only after
      the reply), so the buffer holds at most one message. *)
   let drain wk =
     let raw = Buffer.contents wk.wk_buf in
@@ -367,23 +334,22 @@ let run_forked ~jobs ~batch tasks_list =
             let header = Bytes.of_string (String.sub raw off Marshal.header_size) in
             let total = off + Marshal.total_size header 0 in
             if len >= total then begin
-              match (Marshal.from_string raw off : _ payload) with
-              | outcomes, spans, msnap, events ->
-                  List.iter
-                    (fun (i, outcome) ->
-                      results.(i) <-
-                        (match outcome with
-                        | Ok v -> Done v
-                        | Error msg -> Failed msg))
-                    outcomes;
-                  telemetry.(wk.wk_batch_id) <-
-                    Some (wk.wk_pid, spans, msnap, events);
-                  wk.wk_inflight <- [];
+              match
+                ((Marshal.from_string raw off : _ payload), wk.wk_inflight)
+              with
+              | (outcome, spans, msnap, events), Some i ->
+                  results.(i) <-
+                    (match outcome with
+                    | Ok v -> Done v
+                    | Error msg -> Failed msg);
+                  telemetry.(i) <- Some (wk.wk_pid, spans, msnap, events);
+                  wk.wk_inflight <- None;
                   Buffer.clear wk.wk_buf;
                   if len > total then
                     Buffer.add_string wk.wk_buf
                       (String.sub raw total (len - total));
                   assign wk
+              | _, None -> kill_protocol wk "worker replied with no task sent"
               | exception _ -> kill_protocol wk "worker sent corrupt payload"
             end
           end
@@ -402,7 +368,7 @@ let run_forked ~jobs ~batch tasks_list =
       | Some h -> ( try Sys.set_signal Sys.sigpipe h with _ -> ())
       | None -> ())
     (fun () ->
-      for _ = 1 to min jobs n_batches do
+      for _ = 1 to min jobs n do
         assign (spawn ())
       done;
       let chunk = Bytes.create 65536 in
@@ -425,7 +391,7 @@ let run_forked ~jobs ~batch tasks_list =
                     on_death wk))
           ready
       done);
-  (* Merge worker telemetry in batch order so the combined trace,
+  (* Merge worker telemetry in task order so the combined trace,
      metric totals and replayed log stream are deterministic. *)
   Array.iter
     (function
@@ -448,23 +414,15 @@ let run_forked ~jobs ~batch tasks_list =
       rs_jobs = jobs;
       rs_forks = !forks;
       rs_respawns = !respawns;
-      rs_batches = n_batches;
-      rs_batch = batch;
+      rs_tasks = n;
     };
   Array.to_list results
 
-let run ?(jobs = 1) ?batch tasks =
-  let n = List.length tasks in
-  if jobs <= 1 || n <= 1 then begin
+let run ?(jobs = 1) tasks =
+  if jobs <= 1 || List.compare_length_with tasks 1 <= 0 then begin
     last_stats := inline_stats;
     run_inline tasks
   end
-  else
-    let batch =
-      match batch with
-      | Some b -> max 1 b
-      | None -> default_batch ~jobs n
-    in
-    run_forked ~jobs ~batch tasks
+  else run_forked ~jobs tasks
 
-let map ?jobs ?batch f xs = run ?jobs ?batch (List.map (fun x () -> f x) xs)
+let map ?jobs f xs = run ?jobs (List.map (fun x () -> f x) xs)

@@ -1,22 +1,22 @@
-(** A persistent fork-based worker pool with crash isolation.
+(** A fork-based worker pool with crash isolation, forked once per run.
 
-    [run ~jobs tasks] forks at most [jobs] worker processes {e once}
-    and streams batches of tasks to them over pipes: each worker loops
-    — receive a framed batch, run it, reply with the outcomes plus its
-    telemetry — until the pool closes its task pipe.  N tasks therefore
-    cost [min jobs batches] forks, not N, and ms-scale tasks amortize
-    the per-message Marshal round-trip across a whole batch.
+    [run ~jobs tasks] forks at most [jobs] worker processes {e once per
+    call} and streams tasks to them over pipes, one task per message:
+    each worker loops — receive a framed task index, run that task,
+    reply with its outcome plus its telemetry — until the pool closes
+    its task pipe.  N tasks therefore cost [min jobs N] forks, not N.
+    The workers exit when the call returns; the next call forks again.
 
     A task that raises reports [Failed] with the exception text; a
     worker process that dies outright (segfault, [exit], OOM-kill)
-    fails only the batch it was running — the parent reaps it, maps the
-    in-flight tasks to [Failed], and forks a replacement to drain the
-    remaining batches — so one pathological signature cannot abort an
+    fails only the task it was running — the parent reaps it, maps
+    that task to [Failed], and forks a replacement to drain the
+    remaining tasks — so one pathological signature cannot abort an
     analysis.
 
     Results are returned in task order regardless of completion order,
     and worker telemetry (trace spans, metric counters, buffered log
-    events) is merged back in deterministic batch order, so a run at
+    events) is merged back in deterministic task order, so a run at
     [-j N] is deterministic given deterministic tasks.
 
     With [jobs <= 1] (or a single task) everything runs inline in the
@@ -27,24 +27,17 @@
     failed (the exception it raised, or the worker's exit status). *)
 type 'r result = Done of 'r | Failed of string
 
-(** [run ~jobs ?batch tasks] executes every task and returns one result
-    per task, in order.  [jobs] defaults to [1] (inline).  [batch] is
-    the number of tasks per wire message; it defaults to
-    {!default_batch}, which targets several batches per worker so a
-    crash loses little and the tail of the run stays balanced.
+(** [run ~jobs tasks] executes every task and returns one result per
+    task, in order.  [jobs] defaults to [1] (inline).
 
     Forked tasks must return marshal-safe values: no closures, no
     custom blocks.  Mutations a forked task makes to parent state are
     invisible to the parent (separate address spaces) — tasks
     communicate through their return value only. *)
-val run : ?jobs:int -> ?batch:int -> (unit -> 'r) list -> 'r result list
+val run : ?jobs:int -> (unit -> 'r) list -> 'r result list
 
 (** [map ~jobs f xs] is [run ~jobs (List.map (fun x () -> f x) xs)]. *)
-val map : ?jobs:int -> ?batch:int -> ('a -> 'r) -> 'a list -> 'r result list
-
-(** The auto batch size for [n] tasks at pool width [jobs]: roughly
-    [n / (jobs * 4)] clamped to [1, 16]. *)
-val default_batch : jobs:int -> int -> int
+val map : ?jobs:int -> ('a -> 'r) -> 'a list -> 'r result list
 
 (** {1 Introspection}
 
@@ -56,8 +49,7 @@ type run_stats = {
   rs_jobs : int;  (** pool width the run was allowed *)
   rs_forks : int;  (** processes forked, including respawns *)
   rs_respawns : int;  (** replacement workers forked after a death *)
-  rs_batches : int;  (** task batches sent over the wire *)
-  rs_batch : int;  (** batch size used (tasks per message) *)
+  rs_tasks : int;  (** tasks sent over the wire, one per message *)
 }
 
 (** Stats of the most recent {!run} ([rs_forks = 0] for an inline
@@ -66,7 +58,7 @@ val last_run_stats : unit -> run_stats
 
 (** {1 Wire protocol}
 
-    Every message in both directions — parent→worker batches and
+    Every message in both directions — parent→worker task indices and
     worker→parent replies — is prefixed with a magic/version tag; the
     receiving side refuses to unmarshal bytes that don't carry the
     expected tag (a stale or mismatched worker binary would otherwise

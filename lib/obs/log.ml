@@ -21,7 +21,7 @@
    they inherit (interleaved partial lines from concurrent children
    would corrupt the stream).  Instead a worker switches to capture mode
    ([capture_begin]): events buffer in memory, ship back to the parent
-   inside the batch payload (they are plain marshal-safe records), and
+   inside the task reply (they are plain marshal-safe records), and
    the parent [replay]s them through its own sink — already pid-tagged,
    since the pid is stamped at emission time. *)
 
@@ -231,7 +231,7 @@ let error ?fields name = log Error ?fields name
 (* --- worker capture / parent replay ---------------------------------------- *)
 
 (* Divert emissions to an in-memory buffer (and clear any previous
-   buffer).  A forked worker calls this once per batch: the sink channel
+   buffer).  A forked worker calls this once per task: the sink channel
    it inherited belongs to the parent. *)
 let capture_begin () =
   capturing := true;

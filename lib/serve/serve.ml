@@ -14,10 +14,10 @@
    processing reproduces full repair byte for byte while dispatching
    strictly fewer bundles on sparse stores.
 
-   Dispatch rides the existing machinery end to end: extraction and
-   verdicts read through the persistent cache, each scope bundle gets
-   incremental shared-base ASE, and multi-bundle events fan out over
-   the persistent worker pool ([jobs]). *)
+   Dispatch rides the existing machinery end to end: verdicts read
+   through the persistent cache, each scope bundle gets incremental
+   shared-base ASE, and multi-bundle events fan out over the worker
+   pool ([jobs]), which forks once per event that needs it. *)
 
 open Separ_ame
 module Ase = Separ_ase.Ase
@@ -150,9 +150,7 @@ let process t event =
           ~attrs:
             [ Trace.attr_str "kind" "upload"; Trace.attr_str "package" pkg ]
           (fun () ->
-            let fresh =
-              Extract.extract_cached ?cache:t.cache ~k1:t.k1 apk
-            in
+            let fresh = Extract.extract ~k1:t.k1 apk in
             (* everyone the old footprint could touch... *)
             let before =
               match Smap.find_opt pkg t.models with

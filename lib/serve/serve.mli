@@ -10,9 +10,9 @@
     reproduce byte for byte (stripped reports), with strictly fewer
     bundles dispatched on sparse stores.
 
-    Extraction and verdicts read through the persistent [cache];
-    multi-bundle events fan out over the persistent worker pool
-    ([jobs]); every event is traced ([serve.event]/[serve.analyze]
+    Verdicts read through the persistent [cache]; multi-bundle events
+    fan out over the worker pool ([jobs]), forked once per such event;
+    every event is traced ([serve.event]/[serve.analyze]
     spans) and metered ([serve.*] counters, the
     [serve.upload_to_verdict_ms] histogram). *)
 

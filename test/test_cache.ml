@@ -1,8 +1,8 @@
 (* The persistent content-addressed cache: store roundtrips, corruption
    tolerance (truncated / garbled / wrong-digest entries degrade to
-   recorded misses), LRU eviction under a size cap, read-through AME
-   extraction, per-signature ASE fingerprints (stability and delta
-   selectivity), warm re-analysis, and the worker wire protocol. *)
+   recorded misses), LRU eviction under a size cap, per-signature ASE
+   fingerprints (stability and delta selectivity), warm re-analysis,
+   and the worker wire protocol. *)
 
 open Separ
 module Store = Separ_cache.Store
@@ -209,30 +209,6 @@ let test_eviction_under_tiny_cap () =
     (List.assoc "ame.misses" (Store.stats t) >= List.length missing);
   Store.store t ~tier:"ame" ~key:(List.hd missing) big;
   check "rewrite keeps the cap" true (Store.size_bytes t <= cap)
-
-(* --- AME read-through ----------------------------------------------------- *)
-
-let test_extract_cached () =
-  Metrics.enable ();
-  Metrics.reset ();
-  let t = Store.open_ ~dir:(fresh_dir ()) () in
-  let apk = Demo.navigation_app () in
-  let extracted () = Metrics.counter_value (Metrics.counter "ame.apps_extracted") in
-  let cold = Extract.extract_cached ~cache:t apk in
-  check_int "cold run extracts" 1 (extracted ());
-  let warm = Extract.extract_cached ~cache:t apk in
-  check_int "warm run does not extract" 1 (extracted ());
-  check "cached model equals extracted model" true
-    ({ warm with App_model.am_extraction_ms = 0. }
-    = { cold with App_model.am_extraction_ms = 0. });
-  (* a different APK is a different key *)
-  ignore (Extract.extract_cached ~cache:t (Demo.messenger_app ()));
-  check_int "second app extracts" 2 (extracted ());
-  let stats = Store.stats t in
-  check_int "one AME hit" 1 (List.assoc "ame.hits" stats);
-  check_int "two AME misses" 2 (List.assoc "ame.misses" stats);
-  Metrics.reset ();
-  Metrics.disable ()
 
 (* --- ASE fingerprints ----------------------------------------------------- *)
 
@@ -447,7 +423,6 @@ let tests =
       test_hit_preserves_mtime;
     Alcotest.test_case "eviction under a tiny cap" `Quick
       test_eviction_under_tiny_cap;
-    Alcotest.test_case "extract_cached read-through" `Quick test_extract_cached;
     Alcotest.test_case "signature fingerprints stable" `Quick
       test_fingerprint_stability;
     Alcotest.test_case "signature fingerprints selective" `Quick

@@ -14,6 +14,12 @@ let raises_failure f =
   | Failure _ -> true
   | Separ_dalvik.Asm.Parse_error _ -> true
 
+let raises_parse_error f =
+  try
+    ignore (f ());
+    false
+  with Separ_dalvik.Asm.Parse_error _ -> true
+
 let raises_invalid f =
   try
     ignore (f ());
@@ -50,6 +56,31 @@ let test_asm_undefined_label () =
          Separ_dalvik.Asm.assemble
            ".class C\n.method m params=0 regs=1\n  goto :missing\n.end\n"))
 
+let test_asm_duplicate_label () =
+  check "duplicate label" true
+    (raises_failure (fun () ->
+         Separ_dalvik.Asm.assemble
+           ".class C\n.method m params=0 regs=1\n  :L0\n  :L0\n  \
+            return-void\n.end\n"))
+
+(* An [invoke] line must close its argument list: a missing [)] is a
+   parse error, not an out-of-bounds [String.sub] or a register read
+   one digit short. *)
+let test_asm_invoke_unclosed_call () =
+  let line = "invoke-virtual android.telephony.TelephonyManager#getDeviceId(" in
+  check "parse_instr" true
+    (raises_parse_error (fun () -> Separ_dalvik.Asm.parse_instr line));
+  check "through Apk_text.parse" true
+    (raises_parse_error (fun () ->
+         Separ_dalvik.Apk_text.parse
+           (".package p\n\n.class C\n.method m params=0 regs=1\n  " ^ line
+          ^ "\n.end\n")))
+
+let test_asm_invoke_unclosed_args () =
+  check "A#m(v12 is not v1" true
+    (raises_parse_error (fun () ->
+         Separ_dalvik.Asm.parse_instr "invoke-virtual A#m(v12"))
+
 (* --- APK text ------------------------------------------------------------------ *)
 
 let test_apk_text_missing_package () =
@@ -66,6 +97,16 @@ let test_apk_text_unknown_line () =
   check "unknown directive" true
     (raises_failure (fun () ->
          Separ_dalvik.Apk_text.parse ".package p\n.frobnicate x\n"))
+
+let test_apk_text_bad_component_attrs () =
+  check "duplicate component" true
+    (raises_failure (fun () ->
+         Separ_dalvik.Apk_text.parse
+           ".package p\n.component Activity A\n.component Service A\n"));
+  check "bad exported flag" true
+    (raises_failure (fun () ->
+         Separ_dalvik.Apk_text.parse
+           ".package p\n.component Activity A exported=maybe\n"))
 
 (* --- policies -------------------------------------------------------------------- *)
 
@@ -146,6 +187,82 @@ let test_dimacs_garbage () =
   check "garbage token" true
     (raises_failure (fun () -> Separ_sat.Dimacs.parse_string "p cnf 2 1\n1 x 0\n"))
 
+(* --- mutation fuzzing ------------------------------------------------------------ *)
+
+(* Seeded mutants of a well-formed text: truncated, bytes overwritten
+   (mostly with characters the formats give meaning to), a short span
+   deleted, or a line copied elsewhere. *)
+let mutants ~seed ~count text =
+  let rng = Random.State.make [| seed |] in
+  let alphabet = " \n\t()#,:=\".-0123456789vp" in
+  let pick () =
+    if Random.State.int rng 4 = 0 then Char.chr (Random.State.int rng 256)
+    else alphabet.[Random.State.int rng (String.length alphabet)]
+  in
+  let n = String.length text in
+  List.init count (fun _ ->
+      let at = Random.State.int rng n in
+      match Random.State.int rng 4 with
+      | 0 -> String.sub text 0 at
+      | 1 ->
+          let b = Bytes.of_string text in
+          for _ = 0 to Random.State.int rng 3 do
+            Bytes.set b (Random.State.int rng n) (pick ())
+          done;
+          Bytes.to_string b
+      | 2 ->
+          let len = min (n - at) (1 + Random.State.int rng 8) in
+          String.sub text 0 at ^ String.sub text (at + len) (n - at - len)
+      | _ ->
+          let lines = Array.of_list (String.split_on_char '\n' text) in
+          let line = lines.(Random.State.int rng (Array.length lines)) in
+          String.sub text 0 at ^ line ^ "\n" ^ String.sub text at (n - at))
+
+(* Every mutant parses or raises [Failure] / [Asm.Parse_error], the
+   parsers' documented errors; anything else escaping is a bug. *)
+let fuzz_parser name parse inputs =
+  List.iteri
+    (fun seed text ->
+      List.iter
+        (fun m ->
+          match parse m with
+          | _ -> ()
+          | exception (Failure _ | Separ_dalvik.Asm.Parse_error _) -> ()
+          | exception e ->
+              Alcotest.failf "%s raised %s on mutant:\n%s" name
+                (Printexc.to_string e) m)
+        (mutants ~seed ~count:1000 text))
+    inputs
+
+let test_fuzz_apk_text () =
+  let profiles =
+    List.map
+      (fun p ->
+        { p with Separ_workload.Generator.count = 2; size_lo = 8; size_hi = 40 })
+      Separ_workload.Generator.default_profiles
+  in
+  fuzz_parser "Apk_text.parse" Separ_dalvik.Apk_text.parse
+    (List.map
+       (fun g -> Separ_dalvik.Apk_text.print g.Separ_workload.Generator.apk)
+       (Separ_workload.Generator.generate ~profiles ()))
+
+let test_fuzz_dimacs () =
+  let rng = Random.State.make [| 7 |] in
+  let cnf () =
+    let n_vars = 1 + Random.State.int rng 30 in
+    let lit () =
+      (1 + Random.State.int rng n_vars) * if Random.State.bool rng then 1 else -1
+    in
+    {
+      Separ_sat.Dimacs.n_vars;
+      clauses =
+        List.init (Random.State.int rng 40) (fun _ ->
+            List.init (1 + Random.State.int rng 4) (fun _ -> lit ()));
+    }
+  in
+  fuzz_parser "Dimacs.parse_string" Separ_sat.Dimacs.parse_string
+    (List.init 4 (fun _ -> Separ_sat.Dimacs.to_string (cnf ())))
+
 (* --- device ------------------------------------------------------------------------- *)
 
 let test_device_unknown_app () =
@@ -163,11 +280,18 @@ let tests =
       test_asm_instruction_outside_method;
     Alcotest.test_case "asm: bad register" `Quick test_asm_bad_register;
     Alcotest.test_case "asm: undefined label" `Quick test_asm_undefined_label;
+    Alcotest.test_case "asm: duplicate label" `Quick test_asm_duplicate_label;
+    Alcotest.test_case "asm: invoke without closing paren" `Quick
+      test_asm_invoke_unclosed_call;
+    Alcotest.test_case "asm: invoke args without closing paren" `Quick
+      test_asm_invoke_unclosed_args;
     Alcotest.test_case "apk text: missing package" `Quick
       test_apk_text_missing_package;
     Alcotest.test_case "apk text: bad kind" `Quick test_apk_text_bad_kind;
     Alcotest.test_case "apk text: unknown directive" `Quick
       test_apk_text_unknown_line;
+    Alcotest.test_case "apk text: duplicate component, bad exported" `Quick
+      test_apk_text_bad_component_attrs;
     Alcotest.test_case "policy: malformed lines" `Quick test_policy_bad_line;
     Alcotest.test_case "ast: arity errors" `Quick test_ast_arity_errors;
     Alcotest.test_case "bounds: errors" `Quick test_bounds_errors;
@@ -175,5 +299,7 @@ let tests =
     Alcotest.test_case "relation: arity" `Quick test_relation_arity;
     Alcotest.test_case "solver: zero literal" `Quick test_solver_zero_literal;
     Alcotest.test_case "dimacs: garbage" `Quick test_dimacs_garbage;
+    Alcotest.test_case "fuzz: mutated apk text" `Quick test_fuzz_apk_text;
+    Alcotest.test_case "fuzz: mutated dimacs" `Quick test_fuzz_dimacs;
     Alcotest.test_case "device: unknown app" `Quick test_device_unknown_app;
   ]

@@ -73,13 +73,13 @@ let test_crash_isolation () =
       check "exit status reported" true (contains ~affix:"status 7" msg)
   | _ -> Alcotest.fail "expected crash isolated to its own task"
 
-(* The pool is persistent: many more tasks than workers must be served
-   by the same forked children, reused across batches — not one fork per
-   task. *)
-let test_persistent_worker_reuse () =
+(* Workers are forked once per run: many more tasks than workers must
+   be served by the same forked children, one task per message — not
+   one fork per task. *)
+let test_worker_reuse () =
   let parent = Unix.getpid () in
   let results =
-    Pool.map ~jobs:3 ~batch:1 (fun _ -> Unix.getpid ()) (List.init 12 Fun.id)
+    Pool.map ~jobs:3 (fun _ -> Unix.getpid ()) (List.init 12 Fun.id)
   in
   let pids = done_values results in
   check_int "all tasks ran" 12 (List.length pids);
@@ -91,27 +91,24 @@ let test_persistent_worker_reuse () =
     (List.length distinct <= 3);
   let stats = Pool.last_run_stats () in
   check_int "forks = pool width, not task count" 3 stats.Pool.rs_forks;
-  check_int "one batch per task at batch:1" 12 stats.Pool.rs_batches;
+  check_int "one message per task" 12 stats.Pool.rs_tasks;
   check_int "no respawns in a crash-free run" 0 stats.Pool.rs_respawns
 
-(* A worker dying mid-batch fails every task of that batch — and only
-   that batch; completed and not-yet-assigned batches are unaffected. *)
-let test_midbatch_crash_isolation () =
+(* A worker dying mid-task fails that task — and only that task;
+   completed and not-yet-assigned tasks are unaffected. *)
+let test_midtask_crash_isolation () =
   let tasks =
     List.init 6 (fun i () -> if i = 2 then Unix._exit 9 else i * 10)
   in
-  let results = Pool.run ~jobs:2 ~batch:2 tasks in
-  (match results with
-  | [ Pool.Done 0; Pool.Done 10; Pool.Failed m2; Pool.Failed m3;
-      Pool.Done 40; Pool.Done 50 ] ->
-      check "in-flight batch reported mid-batch death" true
-        (contains ~affix:"mid-batch" m2);
-      check "whole in-flight batch failed with the same cause" true
-        (contains ~affix:"mid-batch" m3)
-  | _ -> Alcotest.fail "expected exactly the crashed batch (tasks 2-3) failed")
+  match Pool.run ~jobs:2 tasks with
+  | [ Pool.Done 0; Pool.Done 10; Pool.Failed m2; Pool.Done 30; Pool.Done 40;
+      Pool.Done 50 ] ->
+      check "in-flight task reported mid-task death" true
+        (contains ~affix:"mid-task" m2)
+  | _ -> Alcotest.fail "expected exactly the crashed task (task 2) failed"
 
 (* After a crash the pool respawns a replacement worker: the remaining
-   batch still runs, in a freshly forked process.  The first worker is
+   task still runs, in a freshly forked process.  The first worker is
    parked on a slow task so the crash is detected while work remains
    undispatched, forcing the respawn path.  (jobs:1 would run inline —
    the crash must happen in a forked pool.) *)
@@ -125,7 +122,7 @@ let test_respawn_after_crash () =
       (fun () -> Unix.getpid ());
     ]
   in
-  (match Pool.run ~jobs:2 ~batch:1 tasks with
+  (match Pool.run ~jobs:2 tasks with
   | [ Pool.Done p1; Pool.Failed _; Pool.Done p2 ] ->
       check "replacement is a fresh process" true (p1 <> p2)
   | _ -> Alcotest.fail "expected Done/Failed/Done around the crash");
@@ -183,7 +180,7 @@ let read_lines path =
   close_in ic;
   List.rev !acc
 
-(* Worker-side log events buffer per batch (workers must not write to
+(* Worker-side log events buffer per task (workers must not write to
    the inherited sink fd), ship back in the reply payload, and replay
    through the parent's sink carrying the worker's own pid, the full
    envelope, and each worker's timestamps in emission order. *)
@@ -197,13 +194,15 @@ let test_worker_logs_shipped () =
       Log.reset ();
       try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      (* two events per batch, a millisecond apart, so replay order
+      (* two events per task, a millisecond apart, so replay order
          shows in the timestamps *)
       let results =
-        Pool.map ~jobs:2 ~batch:2
+        Pool.map ~jobs:2
           (fun n ->
-            Unix.sleepf 0.001;
-            Log.info "test.pool_log" ~fields:[ ("n", Trace.Int n) ];
+            for _ = 1 to 2 do
+              Unix.sleepf 0.001;
+              Log.info "test.pool_log" ~fields:[ ("n", Trace.Int n) ]
+            done;
             n)
           [ 1; 2; 3; 4 ]
       in
@@ -221,7 +220,7 @@ let test_worker_logs_shipped () =
             else None)
           (read_lines path)
       in
-      check_int "all four worker events replayed" 4 (List.length events);
+      check_int "all eight worker events replayed" 8 (List.length events);
       let last_ts = Hashtbl.create 4 in
       List.iter
         (fun j ->
@@ -240,11 +239,11 @@ let test_worker_logs_shipped () =
           | _ -> Alcotest.fail "replayed event without integer pid and ts_us")
         events)
 
-(* Observability survives a worker dying mid-batch: events and GC
-   metrics from every surviving batch still arrive (through the
-   respawned replacement included); only the crashed batch's telemetry
+(* Observability survives a worker dying mid-task: events and GC
+   metrics from every surviving task still arrive (through the
+   respawned replacement included); only the crashed task's telemetry
    is lost. *)
-let test_obs_survives_midbatch_crash () =
+let test_obs_survives_midtask_crash () =
   let path = Filename.temp_file "separ_test_crash_log" ".ndjson" in
   Trace.enable ();
   Metrics.enable ();
@@ -265,7 +264,7 @@ let test_obs_survives_midbatch_crash () =
       try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       (* Each surviving task does 20 ms of work: the pool respawns only
-         while batches remain when it notices the death, and instant
+         while tasks remain when it notices the death, and instant
          tasks would let the other worker drain the queue first. *)
       let tasks =
         List.init 5 (fun i () ->
@@ -279,12 +278,12 @@ let test_obs_survives_midbatch_crash () =
               i
             end)
       in
-      let results = Pool.run ~jobs:2 ~batch:1 tasks in
+      let results = Pool.run ~jobs:2 tasks in
       let failed, completed =
         List.partition (function Pool.Failed _ -> true | _ -> false) results
       in
-      check_int "exactly the crashed batch failed" 1 (List.length failed);
-      check_int "the other batches completed" 4 (List.length completed);
+      check_int "exactly the crashed task failed" 1 (List.length failed);
+      check_int "the other tasks completed" 4 (List.length completed);
       check "a replacement worker was respawned" true
         ((Pool.last_run_stats ()).Pool.rs_respawns >= 1);
       Log.close ();
@@ -303,7 +302,7 @@ let test_obs_survives_midbatch_crash () =
             else None)
           (read_lines path)
       in
-      check_int "surviving batches' events all replayed" 4 (List.length pids);
+      check_int "surviving tasks' events all replayed" 4 (List.length pids);
       List.iter
         (fun p -> check "every event came from a worker" true (p <> parent))
         pids;
@@ -317,10 +316,9 @@ let tests =
     Alcotest.test_case "map preserves task order" `Quick test_map_order;
     Alcotest.test_case "exception isolation" `Quick test_exception_isolation;
     Alcotest.test_case "worker crash isolation" `Quick test_crash_isolation;
-    Alcotest.test_case "persistent workers reused across batches" `Quick
-      test_persistent_worker_reuse;
-    Alcotest.test_case "mid-batch crash fails only in-flight batch" `Quick
-      test_midbatch_crash_isolation;
+    Alcotest.test_case "workers reused across tasks" `Quick test_worker_reuse;
+    Alcotest.test_case "mid-task crash fails only in-flight task" `Quick
+      test_midtask_crash_isolation;
     Alcotest.test_case "respawn after crash" `Quick test_respawn_after_crash;
     Alcotest.test_case "worker metrics merged" `Quick
       test_worker_metrics_merged;
@@ -328,6 +326,6 @@ let tests =
       test_worker_spans_grafted;
     Alcotest.test_case "worker log events shipped pid-tagged" `Quick
       test_worker_logs_shipped;
-    Alcotest.test_case "logs and GC metrics survive mid-batch crash" `Quick
-      test_obs_survives_midbatch_crash;
+    Alcotest.test_case "logs and GC metrics survive mid-task crash" `Quick
+      test_obs_survives_midtask_crash;
   ]

@@ -440,7 +440,7 @@ let test_serve_remove () =
 
 (* Upload events drain through the persistent cache: a second store fed
    the same apps through the same cache directory reproduces the same
-   reports (and re-extracts nothing). *)
+   reports (and re-solves nothing). *)
 let test_serve_with_cache () =
   let dir = Filename.temp_file "separ_serve_cache" "" in
   Sys.remove dir;
@@ -455,10 +455,11 @@ let test_serve_with_cache () =
   let first, _ = run () in
   let second, cache = run () in
   check "cached second run identical" true (first = second);
-  check "second run hit the AME tier" true
-    (match List.assoc_opt "ame.hits" (Cache.stats cache) with
-    | Some n -> n > 0
-    | None -> false)
+  let stat name =
+    Option.value ~default:0 (List.assoc_opt name (Cache.stats cache))
+  in
+  check "second run hit the ASE tier" true (stat "ase.hits" > 0);
+  check_int "second run missed no ASE verdict" 0 (stat "ase.misses")
 
 let tests =
   [
