@@ -1,86 +1,61 @@
 (* Sparse boolean matrices: the symbolic value of a relational expression
-   under translation.  A matrix maps tuples (encoded as single integers in
-   mixed radix over the universe size) to circuit gates; absent entries
-   are constant-false.  All relational operators are implemented here. *)
+   under translation.  A matrix maps tuple codes to circuit gates; absent
+   entries are constant-false.  All relational operators are implemented
+   here, on codes: the code of a k-tuple is its mixed-radix number over
+   the universe size [n], so [code / n^j] and [code mod n^j] split it into
+   its first [k - j] and last [j] columns. *)
+
+module Tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
 
 type t = {
   arity : int;
-  n : int;                                (* universe size *)
-  cells : (int, Circuit.gate) Hashtbl.t;  (* only non-false entries *)
+  n : int;                    (* universe size *)
+  cells : Circuit.gate Tbl.t; (* only non-false entries *)
 }
 
-let create ~n ~arity = { arity; n; cells = Hashtbl.create 16 }
+let create ~n ~arity = { arity; n; cells = Tbl.create 16 }
 
-let encode ~n tuple =
-  Array.fold_left (fun acc a -> (acc * n) + a) 0 tuple
+let encode ~n tuple = Array.fold_left (fun acc a -> (acc * n) + a) 0 tuple
 
-let decode ~n ~arity code =
-  let t = Array.make arity 0 in
-  let rec go i code =
-    if i >= 0 then begin
-      t.(i) <- code mod n;
-      go (i - 1) (code / n)
-    end
-  in
-  go (arity - 1) code;
-  t
+let rec pow n k = if k = 0 then 1 else n * pow n (k - 1)
 
-let get m tuple =
-  match Hashtbl.find_opt m.cells (encode ~n:m.n tuple) with
-  | Some g -> g
-  | None -> raise Not_found
+let find_or m ~default code =
+  match Tbl.find_opt m.cells code with Some g -> g | None -> default
 
-let get_or m ~default tuple =
-  match Hashtbl.find_opt m.cells (encode ~n:m.n tuple) with
-  | Some g -> g
-  | None -> default
+let set m code g =
+  if Circuit.is_false g then Tbl.remove m.cells code
+  else Tbl.replace m.cells code g
 
-let set c m tuple g =
-  if Circuit.is_false g then
-    Hashtbl.remove m.cells (encode ~n:m.n tuple)
-  else Hashtbl.replace m.cells (encode ~n:m.n tuple) g;
-  ignore c
+(* Accumulate [g] into cell [code] with disjunction. *)
+let add_or c m code g =
+  if not (Circuit.is_false g) then
+    match Tbl.find_opt m.cells code with
+    | None -> Tbl.replace m.cells code g
+    | Some g0 -> Tbl.replace m.cells code (Circuit.or_ c g0 g)
 
-(* Accumulate [g] into cell [tuple] with disjunction. *)
-let add_or c m tuple g =
-  if not (Circuit.is_false g) then begin
-    let key = encode ~n:m.n tuple in
-    match Hashtbl.find_opt m.cells key with
-    | None -> Hashtbl.replace m.cells key g
-    | Some g0 -> Hashtbl.replace m.cells key (Circuit.or_ c g0 g)
-  end
-
-let iter f m =
-  Hashtbl.iter
-    (fun code g -> f (decode ~n:m.n ~arity:m.arity code) g)
-    m.cells
-
-let fold f m acc =
-  Hashtbl.fold
-    (fun code g acc -> f (decode ~n:m.n ~arity:m.arity code) g acc)
-    m.cells acc
-
-let cell_count m = Hashtbl.length m.cells
-
-let of_tuple_set c ~n ts =
-  let m = create ~n ~arity:(Tuple_set.arity ts) in
-  Tuple_set.iter (fun tup -> set c m tup (Circuit.tt c)) ts;
-  m
+let iter f m = Tbl.iter f m.cells
+let fold f m acc = Tbl.fold f m.cells acc
+let cell_count m = Tbl.length m.cells
 
 let union c a b =
   if a.arity <> b.arity then invalid_arg "Matrix.union";
   let m = create ~n:a.n ~arity:a.arity in
-  iter (fun t g -> add_or c m t g) a;
-  iter (fun t g -> add_or c m t g) b;
+  iter (add_or c m) a;
+  iter (add_or c m) b;
   m
 
 let inter c a b =
   if a.arity <> b.arity then invalid_arg "Matrix.inter";
   let m = create ~n:a.n ~arity:a.arity in
   iter
-    (fun t g ->
-      match Hashtbl.find_opt b.cells (encode ~n:b.n t) with
-      | Some g' -> set c m t (Circuit.and_ c g g')
+    (fun code g ->
+      match Tbl.find_opt b.cells code with
+      | Some g' -> set m code (Circuit.and_ c g g')
       | None -> ())
     a;
   m
@@ -89,76 +64,73 @@ let diff c a b =
   if a.arity <> b.arity then invalid_arg "Matrix.diff";
   let m = create ~n:a.n ~arity:a.arity in
   iter
-    (fun t g ->
-      match Hashtbl.find_opt b.cells (encode ~n:b.n t) with
-      | Some g' -> set c m t (Circuit.and_ c g (Circuit.not_ c g'))
-      | None -> set c m t g)
+    (fun code g ->
+      match Tbl.find_opt b.cells code with
+      | Some g' -> set m code (Circuit.and_ c g (Circuit.not_ c g'))
+      | None -> set m code g)
     a;
   m
 
 let product c a b =
   let m = create ~n:a.n ~arity:(a.arity + b.arity) in
+  let shift = pow a.n b.arity in
   iter
-    (fun ta ga ->
-      iter
-        (fun tb gb ->
-          set c m (Array.append ta tb) (Circuit.and_ c ga gb))
-        b)
+    (fun ca ga ->
+      iter (fun cb gb -> set m ((ca * shift) + cb) (Circuit.and_ c ga gb)) b)
     a;
   m
 
-(* Join, indexed on the first column of [b] to avoid the quadratic scan.
-   Each output cell is one disjunction over all its witnesses. *)
+(* Join, indexed on the first column of [b] to avoid the quadratic scan:
+   a cell of [a] splits into its head ([code / n]) and last column
+   ([code mod n]), a cell of [b] into its first column and its rest
+   ([code / r] and [code mod r], [r = n^(arity b - 1)]), and the output
+   code is [head * r + rest].  Each output cell is one disjunction over
+   all its witnesses. *)
 let join c a b =
   let out_arity = a.arity + b.arity - 2 in
   if out_arity < 1 then invalid_arg "Matrix.join: result arity 0";
-  let index : (int, (int array * Circuit.gate) list) Hashtbl.t =
-    Hashtbl.create 64
-  in
+  let n = a.n in
+  let r = pow n (b.arity - 1) in
+  let index : (int * Circuit.gate) list Tbl.t = Tbl.create 64 in
   iter
-    (fun tb gb ->
-      let k = tb.(0) in
-      let rest = Array.sub tb 1 (b.arity - 1) in
-      let prev = Option.value ~default:[] (Hashtbl.find_opt index k) in
-      Hashtbl.replace index k ((rest, gb) :: prev))
+    (fun cb gb ->
+      let k = cb / r in
+      let prev = Option.value ~default:[] (Tbl.find_opt index k) in
+      Tbl.replace index k ((cb mod r, gb) :: prev))
     b;
-  let witnesses : (int, Circuit.gate list) Hashtbl.t = Hashtbl.create 16 in
+  let witnesses : Circuit.gate list Tbl.t = Tbl.create 16 in
   iter
-    (fun ta ga ->
-      let last = ta.(a.arity - 1) in
-      let head = Array.sub ta 0 (a.arity - 1) in
-      match Hashtbl.find_opt index last with
+    (fun ca ga ->
+      match Tbl.find_opt index (ca mod n) with
       | None -> ()
       | Some entries ->
+          let base = (ca / n) * r in
           List.iter
             (fun (rest, gb) ->
-              let key = encode ~n:a.n (Array.append head rest) in
+              let key = base + rest in
               let prev =
-                Option.value ~default:[] (Hashtbl.find_opt witnesses key)
+                Option.value ~default:[] (Tbl.find_opt witnesses key)
               in
-              Hashtbl.replace witnesses key (Circuit.and_ c ga gb :: prev))
+              Tbl.replace witnesses key (Circuit.and_ c ga gb :: prev))
             entries)
     a;
-  let m = create ~n:a.n ~arity:out_arity in
-  Hashtbl.iter
-    (fun key gs ->
-      let g = Circuit.big_or c gs in
-      if not (Circuit.is_false g) then Hashtbl.replace m.cells key g)
-    witnesses;
+  let m = create ~n ~arity:out_arity in
+  Tbl.iter (fun key gs -> set m key (Circuit.big_or c gs)) witnesses;
   m
 
-let transpose c a =
+let transpose a =
   if a.arity <> 2 then invalid_arg "Matrix.transpose";
-  let m = create ~n:a.n ~arity:2 in
-  iter (fun t g -> set c m [| t.(1); t.(0) |] g) a;
+  let n = a.n in
+  let m = create ~n ~arity:2 in
+  iter (fun code g -> set m (((code mod n) * n) + (code / n)) g) a;
   m
 
 let equal_cells a b =
   cell_count a = cell_count b
-  && Hashtbl.fold
+  && Tbl.fold
        (fun code g acc ->
          acc
-         && match Hashtbl.find_opt b.cells code with
+         && match Tbl.find_opt b.cells code with
             | Some g' -> g.Circuit.id = g'.Circuit.id
             | None -> false)
        a.cells true
@@ -179,18 +151,19 @@ let closure c a =
 let iden c ~n =
   let m = create ~n ~arity:2 in
   for i = 0 to n - 1 do
-    set c m [| i; i |] (Circuit.tt c)
+    set m ((i * n) + i) (Circuit.tt c)
   done;
   m
 
 let univ c ~n =
   let m = create ~n ~arity:1 in
   for i = 0 to n - 1 do
-    set c m [| i |] (Circuit.tt c)
+    set m i (Circuit.tt c)
   done;
   m
 
-let singleton c ~n tuple =
-  let m = create ~n ~arity:(Array.length tuple) in
-  set c m tuple (Circuit.tt c);
+(* The unary matrix holding exactly atom [a]. *)
+let atom c ~n a =
+  let m = create ~n ~arity:1 in
+  set m a (Circuit.tt c);
   m

@@ -15,29 +15,35 @@ type t = {
   mutable rel_matrices : Matrix.t Relation.Map.t;
   (* per relation: the (tuple, solver var) pairs that are free choices *)
   mutable rel_vars : (Tuple_set.tuple * int) list Relation.Map.t;
-  (* expression -> matrix memoization, keyed on the structural identity
-     of (environment, expression); see [expr] below *)
-  expr_cache : (env * Ast.expr, Matrix.t) Hashtbl.t;
+  (* expression -> matrix memoization, keyed on the expression and the
+     atoms bound to its variables; see [expr] below *)
+  expr_cache : (int list * Ast.expr, Matrix.t) Hashtbl.t;
   mutable tc_hits : int;
   mutable tc_misses : int;
 }
 
 (* Allocate the matrix and free-choice variables of one relation: cells
    in the lower bound are constant-true, remaining upper-bound cells get
-   fresh solver variables in tuple order. *)
+   fresh solver variables in tuple order.  Both bounds are sorted and
+   [lower] is within [upper], so one walk of [upper] with a cursor into
+   the codes of [lower] tells them apart: an upper tuple is in [lower]
+   iff its code is the one at the cursor. *)
 let alloc_relation circuit solver ~n bounds rel =
   let lower, upper = Bounds.get bounds rel in
   let m = Matrix.create ~n ~arity:(Relation.arity rel) in
-  let vars = ref [] in
+  let vars = ref []
+  and lower = ref (List.map (Matrix.encode ~n) (Tuple_set.to_list lower)) in
   Tuple_set.iter
     (fun tup ->
-      if Tuple_set.mem tup lower then
-        Matrix.set circuit m tup (Circuit.tt circuit)
-      else begin
-        let v = Separ_sat.Solver.new_var solver in
-        vars := (tup, v) :: !vars;
-        Matrix.set circuit m tup (Circuit.lit circuit v)
-      end)
+      let code = Matrix.encode ~n tup in
+      match !lower with
+      | l :: rest when l = code ->
+          lower := rest;
+          Matrix.set m code (Circuit.tt circuit)
+      | _ ->
+          let v = Separ_sat.Solver.new_var solver in
+          vars := (tup, v) :: !vars;
+          Matrix.set m code (Circuit.lit circuit v))
     upper;
   (m, List.rev !vars)
 
@@ -82,18 +88,42 @@ let add_relation t bounds rel =
 (* (hits, misses) of the expression->matrix cache since creation. *)
 let cache_counts t = (t.tc_hits, t.tc_misses)
 
+let lookup (env : env) v =
+  match List.assoc_opt v env with
+  | Some atom -> atom
+  | None -> invalid_arg ("Translate.expr: unbound variable " ^ v)
+
+(* The atoms bound to the variables of [e], in the order [e] mentions
+   them. *)
+let bound_atoms env e =
+  let rec go seen acc = function
+    | Ast.Var v ->
+        if List.mem v seen then (seen, acc)
+        else (v :: seen, lookup env v :: acc)
+    | Ast.Rel _ | Ast.Univ | Ast.None_e | Ast.Iden -> (seen, acc)
+    | Ast.Join (a, b)
+    | Ast.Product (a, b)
+    | Ast.Union (a, b)
+    | Ast.Inter (a, b)
+    | Ast.Diff (a, b) ->
+        let seen, acc = go seen acc a in
+        go seen acc b
+    | Ast.Transpose a | Ast.Closure a | Ast.RClosure a -> go seen acc a
+  in
+  snd (go [] [] e)
+
 let rec expr t (env : env) (e : Ast.expr) : Matrix.t =
   (* Matrices are immutable once built (operations always allocate), and
      hash-consing makes re-translation of equal expressions yield the
-     same gates — so memoizing on the structural identity of the
-     (environment, expression) pair changes nothing but the cost.
-     Quantifiers extend [env], so only the bindings in scope distinguish
-     otherwise-equal subterms. *)
+     same gates — so memoizing changes nothing but the cost.  An
+     expression's value depends only on the atoms bound to the variables
+     it mentions, so those, not the whole environment, key it: [T.R]
+     under [all x: S | ...] is built once, not once per atom of [S]. *)
   match e with
   | Ast.Rel _ | Ast.Var _ | Ast.Univ | Ast.None_e | Ast.Iden ->
       expr_uncached t env e (* leaves: a lookup is cheaper than a hash *)
   | _ -> (
-      let k = (env, e) in
+      let k = (bound_atoms env e, e) in
       match Hashtbl.find_opt t.expr_cache k with
       | Some m ->
           t.tc_hits <- t.tc_hits + 1;
@@ -112,10 +142,7 @@ and expr_uncached t (env : env) (e : Ast.expr) : Matrix.t =
       | Some m -> m
       | None ->
           invalid_arg ("Translate.expr: unbound relation " ^ Relation.name r))
-  | Ast.Var v -> (
-      match List.assoc_opt v env with
-      | Some atom -> Matrix.singleton c ~n:t.n [| atom |]
-      | None -> invalid_arg ("Translate.expr: unbound variable " ^ v))
+  | Ast.Var v -> Matrix.atom c ~n:t.n (lookup env v)
   | Ast.Univ -> Matrix.univ c ~n:t.n
   | Ast.None_e -> Matrix.create ~n:t.n ~arity:1
   | Ast.Iden -> Matrix.iden c ~n:t.n
@@ -124,7 +151,7 @@ and expr_uncached t (env : env) (e : Ast.expr) : Matrix.t =
   | Ast.Union (a, b) -> Matrix.union c (expr t env a) (expr t env b)
   | Ast.Inter (a, b) -> Matrix.inter c (expr t env a) (expr t env b)
   | Ast.Diff (a, b) -> Matrix.diff c (expr t env a) (expr t env b)
-  | Ast.Transpose a -> Matrix.transpose c (expr t env a)
+  | Ast.Transpose a -> Matrix.transpose (expr t env a)
   | Ast.Closure a -> Matrix.closure c (expr t env a)
   | Ast.RClosure a ->
       Matrix.union c (Matrix.closure c (expr t env a)) (Matrix.iden c ~n:t.n)
@@ -134,23 +161,25 @@ and expr_uncached t (env : env) (e : Ast.expr) : Matrix.t =
 let subset_terms t a b acc =
   let c = t.circuit in
   Matrix.fold
-    (fun tup g acc ->
-      Circuit.implies c g (Matrix.get_or b ~default:(Circuit.ff c) tup) :: acc)
+    (fun code g acc ->
+      Circuit.implies c g (Matrix.find_or b ~default:(Circuit.ff c) code)
+      :: acc)
     a acc
 
-(* At most one member: pairwise exclusion. *)
-let lone_gate t cells =
+(* [lone] and [one] over the cells, with the linear ladder of Kodkod
+   (Torlak and Jackson, TACAS 2007): folding left to right with the
+   prefix disjunction [p] of the cells seen so far, a cell [x] conflicts
+   when [x /\ p]; at most one cell holds iff no cell conflicts.  Returns
+   that gate and the final prefix, which is [some] of the cells. *)
+let ladder t cells =
   let c = t.circuit in
-  let rec pairs acc = function
-    | [] -> acc
-    | g :: rest ->
-        pairs
-          (List.fold_left
-             (fun acc g' -> Circuit.not_ c (Circuit.and_ c g g') :: acc)
-             acc rest)
-          rest
+  let conflicts, p =
+    List.fold_left
+      (fun (conflicts, p) x ->
+        (Circuit.and_ c x p :: conflicts, Circuit.or_ c p x))
+      ([], Circuit.ff c) cells
   in
-  Circuit.big_and c (pairs [] cells)
+  (Circuit.not_ c (Circuit.big_or c conflicts), p)
 
 (* The operands of a nest of [And_f] (or of [Or_f]), left to right. *)
 let rec conjuncts f acc =
@@ -174,8 +203,10 @@ let rec formula t (env : env) (f : Ast.formula) : Circuit.gate =
       match m with
       | Ast.Mno -> Circuit.not_ c (Circuit.big_or c cells)
       | Ast.Msome -> Circuit.big_or c cells
-      | Ast.Mlone -> lone_gate t cells
-      | Ast.Mone -> Circuit.and_ c (Circuit.big_or c cells) (lone_gate t cells))
+      | Ast.Mlone -> fst (ladder t cells)
+      | Ast.Mone ->
+          let lone, some = ladder t cells in
+          Circuit.and_ c lone some)
   | Ast.Not_f f -> Circuit.not_ c (formula t env f)
   | Ast.And_f _ ->
       Circuit.big_and c (List.map (formula t env) (conjuncts f []))
@@ -186,14 +217,14 @@ let rec formula t (env : env) (f : Ast.formula) : Circuit.gate =
   | Ast.All (v, dom, body) ->
       Circuit.big_and c
         (Matrix.fold
-           (fun tup g acc ->
-             Circuit.implies c g (formula t ((v, tup.(0)) :: env) body) :: acc)
+           (fun atom g acc ->
+             Circuit.implies c g (formula t ((v, atom) :: env) body) :: acc)
            (expr t env dom) [])
   | Ast.Exists (v, dom, body) ->
       Circuit.big_or c
         (Matrix.fold
-           (fun tup g acc ->
-             Circuit.and_ c g (formula t ((v, tup.(0)) :: env) body) :: acc)
+           (fun atom g acc ->
+             Circuit.and_ c g (formula t ((v, atom) :: env) body) :: acc)
            (expr t env dom) [])
 
 (* The two halves of constraint assertion, split so the caller can

@@ -562,6 +562,37 @@ let test_two_hop_leak_at_runtime () =
          | _ -> false)
        (Device.effects d))
 
+(* A size guard on the relational translation: on a fixed generated
+   10-app bundle, the two-hop leak signature (whose witnesses are pinned
+   with [one] over every intent and component) stays linear.  A
+   quadratic [lone] encoding builds about 24k gates here. *)
+let test_two_hop_translation_size () =
+  let module Generator = Separ_workload.Generator in
+  let profiles =
+    List.map
+      (fun p -> { p with Generator.count = p.Generator.count / 40 })
+      Generator.default_profiles
+  in
+  let apps =
+    List.hd (Generator.bundles ~size:10 (Generator.generate ~profiles ()))
+  in
+  let bundle =
+    Bundle.of_models
+      (List.map (fun g -> Extract.extract g.Generator.apk) apps)
+  in
+  let report = Ase.analyze ~jobs:1 bundle in
+  match
+    List.find_opt
+      (fun d -> d.Ase.sd_kind = "information_leakage_2hop")
+      report.Ase.r_sig_deltas
+  with
+  | None -> Alcotest.fail "no information_leakage_2hop delta"
+  | Some d ->
+      check
+        (Printf.sprintf "information_leakage_2hop: %d gates < 5000"
+           d.Ase.sd_gates)
+        true (d.Ase.sd_gates < 5000)
+
 let extension_tests =
   [
     Alcotest.test_case "incremental reanalysis" `Quick
@@ -582,6 +613,8 @@ let extension_tests =
     Alcotest.test_case "one flat pool: no nested forks" `Quick
       test_one_flat_pool;
     Alcotest.test_case "truncation reported" `Quick test_truncation_reported;
+    Alcotest.test_case "two-hop translation stays linear" `Quick
+      test_two_hop_translation_size;
   ]
 
 let tests = tests @ extension_tests

@@ -234,6 +234,12 @@ let random_formula rand s r =
   in
   formula 2
 
+let rec subsets = function
+  | [] -> [ [] ]
+  | x :: rest ->
+      let rs = subsets rest in
+      rs @ List.map (fun set -> x :: set) rs
+
 (* Enumerate all instances by brute force for tiny bounds. *)
 let brute_force_sat n s r formula =
   let u = Universe.of_atoms (List.init n (fun i -> "b" ^ string_of_int i)) in
@@ -243,12 +249,6 @@ let brute_force_sat n s r formula =
   let binary =
     List.concat_map (fun i -> List.init n (fun j -> [| i; j |]))
       (List.init n (fun i -> i))
-  in
-  let rec subsets = function
-    | [] -> [ [] ]
-    | x :: rest ->
-        let rs = subsets rest in
-        rs @ List.map (fun set -> x :: set) rs
   in
   List.exists
     (fun s_set ->
@@ -292,6 +292,83 @@ let test_differential_vs_eval () =
     let brute = brute_force_sat n s r f in
     check "solver agrees with brute force" brute solver_sat
   done
+
+(* --- multiplicities: the ladder encoding of lone/one ----------------------- *)
+
+(* One unary relation with 0-7 upper tuples over an 8-atom universe and a
+   random lower bound within it, so some cells are constant-true; each
+   multiplicity alone and negated must be sat exactly when some subset
+   between the bounds satisfies it, and every model must check. *)
+let test_multiplicities_vs_brute_force () =
+  let rand = Random.State.make [| 41 |] in
+  let n = 8 in
+  let u = Universe.of_atoms (List.init n (fun i -> "m" ^ string_of_int i)) in
+  for _ = 1 to 40 do
+    let upper =
+      List.filter
+        (fun _ -> Random.State.bool rand)
+        (List.init 7 (fun i -> [| i |]))
+    in
+    let lower, free =
+      List.partition (fun _ -> Random.State.int rand 4 = 0) upper
+    in
+    let s = Relation.make "S" 1 in
+    let b = Bounds.create u in
+    Bounds.bound b s ~lower:(Tuple_set.of_list 1 lower)
+      ~upper:(Tuple_set.of_list 1 upper);
+    List.iter
+      (fun m ->
+        List.iter
+          (fun f ->
+            let brute =
+              List.exists
+                (fun chosen ->
+                  Eval.check
+                    (Instance.make u
+                       [ (s, Tuple_set.of_list 1 (lower @ chosen)) ])
+                    f)
+                (subsets free)
+            in
+            let solver_sat =
+              match Solve.solve Solve.{ bounds = b; constraints = [ f ] } with
+              | Solve.Sat inst, _ ->
+                  check "model satisfies the multiplicity" true
+                    (Eval.check inst f);
+                  true
+              | (Solve.Unsat | Solve.Unknown), _ -> false
+            in
+            check
+              (Fmt.str "%a: solver agrees with brute force (%d lower, %d free)"
+                 Ast.pp_formula f (List.length lower) (List.length free))
+              brute solver_sat)
+          [ Ast.Mult (m, Ast.Rel s); Ast.Not_f (Ast.Mult (m, Ast.Rel s)) ])
+      [ Ast.Mno; Ast.Msome; Ast.Mlone; Ast.Mone ]
+  done
+
+(* [one S] over [n] free tuples is linear: the pairwise encoding of
+   [lone] needed about n^2 gates. *)
+let test_one_is_linear () =
+  List.iter
+    (fun n ->
+      let u =
+        Universe.of_atoms (List.init n (fun i -> "o" ^ string_of_int i))
+      in
+      let s = Relation.make "S" 1 in
+      let b = Bounds.create u in
+      Bounds.bound b s ~lower:(Tuple_set.empty 1) ~upper:(Tuple_set.univ n);
+      let solver = Separ_sat.Solver.create () in
+      let tr = Translate.create ~rels:[ s ] b solver in
+      let gates0 = Circuit.gate_count tr.Translate.circuit in
+      let clauses0 = Separ_sat.Solver.n_clauses solver in
+      Translate.assert_formula tr (Ast.Dsl.one (Ast.Rel s));
+      let gates = Circuit.gate_count tr.Translate.circuit - gates0 in
+      let clauses = Separ_sat.Solver.n_clauses solver - clauses0 in
+      check (Printf.sprintf "one over %d tuples: %d gates <= 4n" n gates) true
+        (gates <= 4 * n);
+      check (Printf.sprintf "one over %d tuples: %d clauses <= 8n" n clauses)
+        true
+        (clauses <= 8 * n))
+    [ 64; 512 ]
 
 let test_stats_populated () =
   let problem, _ = paper_problem no_extra in
@@ -693,6 +770,91 @@ let test_circuit_tseitin_vs_eval () =
     done
   done
 
+(* --- matrices: code arithmetic vs the tuple-set algebra ------------------ *)
+
+(* The cells of a ground matrix, as sorted codes; every cell must be
+   constant-true. *)
+let ground_codes m =
+  List.sort compare
+    (Matrix.fold
+       (fun code g acc ->
+         check "ground cell is true" true (Circuit.is_true g);
+         code :: acc)
+       m [])
+
+let ts_codes ~n ts = List.map (Matrix.encode ~n) (Tuple_set.to_list ts)
+
+let test_matrix_vs_tuple_sets () =
+  let rand = Random.State.make [| 5 |] in
+  let random_set n arity =
+    let rec all k =
+      if k = 0 then [ [] ]
+      else
+        List.concat_map (fun t -> List.init n (fun a -> a :: t)) (all (k - 1))
+    in
+    Tuple_set.of_list arity
+      (List.filter_map
+         (fun t ->
+           if Random.State.int rand 5 < 2 then Some (Array.of_list t) else None)
+         (all arity))
+  in
+  for _ = 1 to 200 do
+    let n = 1 + Random.State.int rand 5 in
+    let c = Circuit.create () in
+    let matrix ts =
+      let m = Matrix.create ~n ~arity:(Tuple_set.arity ts) in
+      Tuple_set.iter
+        (fun t -> Matrix.set m (Matrix.encode ~n t) (Circuit.tt c))
+        ts;
+      m
+    in
+    let same what ts m =
+      Alcotest.(check (list int)) what (ts_codes ~n ts) (ground_codes m)
+    in
+    let ka = 1 + Random.State.int rand 3
+    and kb = 1 + Random.State.int rand 3 in
+    let a = random_set n ka and b = random_set n kb and a' = random_set n ka in
+    let ma = matrix a and mb = matrix b and ma' = matrix a' in
+    same "encode round trip" a ma;
+    if ka + kb > 2 then same "join" (Tuple_set.join a b) (Matrix.join c ma mb);
+    same "product" (Tuple_set.product a b) (Matrix.product c ma mb);
+    same "union" (Tuple_set.union a a') (Matrix.union c ma ma');
+    same "inter" (Tuple_set.inter a a') (Matrix.inter c ma ma');
+    same "diff" (Tuple_set.diff a a') (Matrix.diff c ma ma');
+    if ka = 2 then begin
+      same "transpose" (Tuple_set.transpose a) (Matrix.transpose ma);
+      same "closure" (Tuple_set.closure a) (Matrix.closure c ma)
+    end
+  done
+
+(* An expression is memoized on the atoms bound to its own variables:
+   under [all x: S | x.R in T.R], [T.R] is built once for all atoms of
+   [S] while [x.R] is built once per atom. *)
+let test_memo_keys_free_variables () =
+  let n = 4 in
+  let u = Universe.of_atoms (List.init n (fun i -> "k" ^ string_of_int i)) in
+  let s = Relation.make "S" 1 and t = Relation.make "T" 1 in
+  let r = Relation.make "R" 2 in
+  let b = Bounds.create u in
+  Bounds.bound b s ~lower:(Tuple_set.empty 1) ~upper:(Tuple_set.univ n);
+  Bounds.bound b t ~lower:(Tuple_set.empty 1) ~upper:(Tuple_set.univ n);
+  Bounds.bound b r ~lower:(Tuple_set.empty 2)
+    ~upper:(Tuple_set.product (Tuple_set.univ n) (Tuple_set.univ n));
+  let tr = Translate.create ~rels:[ s; t; r ] b (Separ_sat.Solver.create ()) in
+  let f =
+    Ast.Dsl.all (Ast.Rel s) (fun x ->
+        Ast.Subset (Ast.Join (x, Ast.Rel r), Ast.Join (Ast.Rel t, Ast.Rel r)))
+  in
+  let g = Translate.gate_of_formula tr f in
+  let hits, misses = Translate.cache_counts tr in
+  check_int "one miss per x.R plus one for T.R" (n + 1) misses;
+  check_int "T.R hit for every other atom" (n - 1) hits;
+  let g' = Translate.gate_of_formula tr f in
+  check_int "retranslation gives the same gate" g.Circuit.id g'.Circuit.id;
+  let hits', misses' = Translate.cache_counts tr in
+  check_int "retranslation misses nothing" misses misses';
+  check_int "retranslation hits every subterm" (hits + (2 * n)) hits'
+
 let test_universe () =
   let u = Universe.of_atoms [ "x"; "y" ] in
   check_int "size" 2 (Universe.size u);
@@ -726,6 +888,9 @@ let tests =
     Alcotest.test_case "exists quantifier" `Quick test_quantifier_exists_witness;
     Alcotest.test_case "differential vs ground eval" `Slow
       test_differential_vs_eval;
+    Alcotest.test_case "multiplicities vs brute force" `Quick
+      test_multiplicities_vs_brute_force;
+    Alcotest.test_case "one is linear in the cells" `Quick test_one_is_linear;
     Alcotest.test_case "solver stats" `Quick test_stats_populated;
     Alcotest.test_case "stats refresh as formula grows" `Quick
       test_stats_refresh;
@@ -741,6 +906,10 @@ let tests =
       test_attach_binds_new_relations;
     Alcotest.test_case "attach budget is per session" `Quick
       test_attach_budget_scoped;
+    Alcotest.test_case "matrix code arithmetic vs tuple sets" `Quick
+      test_matrix_vs_tuple_sets;
+    Alcotest.test_case "memo keys on free variables" `Quick
+      test_memo_keys_free_variables;
     Alcotest.test_case "universe" `Quick test_universe;
     Alcotest.test_case "circuit canonical n-ary gates" `Quick
       test_circuit_canonical;
