@@ -1058,9 +1058,7 @@ let cache ~mode =
       count "relog.translations",
       count "sat.solves" )
   in
-  let stat cache name =
-    match List.assoc_opt name (Cache.stats cache) with Some n -> n | None -> 0
-  in
+  let stat cache name = List.assoc name (Cache.stats cache) in
   let dir = fresh_cache_dir "separ_cache_bench" in
   let cold_cache = Cache.open_ ~dir () in
   let cold_reports, cold_ms1, cold_translations, cold_solves =
@@ -1095,8 +1093,8 @@ let cache ~mode =
   let scratch_reports, _, _, _ = pass (workload ~extra_path:true) in
   let warm_identical = cold_reports = warm_reports in
   let changed_identical = changed_reports = scratch_reports in
-  let changed_hits = stat changed_cache "ase.hits" in
-  let changed_misses = stat changed_cache "ase.misses" in
+  let changed_hits = stat changed_cache "hits" in
+  let changed_misses = stat changed_cache "misses" in
   let phase_json ms translations solves cache =
     Json.Obj
       ([
@@ -1142,16 +1140,16 @@ let cache ~mode =
     ~checks:
       [
         (warm_identical, "warm stripped reports differ from cold");
-        ( stat warm_cache "ase.misses" = 0,
+        ( stat warm_cache "misses" = 0,
           Printf.sprintf "warm run missed %d ASE verdicts (expected 0)"
-            (stat warm_cache "ase.misses") );
+            (stat warm_cache "misses") );
         ( warm_translations = 0,
           Printf.sprintf "warm run ran %d relational translations (expected 0)"
             warm_translations );
         ( warm_solves = 0,
           Printf.sprintf "warm run ran %d SAT solves (expected 0)" warm_solves
         );
-        (stat warm_cache "ase.hits" > 0, "warm run recorded no ASE cache hits");
+        (stat warm_cache "hits" > 0, "warm run recorded no ASE cache hits");
         ( changed_hits > 0,
           "one-app-changed run kept no cached verdicts (expected path-blind \
            hits)" );
@@ -1240,12 +1238,7 @@ let serve ~mode =
   List.iter (fun apk -> Serve.submit repair (Serve.Upload apk)) final_store;
   ignore (Serve.drain repair);
   Array.iter
-    (fun tier ->
-      let tier = Filename.concat repair_dir tier in
-      if Sys.is_directory tier then
-        Array.iter
-          (fun entry -> Sys.remove (Filename.concat tier entry))
-          (Sys.readdir tier))
+    (fun entry -> Sys.remove (Filename.concat repair_dir entry))
     (Sys.readdir repair_dir);
   let (_ : int), repair_ms =
     Trace.timed "bench.serve_repair" (fun () -> Serve.full_repair repair)
@@ -1515,12 +1508,9 @@ let enforce_mode_report ~policies mode =
 (* Per-check PDP latency against store size, compiled matcher vs linear
    scan, with every sampled event decided identically (verdict and
    deciding-policy id) by both; then the running example's enforcement
-   reports under each PDP mode, which must be byte-identical, with the
-   IPC mode the only one paying event serializations.  The compiled
-   matcher must beat the linear scan at 1000 rules. *)
+   reports under both PDP modes, which must be byte-identical.  The
+   compiled matcher must beat the linear scan at 1000 rules. *)
 let enforce ~mode =
-  let was_enabled = Metrics.is_enabled () in
-  Metrics.enable ();
   let latency =
     List.map (fun rules -> enforce_latency ~mode ~rules) [ 10; 100; 1000 ]
   in
@@ -1530,22 +1520,14 @@ let enforce ~mode =
   let compiled_ratio = ratio l1000.el_compiled_ns l10.el_compiled_ns in
   let linear_ratio = ratio l1000.el_linear_ns l10.el_linear_ns in
   let identity_ok = List.for_all (fun l -> l.el_identical) latency in
-  (* one store for all three modes: derived policy ids come from a
-     global counter, so the store must be synthesized exactly once *)
+  (* one store for both modes: derived policy ids come from a global
+     counter, so the store must be synthesized exactly once *)
   let mode_policies = demo_policies () in
   let rep_compiled = enforce_mode_report ~policies:mode_policies Device.Compiled in
   let rep_reference =
     enforce_mode_report ~policies:mode_policies Device.Reference
   in
-  Metrics.reset ();
-  let rep_ipc = enforce_mode_report ~policies:mode_policies Device.Ipc in
-  let ipc_ser =
-    Metrics.counter_value (Metrics.counter "policy.serializations")
-  in
-  if not was_enabled then Metrics.disable ();
-  let reports_identical =
-    rep_compiled = rep_reference && rep_reference = rep_ipc
-  in
+  let reports_identical = rep_compiled = rep_reference in
   let latency_json l =
     Json.Obj
       [
@@ -1573,7 +1555,6 @@ let enforce ~mode =
   Printf.printf
     "decisions identical: %b; reports byte-identical across modes: %b\n"
     identity_ok reports_identical;
-  Printf.printf "serializations over IPC: %d\n%!" ipc_ser;
   outcome
     ~body:
       [
@@ -1582,7 +1563,6 @@ let enforce ~mode =
         ("linear_1000_vs_10_ratio", Json.Float linear_ratio);
         ("identity_ok", Json.Bool identity_ok);
         ("reports_identical_across_modes", Json.Bool reports_identical);
-        ("ipc_serializations", Json.Int ipc_ser);
       ]
     ~extra:
       [
@@ -1595,10 +1575,7 @@ let enforce ~mode =
           "compiled PDP disagrees with reference decide (verdict or policy id)"
         );
         ( reports_identical,
-          "enforcement reports differ across Compiled/Reference/Ipc PDP modes"
-        );
-        ( ipc_ser > 0,
-          "IPC-mode replay performed no event serializations (expected > 0)" );
+          "enforcement reports differ across Compiled/Reference PDP modes" );
         ( l1000.el_compiled_ns < l1000.el_linear_ns,
           Printf.sprintf
             "compiled PDP not faster than linear scan at 1000 rules (%.0f >= \

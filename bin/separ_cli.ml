@@ -190,16 +190,21 @@ let cache_stats_arg =
     value & flag
     & info [ "cache-stats" ]
         ~doc:
-          "Print persistent-cache counters (per-tier hits/misses, stores, \
-           evictions, corrupt entries) to stderr.")
+          "Print persistent-cache counters (hits, misses, stores, \
+           evictions, corrupt entries, swept tmp files) to stderr.")
 
 let open_cache ~cache_dir ~no_cache ~cache_max_mb =
   match cache_dir with
-  | Some dir when not no_cache ->
-      Some
-        (Separ.Cache.open_ ~dir
-           ?max_bytes:(Option.map (fun mb -> mb * 1024 * 1024) cache_max_mb)
-           ())
+  | Some dir when not no_cache -> (
+      match
+        Separ.Cache.open_ ~dir
+          ?max_bytes:(Option.map (fun mb -> mb * 1024 * 1024) cache_max_mb)
+          ()
+      with
+      | store -> Some store
+      | exception Sys_error msg ->
+          Fmt.epr "separ: cannot open cache directory %s@." msg;
+          exit 1)
   | _ -> None
 
 let print_cache_stats ~cache_stats cache =
@@ -526,17 +531,7 @@ let enforce_cmd =
       value & flag
       & info [ "approve" ] ~doc:"Approve user prompts (default: refuse)")
   in
-  let pdp_ipc =
-    Arg.(
-      value & flag
-      & info [ "pdp-ipc" ]
-          ~doc:
-            "Consult the PDP across a simulated process boundary (event \
-             marshalled both ways per check, the paper's deployed \
-             architecture) instead of the in-process compiled decision \
-             structure.")
-  in
-  let run paths policies_file start consent pdp_ipc trace metrics log log_level
+  let run paths policies_file start consent trace metrics log log_level
       metrics_out profile_gc =
     telemetry_setup ~trace ~metrics ~log ~log_level ~metrics_out ~profile_gc;
     let apks = load_apks paths in
@@ -551,7 +546,6 @@ let enforce_cmd =
     List.iter (Separ.Device.install device) apks;
     Separ.Device.set_policies device policies
       (List.map Separ.Apk.package apks);
-    if pdp_ipc then Separ.Device.set_pdp_mode device Separ.Device.Ipc;
     Separ.Device.set_enforcement device true;
     Separ.Device.set_consent device (fun _ _ -> consent);
     Trace.with_span "runtime.start_component"
@@ -572,7 +566,7 @@ let enforce_cmd =
     (Cmd.info "enforce"
        ~doc:"Run a component on a simulated device under a policy store")
     Term.(
-      const run $ paths $ policies_file $ start $ consent $ pdp_ipc
+      const run $ paths $ policies_file $ start $ consent
       $ trace_arg $ metrics_arg $ log_arg $ log_level_arg $ metrics_out_arg
       $ profile_gc_arg)
 

@@ -96,7 +96,7 @@ type report = {
   (* CDCL counters aggregated over the shared per-config solvers *)
   r_sig_deltas : sig_delta list; (* per signature, in signature order *)
   r_cache : (string * int) list;
-  (* persistent-cache counters (hits/misses per tier, stores, evictions,
+  (* persistent-cache counters (hits, misses, stores, evictions,
      corrupt), sorted by name; [] when no cache was used *)
 }
 
@@ -210,7 +210,6 @@ module Store = Separ_cache.Store
 (* Bump when the cached-verdict layout or the enumeration semantics
    change; old entries then key under a stale version and miss. *)
 let ase_cache_version = "ase-v1"
-let ase_cache_tier = "ase"
 
 (* What a cache hit restores: the signature's scenarios and whether the
    enumeration was cut off at the limit.  Only [Complete] outcomes are
@@ -280,8 +279,8 @@ type shard_result = {
   sh_solver : Separ_sat.Solver.stats_record;
   sh_base_ms : float; (* base translation time, paid once per config *)
   sh_pid : int; (* the process that ran the shard *)
-  (* ASE-tier cache traffic: a worker's copy of the store handle counts
-     it where the parent never sees *)
+  (* cache traffic: a worker's copy of the store handle counts it where
+     the parent never sees *)
   sh_hits : int;
   sh_misses : int;
   sh_stores : int;
@@ -361,7 +360,7 @@ let run_shard ~limit ?budget ~cache bundle (sigs : Signatures.t list) =
               | None -> Computed (solve sig_ env formula base)
               | Some store -> (
                   let key = cache_key ~limit sig_ env formula in
-                  match Store.find store ~tier:ase_cache_tier ~key with
+                  match Store.find store ~key with
                   | Some cv ->
                       incr hits;
                       Computed
@@ -376,14 +375,14 @@ let run_shard ~limit ?budget ~cache bundle (sigs : Signatures.t list) =
                       let sr = solve sig_ env formula base in
                       (* a budget-exhausted signature must be re-attempted
                          next run *)
-                      if sr.sr_outcome = Complete then begin
-                        Store.store store ~tier:ase_cache_tier ~key
-                          {
-                            cv_scenarios = sr.sr_scenarios;
-                            cv_truncated = sr.sr_truncated;
-                          };
-                        incr stores
-                      end;
+                      if
+                        sr.sr_outcome = Complete
+                        && Store.store store ~key
+                             {
+                               cv_scenarios = sr.sr_scenarios;
+                               cv_truncated = sr.sr_truncated;
+                             }
+                      then incr stores;
                       Computed sr)
             with e ->
               (* Best-effort cleanup: retiring the (at most one) live
@@ -579,8 +578,8 @@ let analyze_many ?(signatures = Signatures.all ())
             List.iter
               (function
                 | Pool.Done sh when sh.sh_pid <> Unix.getpid () ->
-                    Store.credit store ~tier:ase_cache_tier ~hits:sh.sh_hits
-                      ~misses:sh.sh_misses ~stores:sh.sh_stores
+                    Store.credit store ~hits:sh.sh_hits ~misses:sh.sh_misses
+                      ~stores:sh.sh_stores
                 | Pool.Done _ | Pool.Failed _ -> ())
               results;
             Store.stats store

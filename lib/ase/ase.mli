@@ -72,8 +72,8 @@ type report = {
           not per-signature sums (which would double-count the base). *)
   r_sig_deltas : sig_delta list;  (** per signature, in signature order *)
   r_cache : (string * int) list;
-      (** persistent-cache counters (per-tier hits/misses, stores,
-          evictions, corrupt entries) of the store handle after the
+      (** persistent-cache counters (hits, misses, stores, evictions,
+          corrupt entries, swept tmp files) of the store handle after the
           whole run — lookups made in forked workers included — sorted
           by name; [[]] when no cache was used *)
 }
@@ -138,9 +138,6 @@ val analyze_many :
   ?cache:Separ_cache.Store.t ->
   Bundle.t list ->
   report list
-
-(** The ASE tier name in a {!Separ_cache.Store.t} ("ase"). *)
-val ase_cache_tier : string
 
 (** The persistent-cache key {!analyze_many} uses for one signature
     over one bundle, computed standalone by the same key function

@@ -27,7 +27,8 @@ let digest_len = 16
 type t = {
   root : string;
   max_bytes : int option;
-  tier_stats : (string, int ref * int ref) Hashtbl.t; (* tier -> hits, misses *)
+  mutable hits : int;
+  mutable misses : int;
   mutable stores : int;
   mutable evictions : int;
   mutable corrupt : int;
@@ -38,29 +39,33 @@ let mkdir_p path =
   let rec go p =
     if p <> "" && p <> "/" && p <> "." && not (Sys.file_exists p) then begin
       go (Filename.dirname p);
-      (try Unix.mkdir p 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
+      try Unix.mkdir p 0o755 with
+      | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+      | Unix.Unix_error (e, _, _) ->
+          raise (Sys_error (path ^ ": " ^ Unix.error_message e))
     end
   in
   go path
 
 let remove_noerr path = try Sys.remove path with Sys_error _ -> ()
 
-(* Temporary publish files are named ".tmp.<entry>.<pid>".  A process
-   killed between creating one and the atomic rename leaks it forever:
-   nothing ever reads it, and nothing would ever delete it.  On open we
-   sweep every tmp file whose owning pid is gone (or unparseable);
-   in-flight publishes of live processes are left alone. *)
-let tmp_prefix = ".tmp."
+(* The only names the store ever makes: an entry is the 32 lowercase
+   hex digits of its key's MD5, and a publish in flight is
+   ".tmp.<entry>.<pid>".  Every other name in the root is someone
+   else's. *)
+let is_entry_name f =
+  String.length f = 32
+  && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) f
 
-let is_tmp_name f =
-  String.length f >= String.length tmp_prefix
-  && String.sub f 0 (String.length tmp_prefix) = tmp_prefix
-
-let tmp_owner_pid f =
-  match String.rindex_opt f '.' with
-  | None -> None
-  | Some i ->
-      int_of_string_opt (String.sub f (i + 1) (String.length f - i - 1))
+(* The owner pid of a tmp file the store made; [None] for any other
+   name. *)
+let tmp_owner f =
+  match String.split_on_char '.' f with
+  | [ ""; "tmp"; entry; pid ]
+    when is_entry_name entry && pid <> ""
+         && String.for_all (function '0' .. '9' -> true | _ -> false) pid ->
+      int_of_string_opt pid
+  | _ -> None
 
 let pid_alive pid =
   pid > 0
@@ -70,82 +75,56 @@ let pid_alive pid =
   | exception Unix.Unix_error (Unix.EPERM, _, _) -> true (* exists, not ours *)
   | exception Unix.Unix_error _ -> false
 
+(* The root's file names; none if the root has gone. *)
+let names t = try Sys.readdir t.root with Sys_error _ -> [||]
+
+(* A process killed between creating its tmp file and the atomic rename
+   leaks it forever: nothing ever reads it, and nothing would ever
+   delete it.  On open we sweep every tmp file whose owning pid is
+   gone; in-flight publishes of live processes are left alone. *)
 let sweep_orphan_tmp t =
-  if Sys.file_exists t.root && Sys.is_directory t.root then
-    Array.iter
-      (fun tier ->
-        let tdir = Filename.concat t.root tier in
-        if Sys.is_directory tdir then
-          Array.iter
-            (fun f ->
-              if is_tmp_name f then
-                let live =
-                  match tmp_owner_pid f with
-                  | Some pid -> pid_alive pid
-                  | None -> false
-                in
-                if not live then begin
-                  remove_noerr (Filename.concat tdir f);
-                  t.tmp_swept <- t.tmp_swept + 1;
-                  Metrics.incr c_swept
-                end)
-            (Sys.readdir tdir))
-      (Sys.readdir t.root)
+  Array.iter
+    (fun f ->
+      match tmp_owner f with
+      | Some pid when not (pid_alive pid) ->
+          remove_noerr (Filename.concat t.root f);
+          t.tmp_swept <- t.tmp_swept + 1;
+          Metrics.incr c_swept
+      | _ -> ())
+    (names t)
 
 let open_ ~dir ?max_bytes () =
   mkdir_p dir;
+  if not (Sys.is_directory dir) then raise (Sys_error (dir ^ ": Not a directory"));
   let t =
-    { root = dir; max_bytes; tier_stats = Hashtbl.create 4;
-      stores = 0; evictions = 0; corrupt = 0; tmp_swept = 0 }
+    { root = dir; max_bytes; hits = 0; misses = 0; stores = 0; evictions = 0;
+      corrupt = 0; tmp_swept = 0 }
   in
   sweep_orphan_tmp t;
   t
 
 let dir t = t.root
 
-let tier_counts t tier =
-  match Hashtbl.find_opt t.tier_stats tier with
-  | Some c -> c
-  | None ->
-      let c = (ref 0, ref 0) in
-      Hashtbl.add t.tier_stats tier c;
-      c
+let entry_path t ~key = Filename.concat t.root (Digest.to_hex (Digest.string key))
 
-let entry_path t ~tier ~key =
-  Filename.concat (Filename.concat t.root tier) (Digest.to_hex (Digest.string key))
-
-(* Every regular non-temporary file in every tier directory.  The
-   dot-prefix skip keeps in-flight ".tmp.*" publish files out of the
-   size accounting and the eviction scan. *)
+(* Every entry: a regular file with an entry name directly in the root.
+   In-flight tmp files, foreign files and subdirectories are skipped. *)
 let entries t =
-  let acc = ref [] in
-  if Sys.file_exists t.root && Sys.is_directory t.root then
-    Array.iter
-      (fun tier ->
-        let tdir = Filename.concat t.root tier in
-        if Sys.is_directory tdir then
-          Array.iter
-            (fun f ->
-              if not (String.length f > 0 && f.[0] = '.') then
-                let path = Filename.concat tdir f in
-                match Unix.stat path with
-                | { Unix.st_kind = Unix.S_REG; st_size; st_atime; _ } ->
-                    acc := (path, st_size, st_atime) :: !acc
-                | _ | (exception Unix.Unix_error _) -> ())
-            (Sys.readdir tdir))
-      (Sys.readdir t.root);
-  !acc
+  Array.fold_left
+    (fun acc f ->
+      if not (is_entry_name f) then acc
+      else
+        let path = Filename.concat t.root f in
+        match Unix.lstat path with
+        | { Unix.st_kind = Unix.S_REG; st_size; st_atime; _ } ->
+            (path, st_size, st_atime) :: acc
+        | _ | (exception Unix.Unix_error _) -> acc)
+    [] (names t)
 
 let size_bytes t =
   List.fold_left (fun acc (_, sz, _) -> acc + sz) 0 (entries t)
 
-let entry_count t ~tier =
-  let tdir = Filename.concat t.root tier in
-  if Sys.file_exists tdir && Sys.is_directory tdir then
-    Array.fold_left
-      (fun acc f -> if String.length f > 0 && f.[0] = '.' then acc else acc + 1)
-      0 (Sys.readdir tdir)
-  else 0
+let entry_count t = List.length (entries t)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -155,7 +134,7 @@ let read_file path =
 (* Validate an entry file; [Some payload] iff it parses end to end. *)
 let read_entry path =
   match read_file path with
-  | exception Sys_error _ -> None
+  | exception (Sys_error _ | End_of_file) -> None
   | raw ->
       if String.length raw < magic_len + digest_len then None
       else if String.sub raw 0 magic_len <> magic then None
@@ -167,43 +146,43 @@ let read_entry path =
         in
         if Digest.string payload <> stored then None else Some payload
 
-let find t ~tier ~key =
-  let hits, misses = tier_counts t tier in
-  let path = entry_path t ~tier ~key in
+let find t ~key =
+  let path = entry_path t ~key in
   let miss ~corrupt =
     if corrupt then begin
       t.corrupt <- t.corrupt + 1;
       Metrics.incr c_corrupt;
       remove_noerr path
     end;
-    incr misses;
+    t.misses <- t.misses + 1;
     Metrics.incr c_misses;
     None
   in
-  if not (Sys.file_exists path) then miss ~corrupt:false
-  else
-    match read_entry path with
-    | None -> miss ~corrupt:true
-    | Some payload -> (
-        match Marshal.from_string payload 0 with
-        | exception _ -> miss ~corrupt:true
-        | v ->
-            (* LRU bookkeeping: refresh the access time on a hit while
-               preserving the modification (publish) time — [utimes p 0. 0.]
-               hits the both-zero special case that resets {e both} to
-               now, clobbering mtime on every read. *)
-            (try
-               let st = Unix.stat path in
-               let atime = Unix.gettimeofday () in
-               (* dodge the both-zero special case of [utimes] *)
-               let atime =
-                 if atime = 0.0 && st.Unix.st_mtime = 0.0 then 1e-6 else atime
-               in
-               Unix.utimes path atime st.Unix.st_mtime
-             with Unix.Unix_error _ -> ());
-            incr hits;
-            Metrics.incr c_hits;
-            Some v)
+  match Unix.lstat path with
+  | exception Unix.Unix_error _ -> miss ~corrupt:false
+  | st when st.Unix.st_kind <> Unix.S_REG -> miss ~corrupt:false
+  | st -> (
+      match read_entry path with
+      | None -> miss ~corrupt:true
+      | Some payload -> (
+          match Marshal.from_string payload 0 with
+          | exception _ -> miss ~corrupt:true
+          | v ->
+              (* LRU bookkeeping: refresh the access time on a hit while
+                 preserving the modification (publish) time — [utimes p 0. 0.]
+                 hits the both-zero special case that resets {e both} to
+                 now, clobbering mtime on every read. *)
+              (try
+                 let atime = Unix.gettimeofday () in
+                 (* dodge the both-zero special case of [utimes] *)
+                 let atime =
+                   if atime = 0.0 && st.Unix.st_mtime = 0.0 then 1e-6 else atime
+                 in
+                 Unix.utimes path atime st.Unix.st_mtime
+               with Unix.Unix_error _ -> ());
+              t.hits <- t.hits + 1;
+              Metrics.incr c_hits;
+              Some v))
 
 let evict_to_cap t =
   match t.max_bytes with
@@ -233,45 +212,50 @@ let evict_to_cap t =
           es
       end
 
-let store t ~tier ~key v =
-  let tdir = Filename.concat t.root tier in
-  mkdir_p tdir;
-  let path = entry_path t ~tier ~key in
+let store t ~key v =
+  let path = entry_path t ~key in
   let payload = Marshal.to_string v [] in
   let tmp =
-    Filename.concat tdir
+    Filename.concat t.root
       (Printf.sprintf ".tmp.%s.%d" (Filename.basename path) (Unix.getpid ()))
   in
-  (try
-     let oc = open_out_bin tmp in
-     Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
-         output_string oc magic;
-         output_string oc (Digest.string payload);
-         output_string oc payload);
-     (* Atomic publish: a concurrent reader sees the old entry, no
-        entry, or the complete new one — never a partial write. *)
-     Sys.rename tmp path
-   with Sys_error _ -> remove_noerr tmp);
-  t.stores <- t.stores + 1;
-  Metrics.incr c_stores;
-  evict_to_cap t
+  let published =
+    try
+      let oc = open_out_bin tmp in
+      Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
+          output_string oc magic;
+          output_string oc (Digest.string payload);
+          output_string oc payload;
+          (* a flush that fails (disk full) must not publish *)
+          close_out oc);
+      (* Atomic publish: a concurrent reader sees the old entry, no
+         entry, or the complete new one — never a partial write. *)
+      Sys.rename tmp path;
+      true
+    with Sys_error _ ->
+      remove_noerr tmp;
+      false
+  in
+  if published then begin
+    t.stores <- t.stores + 1;
+    Metrics.incr c_stores;
+    evict_to_cap t
+  end;
+  published
 
 (* Counters only: the [Metrics] side of a worker's lookups already
    reaches the parent through the pool's telemetry merge. *)
-let credit t ~tier ~hits ~misses ~stores =
-  let h, m = tier_counts t tier in
-  h := !h + hits;
-  m := !m + misses;
+let credit t ~hits ~misses ~stores =
+  t.hits <- t.hits + hits;
+  t.misses <- t.misses + misses;
   t.stores <- t.stores + stores
 
 let stats t =
-  let per_tier =
-    Hashtbl.fold
-      (fun tier (hits, misses) acc ->
-        (tier ^ ".hits", !hits) :: (tier ^ ".misses", !misses) :: acc)
-      t.tier_stats []
-  in
-  List.sort
-    (fun (a, _) (b, _) -> compare (a : string) b)
-    (("corrupt", t.corrupt) :: ("evictions", t.evictions)
-     :: ("stores", t.stores) :: ("tmp_swept", t.tmp_swept) :: per_tier)
+  [
+    ("corrupt", t.corrupt);
+    ("evictions", t.evictions);
+    ("hits", t.hits);
+    ("misses", t.misses);
+    ("stores", t.stores);
+    ("tmp_swept", t.tmp_swept);
+  ]

@@ -13,11 +13,6 @@
                      p_action = Prompt }]. *)
 
 open Separ_android
-module Metrics = Separ_obs.Metrics
-
-(* Every event marshalled across the PDP process boundary, in either
-   direction.  The in-process fast path must leave this at zero. *)
-let c_serializations = Metrics.counter "policy.serializations"
 
 type event_kind = Icc_send | Icc_receive
 
@@ -363,85 +358,6 @@ let minimize_store policies =
     if alive.(i) then out := arr.(i) :: !out
   done;
   !out
-
-(* The PDP runs as an independent app (the paper's architecture), so the
-   PEP's decision request crosses a process boundary.  These functions
-   marshal the ICC event for that round trip; the simulated device pays
-   this cost on every hooked ICC call. *)
-(* Separators are non-printing control characters, so arbitrary payload
-   strings (which may contain commas, equals signs, colons) round-trip:
-   0x1f between fields, 0x1e between list items, 0x1d inside an extra. *)
-let event_to_line (ev : icc_event) =
-  Metrics.incr c_serializations;
-  String.concat "\x1f"
-    [
-      event_to_string ev.ev_kind;
-      ev.ev_sender_component;
-      ev.ev_sender_app;
-      string_of_bool ev.ev_sender_installed_at_analysis;
-      String.concat "\x1e" ev.ev_sender_permissions;
-      Option.value ~default:"" ev.ev_intent.Intent.target;
-      Option.value ~default:"" ev.ev_intent.Intent.action;
-      String.concat "\x1e" ev.ev_intent.Intent.categories;
-      Option.value ~default:"" ev.ev_intent.Intent.data_type;
-      Option.value ~default:"" ev.ev_intent.Intent.data_scheme;
-      String.concat "\x1e"
-        (List.map
-           (fun e ->
-             String.concat "\x1d"
-               (e.Intent.key :: e.Intent.value
-               :: List.map Resource.to_string e.Intent.taint))
-           ev.ev_intent.Intent.extras);
-      string_of_bool ev.ev_intent.Intent.wants_result;
-      ev.ev_receiver_component;
-      ev.ev_receiver_app;
-    ]
-
-let event_of_line line =
-  Metrics.incr c_serializations;
-  let opt = function "" -> None | s -> Some s in
-  let items = function "" -> [] | s -> String.split_on_char '\x1e' s in
-  match String.split_on_char '\x1f' line with
-  | [ kind; sc; sa; installed; perms; target; action; cats; dt; ds; extras;
-      wants; rc; ra ] ->
-      {
-        ev_kind = event_of_string kind;
-        ev_sender_component = sc;
-        ev_sender_app = sa;
-        ev_sender_installed_at_analysis = bool_of_string installed;
-        ev_sender_permissions = items perms;
-        ev_intent =
-          Intent.make ?target:(opt target) ?action:(opt action)
-            ~categories:(items cats) ?data_type:(opt dt) ?data_scheme:(opt ds)
-            ~extras:
-              (List.filter_map
-                 (fun item ->
-                   match String.split_on_char '\x1d' item with
-                   | key :: value :: taint ->
-                       Some
-                         Intent.{
-                           key;
-                           value;
-                           taint = List.filter_map Resource.of_string taint;
-                         }
-                   | _ -> None)
-                 (items extras))
-            ~wants_result:(bool_of_string wants) ()
-        ;
-        ev_receiver_component = rc;
-        ev_receiver_app = ra;
-      }
-  | _ -> failwith "Policy.event_of_line: malformed"
-
-(* A PDP decision as seen through the process boundary: the event is
-   marshalled to the PDP app once, evaluated there against both the
-   receive-side and send-side rules in a single pass over the store, and
-   the verdict returned.  The marshalling (counted in
-   [policy.serializations]) is the point of this entry: the in-process
-   fast path calls [decide_both] directly and pays none of it. *)
-let decide_remote policies ev =
-  let ev = event_of_line (event_to_line ev) in
-  decide_both policies ev
 
 let pp ppf p =
   Fmt.pf ppf "@[<v 2>{ event: %s,@,condition: [%a],@,action: %s }@]"

@@ -78,17 +78,10 @@ val decide_view : t list -> view -> decision
     the event's own kind decides first (Deny, then Prompt); only if it
     allows do the flipped-kind rules apply.  Equivalent to [decide]
     followed by [decide] on the kind-flipped event, at one scan and one
-    view.  This is what the in-process runtime hook calls — no
-    marshalling. *)
+    view.  The runtime hook's [Reference] mode calls this. *)
 val decide_both : t list -> icc_event -> decision
 
 val decide_both_view : t list -> view -> decision
-
-(** As {!decide_both}, but the event crosses the process boundary to the
-    PDP app (marshalled both ways, counted in the
-    [policy.serializations] metric).  The runtime's opt-in IPC mode
-    calls this. *)
-val decide_remote : t list -> icc_event -> decision
 
 (** {1 Serialization} *)
 
@@ -115,8 +108,4 @@ val subsumes : t -> t -> bool
     unchanged for every event. *)
 val minimize_store : t list -> t list
 
-(** Marshalled form of an ICC event (the PDP IPC payload). *)
-val event_to_line : icc_event -> string
-
-val event_of_line : string -> icc_event
 val pp : Format.formatter -> t -> unit

@@ -28,12 +28,6 @@ let atoms_of t rel =
   Tuple_set.to_list (value t rel)
   |> List.map (fun tup -> Universe.name t.universe tup.(0))
 
-(* Pairs of names in a binary relation. *)
-let pairs_of t rel =
-  Tuple_set.to_list (value t rel)
-  |> List.map (fun tup ->
-         (Universe.name t.universe tup.(0), Universe.name t.universe tup.(1)))
-
 (* The unary image of [atom] under binary relation [rel]: atom.rel *)
 let image t rel atom_name =
   let a = Universe.atom t.universe atom_name in

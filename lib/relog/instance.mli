@@ -13,9 +13,6 @@ val relations : t -> Relation.t list
 (** Atom names in a unary relation. *)
 val atoms_of : t -> Relation.t -> string list
 
-(** Name pairs in a binary relation. *)
-val pairs_of : t -> Relation.t -> (string * string) list
-
 (** The unary image of a named atom under a binary relation. *)
 val image : t -> Relation.t -> string -> string list
 

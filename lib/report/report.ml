@@ -129,8 +129,8 @@ let of_incremental (report : Ase.report) =
         Json.List (List.map of_sig_delta report.Ase.r_sig_deltas) );
     ]
 
-(* Persistent-cache counters (per-tier hits/misses, stores, evictions,
-   corrupt entries).  [Ase.r_cache] is already sorted by name — JSON key
+(* Persistent-cache counters (hits, misses, stores, evictions, corrupt
+   entries, swept tmp files).  [Ase.r_cache] is already sorted by name — JSON key
    order here is deterministic by construction. *)
 let of_cache (report : Ase.report) =
   Json.Obj

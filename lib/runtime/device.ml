@@ -45,11 +45,8 @@ let h_swap_latency =
    [Compiled] (default): the in-process compiled decision structure —
    one event view, single-pass send+receive evaluation, no marshalling.
    [Reference]: the uncompiled single-pass scan over the store, same
-   view sharing; the oracle the compiled path is tested against.
-   [Ipc]: the paper's deployed architecture — the event is marshalled
-   across the PDP process boundary and back (counted in
-   [policy.serializations]); RQ4's overhead story. *)
-type pdp_mode = Compiled | Reference | Ipc
+   view sharing; the oracle the compiled path is tested against. *)
+type pdp_mode = Compiled | Reference
 
 (* The PDP state the hook consults, as ONE immutable snapshot: the hook
    reads [t.pdp] exactly once per check, so a concurrent
@@ -104,11 +101,6 @@ let create ?(enforcement = false) () =
 
 let install t apk = t.apps <- t.apps @ [ apk ]
 
-let uninstall t pkg =
-  t.apps <- List.filter (fun a -> Apk.package a <> pkg) t.apps;
-  t.dyn_receivers <- List.filter (fun (p, _, _) -> p <> pkg) t.dyn_receivers;
-  t.callbacks <- List.filter (fun (p, _, _) -> p <> pkg) t.callbacks
-
 let set_policies t policies analyzed_packages =
   t.pdp <- build_pdp policies analyzed_packages
 
@@ -129,7 +121,6 @@ let swap_policies ?analyzed t policies =
   else t.pdp <- build_pdp policies analyzed
 
 let set_pdp_mode t mode = t.pdp_mode <- mode
-let pdp_mode t = t.pdp_mode
 let policies t = t.pdp.pd_policies
 let set_enforcement t on = t.enforcement <- on
 let set_consent t f = t.consent <- f
@@ -539,15 +530,11 @@ and deliver_one ctx icc (o : Value.intent_obj) (rapk : Apk.t)
           }
       in
       (* Both send-side and receive-side policies are evaluated here in
-         one pass — the hook observes the full delivery.  The fast path
-         stays in-process on the compiled decision structure; the
-         opt-in [Ipc] mode marshals the event across the PDP process
-         boundary and back, preserving RQ4's measurement story. *)
+         one pass — the hook observes the full delivery, in-process. *)
       let consult () =
         match t.pdp_mode with
         | Compiled -> Compile.decide_full pdp.pd_compiled ev
         | Reference -> Policy.decide_both pdp.pd_policies ev
-        | Ipc -> Policy.decide_remote pdp.pd_policies ev
       in
       let decision =
         if Metrics.is_enabled () then begin

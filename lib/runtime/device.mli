@@ -7,9 +7,9 @@
     the static analyses.
 
     When enforcement is on, every ICC delivery is routed through a hook
-    (the PEP) that marshals an event record across the PDP process
-    boundary and applies the verdict: allowed deliveries proceed, denials
-    are dropped, prompts go to the user-consent callback.  Refused
+    (the PEP) that builds an event record, consults the in-process PDP
+    and applies the verdict: allowed deliveries proceed, denials are
+    dropped, prompts go to the user-consent callback.  Refused
     operations are skipped without crashing the caller. *)
 
 open Separ_android
@@ -23,8 +23,6 @@ val create : ?enforcement:bool -> unit -> t
 (** Install an app (appended: later installs win ambiguous implicit
     resolution, the pre-Lollipop behaviour that enables hijack). *)
 val install : t -> Apk.t -> unit
-
-val uninstall : t -> string -> unit
 
 (** Load policies and record which packages the analysis covered (the
     [Sender_app_not_installed] condition refers to this set).  The
@@ -43,13 +41,10 @@ val swap_policies : ?analyzed:string list -> t -> Policy.t list -> unit
 (** How the PEP hook consults the PDP: [Compiled] (default) uses the
     in-process compiled decision structure with single-pass
     send+receive evaluation and zero marshalling; [Reference] is the
-    uncompiled single-pass scan (the testing oracle); [Ipc] marshals
-    the event across the PDP process boundary both ways (the paper's
-    deployed architecture, counted in [policy.serializations]). *)
-type pdp_mode = Compiled | Reference | Ipc
+    uncompiled single-pass scan (the testing oracle). *)
+type pdp_mode = Compiled | Reference
 
 val set_pdp_mode : t -> pdp_mode -> unit
-val pdp_mode : t -> pdp_mode
 
 (** The currently loaded store. *)
 val policies : t -> Policy.t list

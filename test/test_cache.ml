@@ -24,9 +24,11 @@ let fresh_dir () =
   Sys.remove d;
   d
 
+(* The file name [Store] gives the entry for [key]. *)
+let entry_name key = Digest.to_hex (Digest.string key)
+
 (* Where [Store] keeps the entry for [key] — tests corrupt it in place. *)
-let entry_file dir tier key =
-  Filename.concat (Filename.concat dir tier) (Digest.to_hex (Digest.string key))
+let entry_file dir key = Filename.concat dir (entry_name key)
 
 let slurp path =
   let ic = open_in_bin path in
@@ -39,33 +41,32 @@ let spit path s =
   output_string oc s;
   close_out oc
 
+let store t ~key v = check "entry published" true (Store.store t ~key v)
+
 (* --- store basics --------------------------------------------------------- *)
 
 let test_roundtrip () =
   let t = Store.open_ ~dir:(fresh_dir ()) () in
   check "initial lookup misses" true
-    ((Store.find t ~tier:"ame" ~key:"k" : int list option) = None);
-  Store.store t ~tier:"ame" ~key:"k" [ 1; 2; 3 ];
-  (match (Store.find t ~tier:"ame" ~key:"k" : int list option) with
+    ((Store.find t ~key:"k" : int list option) = None);
+  store t ~key:"k" [ 1; 2; 3 ];
+  (match (Store.find t ~key:"k" : int list option) with
   | Some v -> Alcotest.(check (list int)) "value roundtrips" [ 1; 2; 3 ] v
   | None -> Alcotest.fail "expected a hit after store");
   let stats = Store.stats t in
-  check_int "one hit" 1 (List.assoc "ame.hits" stats);
-  check_int "one miss" 1 (List.assoc "ame.misses" stats);
+  check_int "one hit" 1 (List.assoc "hits" stats);
+  check_int "one miss" 1 (List.assoc "misses" stats);
   check_int "one store" 1 (List.assoc "stores" stats);
   check_int "no corruption" 0 (List.assoc "corrupt" stats);
-  check_int "one entry on disk" 1 (Store.entry_count t ~tier:"ame")
-
-(* Distinct keys and tiers do not collide. *)
-let test_key_and_tier_separation () =
-  let t = Store.open_ ~dir:(fresh_dir ()) () in
-  Store.store t ~tier:"ame" ~key:"k" "ame-value";
-  Store.store t ~tier:"ase" ~key:"k" "ase-value";
-  check "same key, different tiers" true
-    ((Store.find t ~tier:"ame" ~key:"k" : string option) = Some "ame-value"
-    && (Store.find t ~tier:"ase" ~key:"k" : string option) = Some "ase-value");
+  check_int "one entry on disk" 1 (Store.entry_count t);
+  (* distinct keys do not collide *)
+  store t ~key:"other" [ 4 ];
+  check "distinct keys keep distinct values" true
+    ((Store.find t ~key:"k" : int list option) = Some [ 1; 2; 3 ]
+    && (Store.find t ~key:"other" : int list option) = Some [ 4 ]);
   check "unknown key misses" true
-    ((Store.find t ~tier:"ame" ~key:"other" : string option) = None)
+    ((Store.find t ~key:"unknown" : int list option) = None);
+  check_int "two entries on disk" 2 (Store.entry_count t)
 
 (* --- corruption tolerance ------------------------------------------------- *)
 
@@ -74,19 +75,19 @@ let test_key_and_tier_separation () =
 let corruption_case mangle =
   let dir = fresh_dir () in
   let t = Store.open_ ~dir () in
-  Store.store t ~tier:"ase" ~key:"sig" "verdict";
-  let path = entry_file dir "ase" "sig" in
+  store t ~key:"sig" "verdict";
+  let path = entry_file dir "sig" in
   spit path (mangle (slurp path));
   check "corrupt entry is a miss" true
-    ((Store.find t ~tier:"ase" ~key:"sig" : string option) = None);
+    ((Store.find t ~key:"sig" : string option) = None);
   let stats = Store.stats t in
   check_int "corruption recorded" 1 (List.assoc "corrupt" stats);
-  check_int "miss recorded" 1 (List.assoc "ase.misses" stats);
+  check_int "miss recorded" 1 (List.assoc "misses" stats);
   check "bad entry deleted" false (Sys.file_exists path);
   (* the caller recomputes and rewrites; the store recovers in place *)
-  Store.store t ~tier:"ase" ~key:"sig" "verdict";
+  store t ~key:"sig" "verdict";
   check "re-store recovers" true
-    ((Store.find t ~tier:"ase" ~key:"sig" : string option) = Some "verdict")
+    ((Store.find t ~key:"sig" : string option) = Some "verdict")
 
 let test_truncated_entry () =
   (* cut mid-payload and mid-header *)
@@ -108,28 +109,27 @@ let test_wrong_magic_entry () =
 let test_stale_tmp_file_harmless () =
   let dir = fresh_dir () in
   let t = Store.open_ ~dir () in
-  Store.store t ~tier:"ame" ~key:"k" "good";
-  let tdir = Filename.concat dir "ame" in
-  spit (Filename.concat tdir ".tmp.deadbeef.999") "partial garbage";
+  store t ~key:"k" "good";
+  spit (Filename.concat dir (".tmp." ^ entry_name "k" ^ ".999")) "partial garbage";
   check "real entry still served" true
-    ((Store.find t ~tier:"ame" ~key:"k" : string option) = Some "good");
-  check_int "tmp file not counted as an entry" 1 (Store.entry_count t ~tier:"ame");
+    ((Store.find t ~key:"k" : string option) = Some "good");
+  check_int "tmp file not counted as an entry" 1 (Store.entry_count t);
   (* overwriting the same key (the concurrent-writer race resolved by
      atomic rename) just replaces the entry *)
-  Store.store t ~tier:"ame" ~key:"k" "newer";
+  store t ~key:"k" "newer";
   check "last writer wins" true
-    ((Store.find t ~tier:"ame" ~key:"k" : string option) = Some "newer")
+    ((Store.find t ~key:"k" : string option) = Some "newer")
 
-(* A process killed mid-publish leaks its ".tmp.*" file; nothing ever
-   read or removed it.  Opening the store must sweep tmp files whose
-   owning pid (the trailing name component) is dead or unparseable,
-   while leaving a live process's in-flight publish alone. *)
+(* A process killed mid-publish leaks its ".tmp.<entry>.<pid>" file;
+   nothing ever read or removed it.  Opening the store must sweep tmp
+   files whose owning pid is dead, while leaving a live process's
+   in-flight publish alone — and a file whose name the store never
+   makes is not its own to delete. *)
 let test_orphan_tmp_swept_on_open () =
   let dir = fresh_dir () in
-  (* a first handle creates the tier, then "dies" mid-publish *)
+  (* a first handle writes an entry, then "dies" mid-publish *)
   let t0 = Store.open_ ~dir () in
-  Store.store t0 ~tier:"ame" ~key:"k" "good";
-  let tdir = Filename.concat dir "ame" in
+  store t0 ~key:"k" "good";
   (* a genuinely dead pid: fork a child that exits immediately *)
   let dead_pid =
     match Unix.fork () with
@@ -138,28 +138,26 @@ let test_orphan_tmp_swept_on_open () =
         ignore (Unix.waitpid [] pid);
         pid
   in
-  let orphan_dead =
-    Filename.concat tdir (Printf.sprintf ".tmp.deadentry.%d" dead_pid)
+  let tmp key owner =
+    Filename.concat dir (Printf.sprintf ".tmp.%s.%s" (entry_name key) owner)
   in
-  let orphan_junk = Filename.concat tdir ".tmp.noentry.notapid" in
-  let live =
-    Filename.concat tdir (Printf.sprintf ".tmp.inflight.%d" (Unix.getpid ()))
-  in
-  List.iter (fun p -> spit p "half-written payload")
-    [ orphan_dead; orphan_junk; live ];
+  let orphan_dead = tmp "dead" (string_of_int dead_pid) in
+  let foreign = tmp "junk" "notapid" in
+  let live = tmp "inflight" (string_of_int (Unix.getpid ())) in
+  List.iter (fun p -> spit p "half-written payload") [ orphan_dead; foreign; live ];
   let t = Store.open_ ~dir () in
   check "dead-pid orphan swept" false (Sys.file_exists orphan_dead);
-  check "unparseable orphan swept" false (Sys.file_exists orphan_junk);
+  check "foreign tmp-like name kept" true (Sys.file_exists foreign);
   check "live in-flight publish kept" true (Sys.file_exists live);
-  check_int "two sweeps recorded" 2 (List.assoc "tmp_swept" (Store.stats t));
-  (* the surviving tmp file never leaks into the entry accounting *)
-  check_int "tmp file not an entry" 1 (Store.entry_count t ~tier:"ame");
-  let entry = entry_file dir "ame" "k" in
+  check_int "one sweep recorded" 1 (List.assoc "tmp_swept" (Store.stats t));
+  (* the surviving tmp files never leak into the entry accounting *)
+  check_int "tmp file not an entry" 1 (Store.entry_count t);
+  let entry = entry_file dir "k" in
   check "size counts entries only" true
     (Store.size_bytes t = String.length (slurp entry));
   check "real entry still served" true
-    ((Store.find t ~tier:"ame" ~key:"k" : string option) = Some "good");
-  Sys.remove live
+    ((Store.find t ~key:"k" : string option) = Some "good");
+  List.iter Sys.remove [ foreign; live ]
 
 (* The read-through LRU touch must bump only the access time: the old
    [utimes path 0. 0.] call hit the both-zero special case that resets
@@ -168,12 +166,12 @@ let test_orphan_tmp_swept_on_open () =
 let test_hit_preserves_mtime () =
   let dir = fresh_dir () in
   let t = Store.open_ ~dir () in
-  Store.store t ~tier:"ame" ~key:"k" "payload";
-  let path = entry_file dir "ame" "k" in
+  store t ~key:"k" "payload";
+  let path = entry_file dir "k" in
   (* age the entry: both times well in the past *)
   let past = Unix.gettimeofday () -. 1000.0 in
   Unix.utimes path past past;
-  (match (Store.find t ~tier:"ame" ~key:"k" : string option) with
+  (match (Store.find t ~key:"k" : string option) with
   | Some "payload" -> ()
   | _ -> Alcotest.fail "hit expected");
   let st = Unix.stat path in
@@ -182,7 +180,7 @@ let test_hit_preserves_mtime () =
   check "atime refreshed by the hit" true
     (st.Unix.st_atime > past +. 500.0);
   (* a second hit keeps mtime pinned too *)
-  ignore (Store.find t ~tier:"ame" ~key:"k" : string option);
+  ignore (Store.find t ~key:"k" : string option);
   let st2 = Unix.stat path in
   check "mtime still preserved" true
     (abs_float (st2.Unix.st_mtime -. past) < 2.0)
@@ -193,22 +191,52 @@ let test_eviction_under_tiny_cap () =
   let cap = 400 in
   let t = Store.open_ ~dir:(fresh_dir ()) ~max_bytes:cap () in
   let big = String.make 200 'x' in
-  List.iter (fun k -> Store.store t ~tier:"ame" ~key:k big) [ "a"; "b"; "c" ];
+  List.iter (fun k -> store t ~key:k big) [ "a"; "b"; "c" ];
   let stats = Store.stats t in
   check "evictions recorded" true (List.assoc "evictions" stats > 0);
   check "size back under cap" true (Store.size_bytes t <= cap);
-  check "some entries evicted" true (Store.entry_count t ~tier:"ame" < 3);
+  check "some entries evicted" true (Store.entry_count t < 3);
   (* an evicted key degrades to a recorded miss and can be recomputed *)
   let missing =
     List.filter
-      (fun k -> (Store.find t ~tier:"ame" ~key:k : string option) = None)
+      (fun k -> (Store.find t ~key:k : string option) = None)
       [ "a"; "b"; "c" ]
   in
   check "an evicted key misses" true (missing <> []);
   check "miss recorded for evicted keys" true
-    (List.assoc "ame.misses" (Store.stats t) >= List.length missing);
-  Store.store t ~tier:"ame" ~key:(List.hd missing) big;
+    (List.assoc "misses" (Store.stats t) >= List.length missing);
+  store t ~key:(List.hd missing) big;
   check "rewrite keeps the cap" true (Store.size_bytes t <= cap)
+
+(* The store only touches its own files.  Under a cap below one entry's
+   size every store evicts at once; a foreign file in the root, a file
+   in a subdirectory (say, ase/ or ame/ left by an older layout) and a
+   subdirectory named like an entry must all survive opening, storing
+   and eviction, and count toward no size. *)
+let test_foreign_files_untouched () =
+  let dir = fresh_dir () in
+  Store.mkdir_p (Filename.concat dir "docs");
+  Store.mkdir_p (Filename.concat dir (entry_name "k"));
+  let foreign =
+    [
+      Filename.concat dir "notes.txt";
+      Filename.concat dir "docs/notes.txt";
+      Filename.concat dir (Filename.concat (entry_name "k") "inner");
+    ]
+  in
+  List.iter (fun p -> spit p (String.make 2000 'n')) foreign;
+  let t = Store.open_ ~dir ~max_bytes:16 () in
+  check "foreign files count for nothing" true (Store.size_bytes t = 0);
+  store t ~key:"a" "a payload larger than the cap";
+  store t ~key:"b" "another payload larger than the cap";
+  check_int "every store evicted itself" 2
+    (List.assoc "evictions" (Store.stats t));
+  check "a subdirectory named like an entry is a miss" true
+    ((Store.find t ~key:"k" : string option) = None);
+  check_int "and not corrupt" 0 (List.assoc "corrupt" (Store.stats t));
+  List.iter (fun p -> check (p ^ " survives") true (Sys.file_exists p)) foreign;
+  check "size counts no foreign file" true (Store.size_bytes t = 0);
+  check_int "no entries left" 0 (Store.entry_count t)
 
 (* --- ASE fingerprints ----------------------------------------------------- *)
 
@@ -284,13 +312,13 @@ let test_analyze_warm_rerun () =
   let nsigs = List.length (Signatures.all ()) in
   let cold = Ase.analyze ~cache:t bundle in
   check_int "cold run misses every signature" nsigs
-    (List.assoc "ase.misses" (Store.stats t));
+    (List.assoc "misses" (Store.stats t));
   check_int "cold run stores every verdict" nsigs
     (List.assoc "stores" (Store.stats t));
   Metrics.reset ();
   let warm = Ase.analyze ~cache:t bundle in
   check_int "warm run hits every signature" nsigs
-    (List.assoc "ase.hits" (Store.stats t));
+    (List.assoc "hits" (Store.stats t));
   check_int "warm run runs zero SAT solves" 0
     (Metrics.counter_value (Metrics.counter "sat.solves"));
   check "stripped reports byte-identical cold vs warm" true
@@ -300,6 +328,29 @@ let test_analyze_warm_rerun () =
     ((Ase.strip_performance warm).Ase.r_cache = []);
   Metrics.reset ();
   Metrics.disable ()
+
+(* A cache write that fails must cost nothing but the write: with the
+   root replaced by a file after opening, every lookup misses, every
+   store is dropped uncounted, and the analysis reports exactly what a
+   cacheless run does. *)
+let test_failed_writes_keep_verdicts () =
+  let dir = fresh_dir () in
+  let t = Store.open_ ~dir () in
+  Unix.rmdir dir;
+  spit dir "not a directory";
+  let bundle =
+    Bundle.of_models
+      (List.map Extract.extract
+         [ Demo.navigation_app (); Demo.messenger_app (); Demo.relay_malware () ])
+  in
+  let report = Ase.analyze ~cache:t bundle in
+  check "stripped report = cacheless run" true
+    (stripped report = stripped (Ase.analyze bundle));
+  check_int "no signature degraded" 0 (List.length report.Ase.r_degraded);
+  check_int "nothing counted as stored" 0 (List.assoc "stores" (Store.stats t));
+  check_int "every signature missed" (List.length (Signatures.all ()))
+    (List.assoc "misses" (Store.stats t));
+  Sys.remove dir
 
 (* The cache behaves the same at any pool width: a directory filled at
    one [-j] serves another, and the store handle counts lookups and
@@ -322,8 +373,8 @@ let test_cache_across_jobs () =
   in
   let counter name = Metrics.counter_value (Metrics.counter name) in
   let ase_counts t =
-    let stat k = Option.value ~default:0 (List.assoc_opt k (Store.stats t)) in
-    (stat "ase.hits", stat "ase.misses", stat "stores")
+    let stat k = List.assoc k (Store.stats t) in
+    (stat "hits", stat "misses", stat "stores")
   in
   (* A cold run at [cold_jobs], then a warm one at [warm_jobs], each
      through a fresh handle on one directory. *)
@@ -407,8 +458,6 @@ let test_check_protocol () =
 let tests =
   [
     Alcotest.test_case "store roundtrip and stats" `Quick test_roundtrip;
-    Alcotest.test_case "keys and tiers are separate" `Quick
-      test_key_and_tier_separation;
     Alcotest.test_case "truncated entry degrades to miss" `Quick
       test_truncated_entry;
     Alcotest.test_case "wrong-digest entry degrades to miss" `Quick
@@ -423,12 +472,16 @@ let tests =
       test_hit_preserves_mtime;
     Alcotest.test_case "eviction under a tiny cap" `Quick
       test_eviction_under_tiny_cap;
+    Alcotest.test_case "foreign files and subdirectories untouched" `Quick
+      test_foreign_files_untouched;
     Alcotest.test_case "signature fingerprints stable" `Quick
       test_fingerprint_stability;
     Alcotest.test_case "signature fingerprints selective" `Quick
       test_fingerprint_selectivity;
     Alcotest.test_case "warm re-analysis: zero solves, identical report" `Quick
       test_analyze_warm_rerun;
+    Alcotest.test_case "failed cache writes keep every verdict" `Quick
+      test_failed_writes_keep_verdicts;
     Alcotest.test_case "cache across -j: same reports, counts, no solves"
       `Quick test_cache_across_jobs;
     Alcotest.test_case "worker wire protocol validation" `Quick

@@ -263,6 +263,47 @@ let test_fuzz_dimacs () =
   fuzz_parser "Dimacs.parse_string" Separ_sat.Dimacs.parse_string
     (List.init 4 (fun _ -> Separ_sat.Dimacs.to_string (cnf ())))
 
+(* A real stored verdict, mutated in place: every mutant is a recorded
+   corrupt miss that deletes the file and never raises, and the
+   unmutated bytes still hit. *)
+let test_fuzz_cache_entries () =
+  let module Store = Separ_cache.Store in
+  let dir = Filename.temp_file "separ_cache_fuzz" "" in
+  Sys.remove dir;
+  let t = Store.open_ ~dir () in
+  let bundle =
+    Separ.Bundle.of_models
+      (List.map Separ.Extract.extract
+         [ Separ.Demo.navigation_app (); Separ.Demo.messenger_app () ])
+  in
+  let sig_ = List.hd (Separ.Signatures.all ()) in
+  ignore (Separ.Ase.analyze ~signatures:[ sig_ ] ~cache:t bundle);
+  let key = Separ.Ase.signature_fingerprint bundle sig_ in
+  let path = Filename.concat dir (Digest.to_hex (Digest.string key)) in
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  let write s = Out_channel.with_open_bin path (fun oc -> output_string oc s) in
+  let hit () =
+    match Store.find t ~key with
+    | Some _ -> true
+    | None -> false
+    | exception e ->
+        Alcotest.failf "Store.find raised %s" (Printexc.to_string e)
+  in
+  let corrupt () = List.assoc "corrupt" (Store.stats t) in
+  let raw = read () in
+  List.iter
+    (fun m ->
+      write m;
+      let before = corrupt () in
+      check "mutant misses" false (hit ());
+      Alcotest.(check int) "mutant counted corrupt" (before + 1) (corrupt ());
+      check "mutant deleted" false (Sys.file_exists path))
+    (List.filter (( <> ) raw) (mutants ~seed:11 ~count:300 raw));
+  write raw;
+  check "unmutated entry hits" true (hit ());
+  Sys.remove path;
+  Sys.rmdir dir
+
 (* --- device ------------------------------------------------------------------------- *)
 
 let test_device_unknown_app () =
@@ -301,5 +342,7 @@ let tests =
     Alcotest.test_case "dimacs: garbage" `Quick test_dimacs_garbage;
     Alcotest.test_case "fuzz: mutated apk text" `Quick test_fuzz_apk_text;
     Alcotest.test_case "fuzz: mutated dimacs" `Quick test_fuzz_dimacs;
+    Alcotest.test_case "fuzz: mutated cache entries" `Quick
+      test_fuzz_cache_entries;
     Alcotest.test_case "device: unknown app" `Quick test_device_unknown_app;
   ]

@@ -5,7 +5,6 @@
 open Separ_android
 module Policy = Separ_policy.Policy
 module Compile = Separ_policy.Compile
-module Metrics = Separ_obs.Metrics
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -131,41 +130,6 @@ let qcheck_roundtrip =
     (QCheck.make policy_gen) (fun p ->
       Policy.of_line (Policy.to_line p) = p)
 
-let test_event_marshalling_roundtrip () =
-  (* payload values may contain the printable separators of naive
-     encodings (regression: a comma in a GPS string used to drop taint) *)
-  let ev =
-    Policy.
-      {
-        base_event with
-        ev_intent =
-          Intent.make ~action:"a,b=c:d"
-            ~categories:[ "x"; "y,z" ]
-            ~extras:
-              [
-                Intent.{
-                  key = "locationInfo";
-                  value = "37.4220,-122.0841";
-                  taint = [ Resource.Location; Resource.Imei ];
-                };
-                Intent.{ key = "k=v"; value = "p|q:r"; taint = [] };
-              ]
-            ();
-        ev_sender_permissions =
-          [ Permission.send_sms; Permission.access_fine_location ];
-      }
-  in
-  let ev' = Policy.event_of_line (Policy.event_to_line ev) in
-  check "marshalling round trips" true (ev' = ev);
-  (* and the remote PDP therefore decides identically *)
-  let p =
-    policy ~conds:[ Policy.Extras_include Resource.Location ] "loc"
-  in
-  check "remote decision matches local" true
-    (match (Policy.decide [ p ] ev, Policy.decide_remote [ p ] ev) with
-    | Policy.Prompted a, Policy.Prompted b -> a = b
-    | _ -> false)
-
 (* --- derivation ---------------------------------------------------------------- *)
 
 let analysis () =
@@ -221,8 +185,6 @@ let tests =
     Alcotest.test_case "conjunction semantics" `Quick test_decide_conjunction;
     Alcotest.test_case "serialization round trip" `Quick test_roundtrip_unit;
     QCheck_alcotest.to_alcotest qcheck_roundtrip;
-    Alcotest.test_case "event marshalling round trip" `Quick
-      test_event_marshalling_roundtrip;
     Alcotest.test_case "derivation kinds" `Quick test_derivation_kinds;
     Alcotest.test_case "derivation dedup" `Quick test_derivation_dedup;
     Alcotest.test_case "hijack allow-set" `Quick
@@ -489,19 +451,6 @@ let qcheck_minimize_identity_randomized =
              | _ -> false)
            evs))
 
-let test_serialization_metric () =
-  Metrics.enable ();
-  Metrics.reset ();
-  let c = Metrics.counter "policy.serializations" in
-  let store = [ policy "p" ] in
-  ignore (Policy.decide_both store base_event);
-  ignore (Compile.decide_full (Compile.compile store) base_event);
-  check_int "in-process paths serialize nothing" 0 (Metrics.counter_value c);
-  ignore (Policy.decide_remote store base_event);
-  check_int "the IPC round trip serializes twice" 2 (Metrics.counter_value c);
-  Metrics.reset ();
-  Metrics.disable ()
-
 let test_compile_stats () =
   let store =
     [
@@ -525,8 +474,6 @@ let compiled_pdp_tests =
       test_decide_both_resolution_order;
     qcheck_compiled_identical_to_reference;
     qcheck_minimize_identity_randomized;
-    Alcotest.test_case "serialization metric ledger" `Quick
-      test_serialization_metric;
     Alcotest.test_case "compiled index shape" `Quick test_compile_stats;
   ]
 
