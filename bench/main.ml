@@ -640,7 +640,7 @@ let random_3sat rand nv nc =
      exploit scenarios across all signatures)
    - pigeonhole: pure CDCL stress, guaranteed learnt-db churn
    - enumeration: Aluminum-style minimal-model enumeration on random
-     3-SAT, exercising the shared activation literal *)
+     3-SAT, driven purely by assumptions (no activation literal) *)
 let solver ~mode =
   let module S = Separ_sat.Solver in
   (* The solver section always runs with telemetry on so

@@ -23,7 +23,15 @@ module Trace = Separ_obs.Trace
 module Metrics = Separ_obs.Metrics
 module Log = Separ_obs.Log
 
-let load_apks paths = List.map Separ_dalvik.Apk_text.load paths
+(* User errors (an unreadable path, malformed APK text or policy store,
+   an unknown [--start] target) are raised as [Failure] or [Sys_error]
+   and reported by the handler at [Cmd.eval] as one [separ: <msg>] line
+   with exit code 1.  [with_path] makes a parse error name its file. *)
+let with_path path f =
+  try f path with Failure msg -> failwith (path ^ ": " ^ msg)
+
+let load_apks paths =
+  List.map (fun path -> with_path path Separ_dalvik.Apk_text.load) paths
 
 (* Validating argument converters: [-j 0] or a negative solve budget
    used to be accepted silently and produce undefined downstream
@@ -441,7 +449,7 @@ let extract_cmd =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"APK")
   in
   let run path =
-    let apk = Separ_dalvik.Apk_text.load path in
+    let apk = with_path path Separ_dalvik.Apk_text.load in
     let model = Separ.Extract.extract apk in
     Fmt.pr "%a@." Separ.App_model.pp model
   in
@@ -519,12 +527,28 @@ let enforce_cmd =
       & opt (some file) None
       & info [ "p"; "policies" ] ~docv:"FILE" ~doc:"Policy store to enforce")
   in
+  let pp_start ppf (pkg, component, entry) =
+    Fmt.pf ppf "%s/%s%a" pkg component Fmt.(option (any "/" ++ string)) entry
+  in
   let start =
+    let parse s =
+      let parts = String.split_on_char '/' s in
+      match parts with
+      | [ pkg; component ] when not (List.mem "" parts) ->
+          Ok (pkg, component, None)
+      | [ pkg; component; entry ] when not (List.mem "" parts) ->
+          Ok (pkg, component, Some entry)
+      | _ ->
+          Error
+            (`Msg (Printf.sprintf "expected PKG/COMPONENT[/ENTRY], got %S" s))
+    in
     Arg.(
       required
-      & opt (some string) None
+      & opt (some (conv ~docv:"PKG/COMPONENT[/ENTRY]" (parse, pp_start))) None
       & info [ "start" ] ~docv:"PKG/COMPONENT[/ENTRY]"
-          ~doc:"Component to launch once the device is set up")
+          ~doc:
+            "Component to launch once the device is set up; $(i,PKG) must \
+             be one of the given apps and $(i,COMPONENT) one of its classes")
   in
   let consent =
     Arg.(
@@ -536,11 +560,9 @@ let enforce_cmd =
     telemetry_setup ~trace ~metrics ~log ~log_level ~metrics_out ~profile_gc;
     let apks = load_apks paths in
     let policies =
-      let ic = open_in policies_file in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      Separ.Policy.of_string s
+      with_path policies_file (fun path ->
+          Separ.Policy.of_string
+            (In_channel.with_open_bin path In_channel.input_all))
     in
     let device = Separ.Device.create () in
     List.iter (Separ.Device.install device) apks;
@@ -548,15 +570,17 @@ let enforce_cmd =
       (List.map Separ.Apk.package apks);
     Separ.Device.set_enforcement device true;
     Separ.Device.set_consent device (fun _ _ -> consent);
+    let ((pkg, component, entry) as target) = start in
+    (match Separ.Device.find_app device pkg with
+    | None -> failwith ("--start: no app with package " ^ pkg)
+    | Some apk ->
+        if Separ.Apk.find_class apk component = None then
+          failwith
+            (Printf.sprintf "--start: package %s has no component %s" pkg
+               component));
     Trace.with_span "runtime.start_component"
-      ~attrs:[ Trace.attr_str "target" start ]
-      (fun () ->
-        match String.split_on_char '/' start with
-        | [ pkg; component ] ->
-            Separ.Device.start_component device ~pkg ~component
-        | [ pkg; component; entry ] ->
-            Separ.Device.start_component device ~pkg ~component ~entry
-        | _ -> failwith "--start expects PKG/COMPONENT[/ENTRY]");
+      ~attrs:[ Trace.attr_str "target" (Fmt.str "%a" pp_start target) ]
+      (fun () -> Separ.Device.start_component device ?entry ~pkg ~component);
     List.iter
       (fun e -> Fmt.pr "%a@." Separ.Effect.pp e)
       (Separ.Device.effects device);
@@ -806,10 +830,19 @@ let () =
     Cmd.info "separ" ~version:"1.0.0"
       ~doc:"Formal synthesis and automatic enforcement of Android security policies"
   in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            analyze_cmd; extract_cmd; spec_cmd; table1_cmd; demo_cmd;
-            enforce_cmd; generate_cmd; serve_cmd; benchdiff_cmd;
-          ]))
+  let cmd =
+    Cmd.group info
+      [
+        analyze_cmd; extract_cmd; spec_cmd; table1_cmd; demo_cmd;
+        enforce_cmd; generate_cmd; serve_cmd; benchdiff_cmd;
+      ]
+  in
+  match Cmd.eval ~catch:false cmd with
+  | code -> exit code
+  | exception (Failure msg | Sys_error msg) ->
+      Fmt.epr "separ: %s@." msg;
+      exit 1
+  | exception e ->
+      Fmt.epr "separ: internal error, uncaught exception:@\n%s@."
+        (Printexc.to_string e);
+      exit Cmd.Exit.internal_error

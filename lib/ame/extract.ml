@@ -103,8 +103,7 @@ let c_fixpoint_capped = Metrics.counter "ame.fixpoint_capped"
    code performs (target class, filter), and the rounds its fixpoint
    took.  A fixpoint stopped by the round cap is counted and logged: the
    model then lacks the facts of the deepest methods. *)
-let extract_component_rounds ~k1 ~all_methods (apk : Apk.t)
-    (comp : Component.t) =
+let component_model ~k1 ~all_methods (apk : Apk.t) (comp : Component.t) =
   let facts = Interp.analyze_component ~k1 ~all_methods apk comp in
   let pkg = Apk.package apk in
   if facts.Interp.fixpoint_capped then begin
@@ -151,12 +150,6 @@ let extract_component_rounds ~k1 ~all_methods (apk : Apk.t)
       facts.Interp.dynamic_filters,
     facts.Interp.fixpoint_rounds )
 
-let extract_component ?(k1 = true) ?(all_methods = false) apk comp =
-  let model, registrations, _ =
-    extract_component_rounds ~k1 ~all_methods apk comp
-  in
-  (model, registrations)
-
 let c_apps = Metrics.counter "ame.apps_extracted"
 let c_components = Metrics.counter "ame.components_extracted"
 let c_intents = Metrics.counter "ame.intent_models"
@@ -171,8 +164,7 @@ let extract ?(k1 = true) ?(all_methods = false) (apk : Apk.t) : App_model.t =
   let model, extraction_ms =
     Trace.timed "ame.extract" (fun () ->
         let extracted =
-          List.map
-            (extract_component_rounds ~k1 ~all_methods apk)
+          List.map (component_model ~k1 ~all_methods apk)
             apk.Apk.manifest.Manifest.components
         in
         (* Dynamic receiver registrations observed anywhere in the app are

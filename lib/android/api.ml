@@ -179,8 +179,6 @@ let permission_of (m : method_ref) : Permission.t option =
 let allowed perms m =
   match permission_of m with None -> true | Some p -> List.mem p perms
 
-let is_icc m = match classify m with Icc _ -> true | _ -> false
-
 (* Which component kind an ICC mechanism addresses. *)
 let delivery_kind (k : icc_kind) : Component.kind =
   match k with

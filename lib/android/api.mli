@@ -88,8 +88,6 @@ val permission_of : method_ref -> Permission.t option
 (** Whether an app holding [perms] may invoke the API directly. *)
 val allowed : Permission.t list -> method_ref -> bool
 
-val is_icc : method_ref -> bool
-
 (** Which component kind an ICC mechanism addresses. *)
 val delivery_kind : icc_kind -> Component.kind
 val pp_method : Format.formatter -> method_ref -> unit

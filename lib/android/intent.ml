@@ -46,13 +46,10 @@ let split_uri uri =
 
 let empty = make ()
 
-let is_explicit t = t.target <> None
 let is_implicit t = t.target = None
 
 let put_extra t ~key ~value ~taint =
   { t with extras = { key; value; taint } :: t.extras }
-
-let get_extra t key = List.find_opt (fun e -> e.key = key) t.extras
 
 (* All resources carried by the intent's extras. *)
 let carried_resources t =

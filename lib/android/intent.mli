@@ -36,10 +36,8 @@ val make :
 val split_uri : string -> string * string option
 
 val empty : t
-val is_explicit : t -> bool
 val is_implicit : t -> bool
 val put_extra : t -> key:string -> value:string -> taint:Resource.t list -> t
-val get_extra : t -> string -> extra option
 
 (** All resources carried by the intent's extras, deduplicated. *)
 val carried_resources : t -> Resource.t list

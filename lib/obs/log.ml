@@ -35,13 +35,6 @@ let level_name = function
   | Warn -> "warn"
   | Error -> "error"
 
-let level_of_string = function
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" -> Some Warn
-  | "error" -> Some Error
-  | _ -> None
-
 type event = {
   ev_ts_us : float;
   ev_level : level;
@@ -242,10 +235,6 @@ let capture_take () =
   let evs = List.rev !captured in
   captured := [];
   evs
-
-let capture_end () =
-  capturing := false;
-  captured := []
 
 (* Write worker events through this process's sink, preserving their
    original timestamps, pids and span ids. *)

@@ -107,10 +107,6 @@ let condition_holds (ev : icc_event) = function
 let matches (p : t) (ev : icc_event) =
   p.p_event = ev.ev_kind && List.for_all (condition_holds ev) p.p_conditions
 
-let matches_view (p : t) (vw : view) =
-  p.p_event = vw.vw_ev.ev_kind
-  && List.for_all (condition_holds_view vw) p.p_conditions
-
 (* PDP decision: the most restrictive action among matching policies
    (Deny > Prompt > Allow), with the deciding policy. *)
 type decision = Allowed | Prompted of t | Denied of t
@@ -267,97 +263,6 @@ let of_string s =
   String.split_on_char '\n' s
   |> List.filter (fun l -> String.trim l <> "")
   |> List.map of_line
-
-(* --- store minimization ---------------------------------------------------- *)
-
-(* [a] subsumes [b] when [a] matches every event [b] matches, with the
-   same event kind and an action at least as restrictive: then [b] never
-   changes a decision and can be dropped from the store. *)
-let restrictiveness = function Allow -> 0 | Prompt -> 1 | Deny -> 2
-
-(* Conservative per-condition implication: [c1] implies [c2]. *)
-let condition_implies c1 c2 =
-  c1 = c2
-  ||
-  match (c1, c2) with
-  | Receiver_not_in bigger, Receiver_not_in smaller ->
-      (* excluding more receivers is implied by excluding fewer *)
-      List.for_all (fun x -> List.mem x bigger) smaller
-  | Receiver_is r, Receiver_not_in excluded -> not (List.mem r excluded)
-  | _ -> false
-
-let subsumes a b =
-  a.p_event = b.p_event
-  && restrictiveness a.p_action >= restrictiveness b.p_action
-  && List.for_all
-       (fun ca -> List.exists (fun cb -> condition_implies cb ca) b.p_conditions)
-       a.p_conditions
-
-(* Drop policies subsumed by another policy in the store: strictly
-   dominated policies always go; of mutually subsuming (equivalent)
-   policies the first is kept.
-
-   Candidate pruning: [subsumes a b] needs [a.p_event = b.p_event], and
-   every [Action_is x] of [a] must be implied by a condition of [b] —
-   [condition_implies] only ever derives [Action_is] from equality, so
-   [a]'s pinned action values must all appear among [b]'s.  Policies are
-   therefore bucketed by [(event, first pinned action)]; the only
-   possible dominators of [p] live in [p]'s own event's action-free
-   bucket or in the buckets of actions [p] itself pins.  That shrinks
-   the all-pairs scan to a handful of buckets per policy while deciding
-   exactly the same survivors: a policy is dropped iff some candidate
-   that is still alive (processed-and-kept, or not yet processed)
-   strictly subsumes it, or an earlier kept candidate is equivalent —
-   the same "kept or later" rule as the quadratic original. *)
-let minimize_store policies =
-  let arr = Array.of_list policies in
-  let n = Array.length arr in
-  let alive = Array.make n true in
-  let actions_of p =
-    List.filter_map
-      (function Action_is a -> Some a | _ -> None)
-      p.p_conditions
-  in
-  let key_of p =
-    (p.p_event, match actions_of p with [] -> None | a :: _ -> Some a)
-  in
-  let buckets : (event_kind * string option, int list ref) Hashtbl.t =
-    Hashtbl.create (max 16 n)
-  in
-  Array.iteri
-    (fun i p ->
-      let key = key_of p in
-      match Hashtbl.find_opt buckets key with
-      | Some l -> l := i :: !l
-      | None -> Hashtbl.add buckets key (ref [ i ]))
-    arr;
-  let bucket key =
-    match Hashtbl.find_opt buckets key with Some l -> !l | None -> []
-  in
-  for i = 0 to n - 1 do
-    let p = arr.(i) in
-    let candidates =
-      List.concat_map bucket
-        ((p.p_event, None)
-        :: List.map (fun a -> (p.p_event, Some a)) (actions_of p))
-    in
-    let dropped =
-      List.exists
-        (fun j ->
-          j <> i && alive.(j) && subsumes arr.(j) p && not (subsumes p arr.(j)))
-        candidates
-      || List.exists
-           (fun j ->
-             j < i && alive.(j) && subsumes arr.(j) p && subsumes p arr.(j))
-           candidates
-    in
-    if dropped then alive.(i) <- false
-  done;
-  let out = ref [] in
-  for i = n - 1 downto 0 do
-    if alive.(i) then out := arr.(i) :: !out
-  done;
-  !out
 
 let pp ppf p =
   Fmt.pf ppf "@[<v 2>{ event: %s,@,condition: [%a],@,action: %s }@]"

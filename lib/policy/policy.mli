@@ -65,7 +65,6 @@ val view_of_event : icc_event -> view
 val condition_holds : icc_event -> condition -> bool
 val condition_holds_view : view -> condition -> bool
 val matches : t -> icc_event -> bool
-val matches_view : t -> view -> bool
 
 (** PDP verdict: the most restrictive action among matching policies
     (Deny > Prompt > Allow), with the deciding policy. *)
@@ -98,14 +97,5 @@ val to_line : t -> string
 val of_line : string -> t
 val to_string : t list -> string
 val of_string : string -> t list
-
-(** [subsumes a b]: [a] matches every event [b] matches (same event
-    kind, conservatively implied conditions) with an action at least as
-    restrictive — [b] is then redundant. *)
-val subsumes : t -> t -> bool
-
-(** Drop policies subsumed by another policy in the store; decisions are
-    unchanged for every event. *)
-val minimize_store : t list -> t list
 
 val pp : Format.formatter -> t -> unit

@@ -4,10 +4,6 @@
    scenarios that are *minimal* in the tuples they include, so derived
    policies are as specific as possible. *)
 
-(* The current assignment of [soft] variables, partitioned. *)
-let split_soft solver soft =
-  List.partition (fun v -> Solver.value solver v) soft
-
 (* Re-establishing a model that was just satisfiable must succeed: every
    soft variable is assumed at its model value.  A failure means the
    solver state is inconsistent with the caller's expectations — a typed
@@ -15,88 +11,17 @@ let split_soft solver soft =
    branch of the enclosing search reachable in release builds. *)
 exception Reestablish_failed of Solver.result
 
-(* Given that [solve] just returned [Sat], shrink the model to one that is
-   minimal w.r.t. the set of true [soft] variables (no model exists whose
-   true-set is a strict subset).  Returns the final true-set.
-
-   All shrink rounds of one call share a single activation literal (from
-   the solver's activation session): successive rounds only ever add
-   already-falsified variables to the assumption set, so earlier rounds'
-   shrink clauses are satisfied by the assumptions and need not be retired
-   one by one.  The literal is released (unit [-act]) once the minimum is
-   reached, so an enumeration retires exactly one variable per scenario
-   instead of one per shrink round.
-
-   [extra] are assumptions to maintain throughout (e.g. blocking
-   activation literals from an enclosing enumeration).
-
-   [budget] bounds the whole minimization: each shrink round gets what
-   remains of it, and on exhaustion the current (possibly unminimized)
-   model is re-established and returned — a budgeted minimize degrades
-   to a coarser scenario instead of failing. *)
-let minimize ?(extra = []) ?(budget = Solver.no_budget) solver ~soft =
-  let conflicts0 = Solver.n_conflicts solver in
-  let t0 = Unix.gettimeofday () in
-  let remaining () =
-    {
-      Solver.b_max_conflicts =
-        Option.map
-          (fun c -> c - (Solver.n_conflicts solver - conflicts0))
-          budget.Solver.b_max_conflicts;
-      b_max_time_ms =
-        Option.map
-          (fun ms -> ms -. ((Unix.gettimeofday () -. t0) *. 1000.0))
-          budget.Solver.b_max_time_ms;
-    }
-  in
-  let reestablish trues falses =
-    (* Retire the activation literal first (it adds a clause, invalidating
-       the model), then re-establish the minimal model as the current
-       assignment so callers can decode it.  No budget here: with every
-       soft variable assumed this is propagation-dominated, and a budgeted
-       failure would lose the very model we are falling back to. *)
-    Solver.retire_activation solver;
-    let assumptions =
-      trues @ List.map (fun v -> -v) falses @ extra
-    in
-    match Solver.solve ~assumptions solver with
-    | Solver.Sat -> trues
-    | (Solver.Unsat | Solver.Unknown) as r -> raise (Reestablish_failed r)
-  in
-  let rec shrink trues falses =
-    match trues with
-    | [] -> reestablish [] falses
-    | _ ->
-        (* The session activation literal guards the temporary "shrink"
-           clause: some currently-true soft variable must turn false. *)
-        let act = Solver.activation_var solver in
-        Solver.add_clause solver (-act :: List.map (fun v -> -v) trues);
-        let assumptions =
-          (act :: List.map (fun v -> -v) falses) @ extra
-        in
-        (match Solver.solve ~assumptions ~budget:(remaining ()) solver with
-        | Solver.Sat ->
-            let trues', falses' = split_soft solver (trues @ falses) in
-            shrink trues' falses'
-        | Solver.Unsat -> reestablish trues falses
-        | Solver.Unknown ->
-            (* budget exhausted mid-shrink: keep the model found so far *)
-            reestablish trues falses)
-  in
-  let trues, falses = split_soft solver soft in
-  shrink trues falses
-
 (* Lexicographic minimal-model search: walk [soft] in the order given,
    preferring false at each position.  The result is the unique
    lexicographically-least model under that preference, which is also
    inclusion-minimal: a model whose true-set were a strict subset would
    beat it at the first variable where they differ.
 
-   Unlike [minimize] above, the answer depends only on the constraint
-   set, [extra], and the [soft] order — never on the solver's search
-   state (learnt clauses, activities, saved phases).  That makes it the
-   minimization of choice for the incremental ASE path, where a shared
-   base solver must produce byte-identical scenarios to a fresh one.
+   The answer depends only on the constraint set, [extra], and the
+   [soft] order — never on the solver's search state (learnt clauses,
+   activities, saved phases) — so a shared base solver on the
+   incremental ASE path produces byte-identical scenarios to a fresh
+   one.
 
    Each round keeps a snapshot of the best model found so far; variables
    the snapshot already assigns false are fixed for free, so the number
@@ -105,8 +30,8 @@ let minimize ?(extra = []) ?(budget = Solver.no_budget) solver ~soft =
    every candidate is expressed purely through assumptions.
 
    [budget] bounds the whole search; on exhaustion remaining variables
-   are fixed at their snapshot values (degrading to a coarser — possibly
-   non-minimal — model, like [minimize] does). *)
+   are fixed at their snapshot values, degrading to a coarser — possibly
+   non-minimal — model instead of failing. *)
 let minimize_lex ?(extra = []) ?(budget = Solver.no_budget) solver ~soft =
   let conflicts0 = Solver.n_conflicts solver in
   let t0 = Unix.gettimeofday () in
@@ -179,7 +104,7 @@ let enumerate_minimal ?(limit = max_int) solver ~soft =
       match Solver.solve solver with
       | Solver.Unsat | Solver.Unknown -> List.rev acc
       | Solver.Sat ->
-          let trues = minimize solver ~soft in
+          let trues = minimize_lex solver ~soft in
           block_superset solver ~trues;
           go (trues :: acc) (n + 1)
   in

@@ -8,40 +8,17 @@
     hence a typed error instead of an assertion. *)
 exception Reestablish_failed of Solver.result
 
-(** Given that [solve] just returned [Sat], shrink the current model to
-    one whose set of true [soft] variables is minimal (no model has a
-    strict subset).  Returns the final true-set; the solver is left with
-    that model established.  [extra] assumptions are maintained
-    throughout.
-
-    [budget] bounds the whole minimization (each shrink round receives
-    what remains of it); on exhaustion the current — possibly
-    unminimized — model is re-established and its true-set returned, so
-    a budgeted minimize degrades gracefully instead of failing.
-
-    All shrink rounds of one call share a single solver activation
-    literal, which is released (via the unit clause [-act]) once the
-    minimum is reached — an enumeration retires one activation variable
-    per scenario rather than one per shrink round; see
-    {!Solver.activation_counts}.
-
-    @raise Reestablish_failed if the minimal model cannot be
-    re-established (solver-state corruption). *)
-val minimize :
-  ?extra:int list -> ?budget:Solver.budget -> Solver.t -> soft:int list ->
-  int list
-
 (** Given that [solve] just returned [Sat], find the lexicographically
     least model of the clause set (under [extra]) w.r.t. the [soft]
     order with false preferred — also an inclusion-minimal model.
     Returns its true-set (in [soft] order); the solver is left with that
     model established.
 
-    Unlike {!minimize}, the answer is {e canonical}: it depends only on
-    the constraints, [extra], and the [soft] order, never on solver
-    search state — two solvers with logically equivalent constraint sets
-    return the same model.  No activation literal is consumed; all
-    candidates are expressed through assumptions.
+    The answer is {e canonical}: it depends only on the constraints,
+    [extra], and the [soft] order, never on solver search state — two
+    solvers with logically equivalent constraint sets return the same
+    model.  No activation literal is consumed; all candidates are
+    expressed through assumptions.
 
     [budget] bounds the whole search; on exhaustion the remaining
     variables keep the values of the best model found (degrading to a
@@ -57,7 +34,8 @@ val minimize_lex :
     of [trues]. *)
 val block_superset : Solver.t -> trues:int list -> unit
 
-(** Enumerate up to [limit] minimal models (as true-sets of [soft]);
-    successive models are never supersets of earlier ones. *)
+(** Enumerate up to [limit] minimal models (as true-sets of [soft]), each
+    found by {!minimize_lex}; successive models are never supersets of
+    earlier ones. *)
 val enumerate_minimal :
   ?limit:int -> Solver.t -> soft:int list -> int list list

@@ -671,7 +671,7 @@ let add_clause_arr t a =
 let add_clause t lits = add_clause_arr t (Array.of_list lits)
 
 (* Activation-literal support for assumption-guarded temporary clauses
-   (used by {!Models.minimize}).  At most one activation variable is live;
+   (the delta sessions of [Solve.attach]).  At most one activation variable is live;
    retiring it adds the unit clause [-act], permanently satisfying every
    clause it guards, and the next acquisition allocates a fresh one. *)
 let activation_var t =

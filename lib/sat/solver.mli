@@ -69,8 +69,8 @@ val model : t -> bool array
 val failed_assumptions : t -> int list
 
 (** The session's activation variable for assumption-guarded temporary
-    clauses, allocating one if none is live.  Used by [Models.minimize];
-    at most one activation variable is live at a time. *)
+    clauses, allocating one if none is live.  Used by the delta sessions
+    of [Solve.attach]; at most one activation variable is live at a time. *)
 val activation_var : t -> int
 
 (** Retire the live activation variable, if any: adds the unit clause

@@ -77,6 +77,5 @@ let equal a b =
 (* The resolved strings: [None] when the value is statically unknown. *)
 let strings v = if v.str_top then None else Some (SS.elements v.strs)
 
-let add_taints v rs = { v with taints = RS.union v.taints (RS.of_list rs) }
 let taint_list v = RS.elements v.taints
 let is_bot v = equal v bot

@@ -36,6 +36,5 @@ val equal : t -> t -> bool
 (** Resolved strings; [None] when statically unknown. *)
 val strings : t -> string list option
 
-val add_taints : t -> Separ_android.Resource.t list -> t
 val taint_list : t -> Separ_android.Resource.t list
 val is_bot : t -> bool

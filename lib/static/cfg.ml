@@ -41,10 +41,3 @@ let reachable ?(cut = fun _ _ -> false) t =
   in
   if n > 0 then go 0;
   seen
-
-(* Predecessor lists, computed on demand. *)
-let preds t =
-  let n = n_instrs t in
-  let p = Array.make n [] in
-  Array.iteri (fun i js -> List.iter (fun j -> p.(j) <- i :: p.(j)) js) t.succs;
-  p

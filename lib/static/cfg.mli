@@ -15,5 +15,3 @@ val succs : t -> int -> int list
 (** Reachable instructions from entry, skipping edges for which [cut src
     dst] holds. *)
 val reachable : ?cut:(int -> int -> bool) -> t -> bool array
-
-val preds : t -> int list array

@@ -191,85 +191,6 @@ let tests =
       test_hijack_policy_allows_legit_receiver;
   ]
 
-(* --- store minimization ---------------------------------------------------------- *)
-
-let test_subsumption () =
-  let general = policy ~conds:[ Policy.Receiver_is "R" ] ~action:Policy.Deny "g" in
-  let specific =
-    policy
-      ~conds:[ Policy.Receiver_is "R"; Policy.Action_is "a" ]
-      ~action:Policy.Prompt "s"
-  in
-  check "fewer conditions + stronger action subsumes" true
-    (Policy.subsumes general specific);
-  check "not vice versa" false (Policy.subsumes specific general);
-  let weaker = { general with Policy.p_action = Policy.Prompt } in
-  check "weaker action does not subsume deny" false
-    (Policy.subsumes weaker { specific with Policy.p_action = Policy.Deny });
-  (* allow-set widening *)
-  let narrow = policy ~conds:[ Policy.Receiver_not_in [ "A" ] ] "n" in
-  let wide = policy ~conds:[ Policy.Receiver_not_in [ "A"; "B" ] ] "w" in
-  check "smaller exclusion set subsumes larger" true (Policy.subsumes narrow wide)
-
-let test_minimize_store () =
-  let general = policy ~conds:[ Policy.Receiver_is "R" ] ~action:Policy.Deny "g" in
-  let specific =
-    policy ~conds:[ Policy.Receiver_is "R"; Policy.Action_is "a" ] "s"
-  in
-  let unrelated = policy ~conds:[ Policy.Receiver_is "Q" ] "u" in
-  let dup = { general with Policy.p_id = "g2" } in
-  let minimized = Policy.minimize_store [ general; specific; unrelated; dup ] in
-  Alcotest.(check (list string))
-    "dominated and duplicate dropped" [ "g"; "u" ]
-    (List.map (fun p -> p.Policy.p_id) minimized);
-  (* semantics preserved on a probe event *)
-  let probe = { base_event with Policy.ev_receiver_component = "R" } in
-  check "same decision after minimization" true
-    (Policy.decide [ general; specific; unrelated; dup ] probe
-    = Policy.decide minimized probe)
-
-let qcheck_minimize_preserves_decisions =
-  let policies_gen =
-    QCheck.Gen.list_size (QCheck.Gen.int_range 0 6)
-      (QCheck.Gen.map
-         (fun (recv, act, deny) ->
-           policy
-             ~conds:
-               ((if recv then [ Policy.Receiver_is "Receiver" ] else [])
-               @ if act then [ Policy.Action_is "go" ] else [])
-             ~action:(if deny then Policy.Deny else Policy.Prompt)
-             "q")
-         (QCheck.Gen.triple QCheck.Gen.bool QCheck.Gen.bool QCheck.Gen.bool))
-  in
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"minimize_store preserves every decision"
-       ~count:300 (QCheck.make policies_gen) (fun policies ->
-         let minimized = Policy.minimize_store policies in
-         List.for_all
-           (fun ev ->
-             let d1 = Policy.decide policies ev in
-             let d2 = Policy.decide minimized ev in
-             (match (d1, d2) with
-             | Policy.Allowed, Policy.Allowed -> true
-             | Policy.Prompted _, Policy.Prompted _ -> true
-             | Policy.Denied _, Policy.Denied _ -> true
-             | _ -> false))
-           [
-             base_event;
-             { base_event with Policy.ev_receiver_component = "X" };
-             {
-               base_event with
-               Policy.ev_intent = Intent.make ~action:"other" ();
-             };
-           ]))
-
-let minimization_tests =
-  [
-    Alcotest.test_case "subsumption" `Quick test_subsumption;
-    Alcotest.test_case "minimize store" `Quick test_minimize_store;
-    qcheck_minimize_preserves_decisions;
-  ]
-
 (* --- event views, single-pass decide, compiled PDP -------------------------- *)
 
 let all_base_conditions =
@@ -430,27 +351,6 @@ let qcheck_compiled_identical_to_reference =
                 = fingerprint (sequential_both store ev))
            evs))
 
-(* Richer randomized decide-identity for the grouped minimize_store:
-   arbitrary condition mixes, both event kinds, random probe events. *)
-let qcheck_minimize_identity_randomized =
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make
-       ~name:"minimized stores decide identically on randomized events"
-       ~count:300
-       (QCheck.make
-          (QCheck.Gen.pair fuzz_store_gen
-             (QCheck.Gen.list_size (QCheck.Gen.int_range 1 6) fuzz_event_gen)))
-       (fun (store, evs) ->
-         let minimized = Policy.minimize_store store in
-         List.for_all
-           (fun ev ->
-             match (Policy.decide store ev, Policy.decide minimized ev) with
-             | Policy.Allowed, Policy.Allowed -> true
-             | Policy.Prompted _, Policy.Prompted _ -> true
-             | Policy.Denied _, Policy.Denied _ -> true
-             | _ -> false)
-           evs))
-
 let test_compile_stats () =
   let store =
     [
@@ -473,8 +373,7 @@ let compiled_pdp_tests =
     Alcotest.test_case "decide_both resolution order" `Quick
       test_decide_both_resolution_order;
     qcheck_compiled_identical_to_reference;
-    qcheck_minimize_identity_randomized;
     Alcotest.test_case "compiled index shape" `Quick test_compile_stats;
   ]
 
-let tests = tests @ minimization_tests @ compiled_pdp_tests
+let tests = tests @ compiled_pdp_tests
