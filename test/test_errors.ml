@@ -312,6 +312,62 @@ let test_device_unknown_app () =
     (raises_invalid (fun () ->
          Separ_runtime.Device.start_component d ~pkg:"ghost" ~component:"C"))
 
+(* [start_component] rejects an uninstalled package but silently runs
+   nothing for an unknown component; [find_app] and [find_class] are the
+   lookups a caller uses to reject both before starting. *)
+let test_device_unknown_component () =
+  let module Device = Separ_runtime.Device in
+  let apk = Separ.Demo.navigation_app () in
+  let pkg = Separ_dalvik.Apk.package apk in
+  let d = Device.create () in
+  Device.install d apk;
+  check "installed package found" true (Device.find_app d pkg <> None);
+  check "unknown package not found" true (Device.find_app d "ghost" = None);
+  let cls = List.hd apk.Separ_dalvik.Apk.classes in
+  check "known component found" true
+    (Separ_dalvik.Apk.find_class apk cls.Separ_dalvik.Ir.cname <> None);
+  check "unknown component not found" true
+    (Separ_dalvik.Apk.find_class apk "NoSuchComponent" = None);
+  Device.start_component d ~pkg ~component:"NoSuchComponent";
+  check "unknown component runs nothing" true (Device.effects d = [])
+
+(* A path under a regular file cannot be created: [mkdir_p] reports it
+   as [Sys_error] naming the path, not as a [Unix_error]. *)
+let test_store_mkdir_p_under_file () =
+  let file = Filename.temp_file "separ_mkdir" "" in
+  let path = Filename.concat (Filename.concat file "sub") "dir" in
+  (match Separ_cache.Store.mkdir_p path with
+  | () -> Alcotest.fail "mkdir_p under a file succeeded"
+  | exception Sys_error msg ->
+      check "error names the path" true
+        (String.starts_with ~prefix:(path ^ ": ") msg)
+  | exception e ->
+      Alcotest.failf "mkdir_p raised %s" (Printexc.to_string e));
+  check "file left as it was" true
+    (Sys.file_exists file && not (Sys.is_directory file));
+  Sys.remove file
+
+(* [of_string] parses a whole store: blank lines are skipped, and one
+   malformed line among good ones fails the whole parse. *)
+let test_policy_store_bad_line () =
+  let p =
+    {
+      Separ_policy.Policy.p_id = "p1";
+      p_event = Separ_policy.Policy.Icc_receive;
+      p_conditions = [ Separ_policy.Policy.Receiver_is "R" ];
+      p_action = Separ_policy.Policy.Deny;
+      p_reason = "test";
+    }
+  in
+  let line = Separ_policy.Policy.to_line p in
+  check "good store with blank lines parses" true
+    (Separ_policy.Policy.of_string ("\n" ^ line ^ "\n\n" ^ line ^ "\n")
+    = [ p; p ]);
+  check "one bad line fails the store" true
+    (raises_failure (fun () ->
+         Separ_policy.Policy.of_string
+           (line ^ "\nnot a policy\n" ^ line ^ "\n")))
+
 let tests =
   [
     Alcotest.test_case "asm: bad instruction" `Quick test_asm_bad_instruction;
@@ -345,4 +401,10 @@ let tests =
     Alcotest.test_case "fuzz: mutated cache entries" `Quick
       test_fuzz_cache_entries;
     Alcotest.test_case "device: unknown app" `Quick test_device_unknown_app;
+    Alcotest.test_case "device: unknown component" `Quick
+      test_device_unknown_component;
+    Alcotest.test_case "store: mkdir_p under a file" `Quick
+      test_store_mkdir_p_under_file;
+    Alcotest.test_case "policy: store with a bad line" `Quick
+      test_policy_store_bad_line;
   ]
