@@ -8,9 +8,9 @@
 
    The sections are the [sections] table at the end of this file; an
    unknown argument prints them.  Each section returns its outcome (the
-   BENCH_<name>.json body, history headline and named checks) and one
-   runner does the rest: header, JSON file, history line and, in smoke
-   mode, exit 1 on any failed check. *)
+   BENCH_<name>.json body and named checks) and one runner does the
+   rest: header, JSON file and, in smoke mode, exit 1 on any failed
+   check. *)
 
 open Separ
 module Generator = Separ_workload.Generator
@@ -19,18 +19,14 @@ module Metrics = Separ_obs.Metrics
 module Telemetry = Separ_report.Telemetry
 module Json = Separ_report.Json
 module Provenance = Separ_report.Provenance
-module History = Separ_report.History
 
 (* What one section run produced, for the runner. *)
 type outcome = {
   body : (string * Json.t) list;  (* BENCH_<name>.json fields; [] = no file *)
-  headline_ms : float option;  (* history wall time; None = the whole run *)
-  extra : (string * Json.t) list;  (* history extras *)
   checks : (bool * string) list;  (* (holds, what is wrong if it does not) *)
 }
 
-let outcome ?(body = []) ?headline_ms ?(extra = []) ?(checks = []) () =
-  { body; headline_ms; extra; checks }
+let outcome ?(body = []) ?(checks = []) () = { body; checks }
 
 (* [--bundles N] / [--apps N], as parsed from the command line. *)
 let options : (string * int) list ref = ref []
@@ -41,26 +37,9 @@ let header title =
   Printf.printf "%s\n" title;
   Printf.printf "==================================================\n%!"
 
-(* --- bench trajectory ------------------------------------------------------- *)
-
-let history_path = "BENCH_HISTORY.ndjson"
-
-(* Collected once per process, so every history line of one bench run
-   carries the same commit/host/timestamp stamp. *)
+(* Collected once per process, so every BENCH_*.json snapshot of one
+   bench run carries the same commit/host/timestamp stamp. *)
 let provenance = lazy (Provenance.json (Provenance.collect ()))
-
-(* Append one (section, mode) trajectory point to BENCH_HISTORY.ndjson.
-   The BENCH_*.json snapshots are overwritten on every run; the history
-   file only grows, and `separ benchdiff` gates on it. *)
-let record_history ~mode ~extra ~section wall_ms =
-  History.append ~path:history_path
-    {
-      History.e_section = section;
-      e_mode = mode;
-      e_wall_ms = wall_ms;
-      e_provenance = Lazy.force provenance;
-      e_extra = extra;
-    }
 
 (* Descriptive statistics come from the shared implementation so every
    table reports the same (nearest-rank) percentile estimator.  The
@@ -77,7 +56,7 @@ let table1 ~mode:_ =
   let rows = Separ_suites.Table1.run () in
   print_string (Separ_suites.Table1.render rows);
   Printf.printf "\n(paper: DidFail 55/37/44, AmanDroid 86/48/63, SEPAR 100/97/98)\n";
-  outcome ~extra:[ ("cases", Json.Int (List.length rows)) ] ()
+  outcome ()
 
 (* --- shared corpus ------------------------------------------------------------ *)
 
@@ -95,38 +74,36 @@ let rq2 ~mode:_ =
   let chosen = List.filteri (fun i _ -> i < opt "--bundles" 80) bundles in
   Printf.printf "%d bundles of 50 apps\n%!" (List.length chosen);
   let tally : (string * string, unit) Hashtbl.t = Hashtbl.create 256 in
-  let (), total_ms =
-    Trace.timed "bench.rq2" (fun () ->
-        let t0 = Unix.gettimeofday () in
-        List.iteri
-          (fun bi bundle_apps ->
-            Trace.with_span "bench.rq2.bundle" (fun () ->
-                let models =
-                  List.map (fun g -> Extract.extract g.Generator.apk) bundle_apps
-                in
-                let bundle = Bundle.of_models models in
-                let report = Ase.analyze ~limit_per_sig:40 bundle in
-                List.iter
-                  (fun v ->
-                    let kind =
-                      match v.Ase.v_kind with
-                      | "activity_launch" | "service_launch" ->
-                          "Activity/Service launch"
-                      | "intent_hijack" -> "Intent hijack"
-                      | "information_leakage" -> "Information leakage"
-                      | "privilege_escalation" -> "Privilege escalation"
-                      | k -> k
-                    in
-                    List.iter
-                      (fun app -> Hashtbl.replace tally (kind, app) ())
-                      (Ase.vulnerable_apps report bundle v.Ase.v_kind))
-                  report.Ase.r_vulnerabilities);
-            if (bi + 1) mod 10 = 0 then
-              Printf.printf "  ... %d/%d bundles (%.0fs)\n%!" (bi + 1)
-                (List.length chosen)
-                (Unix.gettimeofday () -. t0))
-          chosen)
-  in
+  Trace.with_span "bench.rq2" (fun () ->
+      let t0 = Unix.gettimeofday () in
+      List.iteri
+        (fun bi bundle_apps ->
+          Trace.with_span "bench.rq2.bundle" (fun () ->
+              let models =
+                List.map (fun g -> Extract.extract g.Generator.apk) bundle_apps
+              in
+              let bundle = Bundle.of_models models in
+              let report = Ase.analyze ~limit_per_sig:40 bundle in
+              List.iter
+                (fun v ->
+                  let kind =
+                    match v.Ase.v_kind with
+                    | "activity_launch" | "service_launch" ->
+                        "Activity/Service launch"
+                    | "intent_hijack" -> "Intent hijack"
+                    | "information_leakage" -> "Information leakage"
+                    | "privilege_escalation" -> "Privilege escalation"
+                    | k -> k
+                  in
+                  List.iter
+                    (fun app -> Hashtbl.replace tally (kind, app) ())
+                    (Ase.vulnerable_apps report bundle v.Ase.v_kind))
+                report.Ase.r_vulnerabilities);
+          if (bi + 1) mod 10 = 0 then
+            Printf.printf "  ... %d/%d bundles (%.0fs)\n%!" (bi + 1)
+              (List.length chosen)
+              (Unix.gettimeofday () -. t0))
+        chosen);
   let count kind =
     Hashtbl.fold (fun (k, _) () acc -> if k = kind then acc + 1 else acc) tally 0
   in
@@ -145,10 +122,7 @@ let rq2 ~mode:_ =
       ("Information leakage", 128);
       ("Privilege escalation", 36);
     ];
-  (* the headline leaves out generating the corpus *)
-  outcome ~headline_ms:total_ms
-    ~extra:[ ("bundles", Json.Int (List.length chosen)) ]
-    ()
+  outcome ()
 
 (* --- Figure 5 ------------------------------------------------------------------ *)
 
@@ -207,9 +181,7 @@ let fig5 ~mode:_ =
      under 2 minutes (paper: 95%%)\n%!"
     total_s (List.length samples)
     (100.0 *. float_of_int under_2min /. float_of_int (List.length samples));
-  outcome ~headline_ms:total_ms
-    ~extra:[ ("apps", Json.Int (List.length samples)) ]
-    ()
+  outcome ()
 
 (* --- Table II ------------------------------------------------------------------- *)
 
@@ -689,7 +661,7 @@ let solver ~mode =
   let total f = f report.Ase.r_solver + f php_stats + f enum_stats in
   (* Kernel throughput: conflicts/s measures learning+backtracking speed,
      propagations/s the watcher hot path — the two rates the flat-arena
-     kernel is tuned for, tracked in the history for trend diffing. *)
+     kernel is tuned for. *)
   let per_sec n = if elapsed > 0.0 then float_of_int n /. elapsed else 0.0 in
   let conflicts_per_sec = per_sec (total (fun s -> s.S.s_conflicts)) in
   let props_per_sec = per_sec (total (fun s -> s.S.s_propagations)) in
@@ -736,14 +708,6 @@ let solver ~mode =
               ("scenarios", Json.Int (List.length scenarios));
               ("solver", solver enum_stats);
             ] );
-        ("conflicts_per_sec", Json.Float conflicts_per_sec);
-        ("propagations_per_sec", Json.Float props_per_sec);
-      ]
-    ~headline_ms:elapsed_ms
-    ~extra:
-      [
-        ("conflicts", Json.Int (total (fun s -> s.S.s_conflicts)));
-        ("propagations", Json.Int (total (fun s -> s.S.s_propagations)));
         ("conflicts_per_sec", Json.Float conflicts_per_sec);
         ("propagations_per_sec", Json.Float props_per_sec);
       ]
@@ -966,15 +930,6 @@ let parallel ~mode =
         ("speedup_at_2", Json.Float (speedup_at 2));
         ("speedup_at_4", Json.Float (speedup_at 4));
       ]
-      (* The trajectory headline is the -j 1 wall time: speedups divide
-         it away, so a sequential regression would otherwise hide. *)
-    ~headline_ms:base_ms
-    ~extra:
-      [
-        ("cpu_cores", Json.Int cores);
-        ("speedup_at_2", Json.Float (speedup_at 2));
-        ("speedup_at_4", Json.Float (speedup_at 4));
-      ]
     ~checks:
       ([
          (identical, "scenario sets differ across -j widths");
@@ -1131,11 +1086,6 @@ let cache ~mode =
         ("changed_identical_stripped_reports", Json.Bool changed_identical);
         ("warm_speedup", Json.Float (speedup warm_ms));
         ("changed_speedup", Json.Float (speedup changed_ms));
-      ]
-    ~headline_ms:cold_ms
-    ~extra:
-      [
-        ("warm_ms", Json.Float warm_ms); ("changed_ms", Json.Float changed_ms);
       ]
     ~checks:
       [
@@ -1305,13 +1255,6 @@ let serve ~mode =
         ("upload_to_verdict_p50_ms", Json.Float p50_ms);
         ("upload_to_verdict_p99_ms", Json.Float p99_ms);
         ("cold_apps_per_sec", Json.Float apps_per_sec);
-      ]
-    ~headline_ms:cold_ms
-    ~extra:
-      [
-        ("update_stream_ms", Json.Float update_ms);
-        ("full_repair_ms", Json.Float repair_ms);
-        ("p99_ms", Json.Float p99_ms);
       ]
     ~checks:
       [
@@ -1564,11 +1507,6 @@ let enforce ~mode =
         ("identity_ok", Json.Bool identity_ok);
         ("reports_identical_across_modes", Json.Bool reports_identical);
       ]
-    ~extra:
-      [
-        ("compiled_1000_ns", Json.Float l1000.el_compiled_ns);
-        ("compiled_ratio", Json.Float compiled_ratio);
-      ]
     ~checks:
       [
         ( identity_ok,
@@ -1642,9 +1580,8 @@ let usage () =
   exit 2
 
 (* Run one section: header, the section itself, its BENCH_<name>.json
-   (inside the common mode/provenance envelope) and history line, and
-   its failed checks, prefixed by the section.  True when a check
-   failed. *)
+   (inside the common mode/provenance envelope) and its failed checks,
+   prefixed by the section.  True when a check failed. *)
 let run_section ~mode s =
   header s.doc;
   let o, ms =
@@ -1665,8 +1602,6 @@ let run_section ~mode s =
     close_out oc;
     Printf.printf "-> %s\n" file
   end;
-  record_history ~mode ~extra:o.extra ~section:s.name
-    (Option.value o.headline_ms ~default:ms);
   let failed =
     List.filter_map (fun (ok, msg) -> if ok then None else Some msg) o.checks
   in

@@ -548,7 +548,9 @@ let enforce_cmd =
       & info [ "start" ] ~docv:"PKG/COMPONENT[/ENTRY]"
           ~doc:
             "Component to launch once the device is set up; $(i,PKG) must \
-             be one of the given apps and $(i,COMPONENT) one of its classes")
+             be one of the given apps, $(i,COMPONENT) one of its classes and \
+             $(i,ENTRY), if given, a method of that class (default \
+             $(b,onCreate))")
   in
   let consent =
     Arg.(
@@ -573,11 +575,17 @@ let enforce_cmd =
     let ((pkg, component, entry) as target) = start in
     (match Separ.Device.find_app device pkg with
     | None -> failwith ("--start: no app with package " ^ pkg)
-    | Some apk ->
-        if Separ.Apk.find_class apk component = None then
-          failwith
-            (Printf.sprintf "--start: package %s has no component %s" pkg
-               component));
+    | Some apk -> (
+        match (Separ.Apk.find_class apk component, entry) with
+        | None, _ ->
+            failwith
+              (Printf.sprintf "--start: package %s has no component %s" pkg
+                 component)
+        | Some cls, Some entry when Separ.Ir.find_method cls entry = None ->
+            failwith
+              (Printf.sprintf "--start: component %s/%s has no entry %s" pkg
+                 component entry)
+        | Some _, _ -> ()));
     Trace.with_span "runtime.start_component"
       ~attrs:[ Trace.attr_str "target" (Fmt.str "%a" pp_start target) ]
       (fun () -> Separ.Device.start_component device ?entry ~pkg ~component);
@@ -593,93 +601,6 @@ let enforce_cmd =
       const run $ paths $ policies_file $ start $ consent
       $ trace_arg $ metrics_arg $ log_arg $ log_level_arg $ metrics_out_arg
       $ profile_gc_arg)
-
-(* The bench-trajectory regression gate over BENCH_HISTORY.ndjson (see
-   [Separ_report.History]): per (section, mode) group, compare the
-   latest recorded wall time against the median of up to K prior runs;
-   exceed the threshold and the command exits non-zero.  Sections
-   without prior runs are reported as SKIPPED, and a missing history
-   file is itself a SKIPPED success — the gate must be safe to wire
-   into CI before any history exists. *)
-let benchdiff_cmd =
-  let module History = Separ_report.History in
-  let history_path =
-    Arg.(
-      value
-      & opt string "BENCH_HISTORY.ndjson"
-      & info [ "history" ] ~docv:"FILE"
-          ~doc:"Bench-trajectory NDJSON file to diff")
-  in
-  let baseline_k =
-    Arg.(
-      value
-      & opt (int_at_least ~min:1 ~what:"--baseline-k") History.default_k
-      & info [ "baseline-k" ] ~docv:"K"
-          ~doc:"Baseline = median of up to $(docv) prior runs per section")
-  in
-  let threshold =
-    Arg.(
-      value
-      & opt (nonneg_float ~what:"--threshold") History.default_threshold_pct
-      & info [ "threshold" ] ~docv:"PCT"
-          ~doc:"Fail when latest wall time exceeds the baseline by more \
-                than $(docv) percent")
-  in
-  let run history_path baseline_k threshold =
-    let entries, malformed = History.load ~path:history_path in
-    if malformed > 0 then
-      Fmt.epr "benchdiff: skipped %d malformed history line%s@." malformed
-        (if malformed = 1 then "" else "s");
-    match entries with
-    | [] ->
-        Fmt.pr "benchdiff: SKIPPED (no history at %s)@." history_path;
-        exit 0
-    | _ ->
-        let diffs = History.diff ~k:baseline_k ~threshold_pct:threshold entries in
-        Fmt.pr "benchdiff: %s (%d entries, baseline = median of <= %d prior \
-                runs, threshold %g%%)@."
-          history_path (List.length entries) baseline_k threshold;
-        List.iter
-          (fun (d : History.section_diff) ->
-            match d.History.sd_status with
-            | History.No_baseline ->
-                Fmt.pr "  SKIPPED     %-16s %-6s %10.1f ms (no baseline yet)@."
-                  d.History.sd_section d.History.sd_mode d.History.sd_latest_ms
-            | History.Ok ->
-                Fmt.pr
-                  "  OK          %-16s %-6s %10.1f ms vs %10.1f ms (%+.1f%%, \
-                   %d prior run%s)@."
-                  d.History.sd_section d.History.sd_mode d.History.sd_latest_ms
-                  d.History.sd_baseline_ms d.History.sd_delta_pct
-                  d.History.sd_samples
-                  (if d.History.sd_samples = 1 then "" else "s")
-            | History.Regression ->
-                Fmt.pr
-                  "  REGRESSION  %-16s %-6s %10.1f ms vs %10.1f ms (%+.1f%%, \
-                   %d prior run%s)@."
-                  d.History.sd_section d.History.sd_mode d.History.sd_latest_ms
-                  d.History.sd_baseline_ms d.History.sd_delta_pct
-                  d.History.sd_samples
-                  (if d.History.sd_samples = 1 then "" else "s"))
-          diffs;
-        let regressions =
-          List.filter
-            (fun d -> d.History.sd_status = History.Regression)
-            diffs
-        in
-        if regressions <> [] then begin
-          Fmt.epr "benchdiff: %d section%s regressed@."
-            (List.length regressions)
-            (if List.length regressions = 1 then "" else "s");
-          exit 1
-        end
-  in
-  Cmd.v
-    (Cmd.info "benchdiff"
-       ~doc:
-         "Compare the latest bench run against the recorded trajectory and \
-          fail on wall-time regressions")
-    Term.(const run $ history_path $ baseline_k $ threshold)
 
 let generate_cmd =
   let n =
@@ -786,6 +707,8 @@ let serve_cmd =
                 | apk ->
                     Separ.Serve.submit serve (Separ.Serve.Upload apk);
                     print_verdicts ()
+                | exception (Failure msg | Sys_error msg) ->
+                    Fmt.epr "serve: upload %s failed: %s@." path msg
                 | exception exn ->
                     Fmt.epr "serve: upload %s failed: %s@." path
                       (Printexc.to_string exn));
@@ -834,7 +757,7 @@ let () =
     Cmd.group info
       [
         analyze_cmd; extract_cmd; spec_cmd; table1_cmd; demo_cmd;
-        enforce_cmd; generate_cmd; serve_cmd; benchdiff_cmd;
+        enforce_cmd; generate_cmd; serve_cmd;
       ]
   in
   match Cmd.eval ~catch:false cmd with

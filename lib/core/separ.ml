@@ -71,11 +71,9 @@ type analysis = {
 (* One analysis per bundle of extracted models: every bundle's
    signature shards share one worker-pool run (see Ase.analyze_many),
    then each report derives its bundle's policies. *)
-let analyze_models ?signatures ?jobs ?budget ?cache ~limit_per_sig models =
+let analyze_models ?jobs ?budget ?cache ~limit_per_sig models =
   let bundles = List.map Bundle.of_models models in
-  let reports =
-    Ase.analyze_many ?signatures ~limit_per_sig ?jobs ?budget ?cache bundles
-  in
+  let reports = Ase.analyze_many ~limit_per_sig ?jobs ?budget ?cache bundles in
   List.map2
     (fun bundle report ->
       let scenarios =
@@ -91,11 +89,10 @@ let analyze_models ?signatures ?jobs ?budget ?cache ~limit_per_sig models =
    then synthesize over all bundles in one pool run, so a store-scale
    run at [jobs > 1] pays fork startup once — not once per bundle.
    Returns one analysis per bundle, in order. *)
-let analyze_bundles ?(k1 = true) ?signatures
-    ?(limit_per_sig = Separ_relog.Solve.default_enum_limit) ?jobs ?budget
-    ?cache (bundles : Apk.t list list) : analysis list =
-  analyze_models ?signatures ?jobs ?budget ?cache ~limit_per_sig
-    (List.map (List.map (Extract.extract ~k1)) bundles)
+let analyze_bundles ?(limit_per_sig = Separ_relog.Solve.default_enum_limit)
+    ?jobs ?budget ?cache (bundles : Apk.t list list) : analysis list =
+  analyze_models ?jobs ?budget ?cache ~limit_per_sig
+    (List.map (List.map Extract.extract) bundles)
 
 (* Run AME and ASE over a bundle of apps and synthesize policies: the
    one-bundle case of [analyze_bundles].  [jobs] widens ASE's worker
@@ -103,19 +100,15 @@ let analyze_bundles ?(k1 = true) ?signatures
    signatures degrade, see Ase.degraded); [cache] makes ASE verdicts
    read-through a persistent store, so re-analyzing an unchanged (or
    barely changed) bundle skips the solving. *)
-let analyze ?k1 ?signatures ?limit_per_sig ?jobs ?budget ?cache
-    (apks : Apk.t list) : analysis =
-  List.hd
-    (analyze_bundles ?k1 ?signatures ?limit_per_sig ?jobs ?budget ?cache
-       [ apks ])
+let analyze ?limit_per_sig ?jobs ?budget ?cache (apks : Apk.t list) =
+  List.hd (analyze_bundles ?limit_per_sig ?jobs ?budget ?cache [ apks ])
 
 (* Incremental re-analysis, the paper's Marshmallow scenario: when apps
    change (an update, or the user revoking a permission), only the
    changed apps are re-extracted; the other app models are reused and
    only the synthesis step re-runs over the updated bundle. *)
-let reanalyze ?(k1 = true) ?signatures
-    ?(limit_per_sig = Separ_relog.Solve.default_enum_limit) ?jobs ?budget
-    ?cache (previous : analysis) ~(changed : Apk.t list) : analysis =
+let reanalyze ?(limit_per_sig = Separ_relog.Solve.default_enum_limit) ?jobs
+    ?budget ?cache (previous : analysis) ~(changed : Apk.t list) : analysis =
   let changed_pkgs = List.map Apk.package changed in
   let kept =
     List.filter
@@ -123,8 +116,8 @@ let reanalyze ?(k1 = true) ?signatures
       (Bundle.apps previous.bundle)
   in
   List.hd
-    (analyze_models ?signatures ?jobs ?budget ?cache ~limit_per_sig
-       [ kept @ List.map (Extract.extract ~k1) changed ])
+    (analyze_models ?jobs ?budget ?cache ~limit_per_sig
+       [ kept @ List.map Extract.extract changed ])
 
 let vulnerabilities analysis = analysis.report.Ase.r_vulnerabilities
 let policies analysis = analysis.policies

@@ -79,10 +79,9 @@ type analysis = {
 }
 
 (** Run AME and ASE over a bundle of apps and synthesize policies: the
-    one-bundle case of {!analyze_bundles}.  [k1] selects context
-    sensitivity of extraction; [signatures] restricts the vulnerability
-    signatures (default: all registered); [limit_per_sig] caps scenarios
-    per signature; [jobs] widens ASE's fork-based worker pool (default
+    one-bundle case of {!analyze_bundles}, over every registered
+    vulnerability signature.  [limit_per_sig] caps scenarios per
+    signature; [jobs] widens ASE's fork-based worker pool (default
     sequential); [budget] bounds each signature's solver session —
     exhausted or crashed signatures degrade to {!Ase.degraded} entries
     in the report instead of failing the analysis; [cache] makes ASE
@@ -91,8 +90,6 @@ type analysis = {
     signature whose encoded problem is unchanged.  Extraction always
     runs: it costs about as much as a cache lookup. *)
 val analyze :
-  ?k1:bool ->
-  ?signatures:Signatures.t list ->
   ?limit_per_sig:int ->
   ?jobs:int ->
   ?budget:Separ_sat.Solver.budget ->
@@ -107,8 +104,6 @@ val analyze :
     its encoding across signatures.  Returns one {!analysis} per bundle,
     in order. *)
 val analyze_bundles :
-  ?k1:bool ->
-  ?signatures:Signatures.t list ->
   ?limit_per_sig:int ->
   ?jobs:int ->
   ?budget:Separ_sat.Solver.budget ->
@@ -120,8 +115,6 @@ val analyze_bundles :
     [changed] apps (matched by package) are re-extracted; the remaining
     app models are reused and only the synthesis step re-runs. *)
 val reanalyze :
-  ?k1:bool ->
-  ?signatures:Signatures.t list ->
   ?limit_per_sig:int ->
   ?jobs:int ->
   ?budget:Separ_sat.Solver.budget ->

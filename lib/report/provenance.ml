@@ -2,8 +2,7 @@
    which host, how many cores, when.  Timing numbers are meaningless
    for trend analysis without it — BENCH_parallel.json's "single-core
    host" caveat used to live only in prose — so every BENCH_*.json
-   snapshot and every BENCH_HISTORY.ndjson entry carries one of
-   these. *)
+   snapshot carries one of these. *)
 
 type t = {
   pv_git_commit : string option; (* None outside a git checkout *)

@@ -54,23 +54,18 @@ type t = {
   index : Index.t;
   reports : (string, Ase.report) Hashtbl.t;
   queue : event Queue.t;
-  k1 : bool;
-  signatures : Separ_specs.Signatures.t list option;
   limit_per_sig : int;
   jobs : int;
   cache : Separ_cache.Store.t option;
 }
 
-let create ?(k1 = true) ?signatures
-    ?(limit_per_sig = Separ_relog.Solve.default_enum_limit) ?(jobs = 1) ?cache
-    () =
+let create ?(limit_per_sig = Separ_relog.Solve.default_enum_limit) ?(jobs = 1)
+    ?cache () =
   {
     models = Smap.empty;
     index = Index.create ();
     reports = Hashtbl.create 64;
     queue = Queue.create ();
-    k1;
-    signatures;
     limit_per_sig;
     jobs;
     cache;
@@ -78,7 +73,6 @@ let create ?(k1 = true) ?signatures
 
 let store_size t = Smap.cardinal t.models
 let packages t = List.map fst (Smap.bindings t.models)
-let model t pkg = Smap.find_opt pkg t.models
 let report t pkg = Hashtbl.find_opt t.reports pkg
 
 let reports t =
@@ -133,8 +127,8 @@ let scope_bundle t pkg =
 let analyze_scopes t pkgs =
   let bundles = List.map (scope_bundle t) pkgs in
   let reports =
-    Ase.analyze_many ?signatures:t.signatures ~limit_per_sig:t.limit_per_sig
-      ~jobs:t.jobs ?cache:t.cache bundles
+    Ase.analyze_many ~limit_per_sig:t.limit_per_sig ~jobs:t.jobs ?cache:t.cache
+      bundles
   in
   List.iter2 (fun pkg r -> Hashtbl.replace t.reports pkg r) pkgs reports
 
@@ -150,7 +144,7 @@ let process t event =
           ~attrs:
             [ Trace.attr_str "kind" "upload"; Trace.attr_str "package" pkg ]
           (fun () ->
-            let fresh = Extract.extract ~k1:t.k1 apk in
+            let fresh = Extract.extract apk in
             (* everyone the old footprint could touch... *)
             let before =
               match Smap.find_opt pkg t.models with
@@ -226,7 +220,6 @@ let process t event =
   }
 
 let submit t event = Queue.add event t.queue
-let pending t = Queue.length t.queue
 
 let drain t =
   let rec go acc =

@@ -16,8 +16,6 @@
     spans) and metered ([serve.*] counters, the
     [serve.upload_to_verdict_ms] histogram). *)
 
-open Separ_ame
-
 type event = Upload of Separ_dalvik.Apk.t | Remove of string
 
 type verdict = {
@@ -33,8 +31,6 @@ type verdict = {
 type t
 
 val create :
-  ?k1:bool ->
-  ?signatures:Separ_specs.Signatures.t list ->
   ?limit_per_sig:int ->
   ?jobs:int ->
   ?cache:Separ_cache.Store.t ->
@@ -42,7 +38,6 @@ val create :
   t
 
 val submit : t -> event -> unit
-val pending : t -> int
 
 (** Process every queued event in order; one verdict per event. *)
 val drain : t -> verdict list
@@ -50,7 +45,6 @@ val drain : t -> verdict list
 val store_size : t -> int
 val packages : t -> string list
 
-val model : t -> string -> App_model.t option
 val report : t -> string -> Separ_ase.Ase.report option
 
 (** All per-app reports, sorted by package. *)

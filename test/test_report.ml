@@ -110,112 +110,6 @@ let test_stats_ci () =
   check "t interval wider than z" true
     (Stats.ci95_halfwidth xs > 1.96 *. Stats.stddev xs /. sqrt 8.0)
 
-(* --- bench-history diff (separ benchdiff) --------------------------------- *)
-
-let history_entry ?(mode = "full") ?(extra = []) section wall_ms =
-  {
-    Separ_report.History.e_section = section;
-    e_mode = mode;
-    e_wall_ms = wall_ms;
-    e_provenance = Json.Null;
-    e_extra = extra;
-  }
-
-let test_history_diff_grouping () =
-  let module H = Separ_report.History in
-  (* file order: sections interleaved, two modes for one section *)
-  let entries =
-    [
-      history_entry "solver" 100.0;
-      history_entry "table1" 50.0;
-      history_entry ~mode:"smoke" "solver" 10.0;
-      history_entry "solver" 110.0;
-      history_entry "table1" 52.0;
-      history_entry ~mode:"smoke" "solver" 11.0;
-      history_entry "solver" 105.0;
-    ]
-  in
-  (* the entries go through a history file: a missing file loads empty,
-     and a malformed line is counted and skipped, never fatal *)
-  let path = Filename.temp_file "separ_test_history" ".ndjson" in
-  Sys.remove path;
-  check "missing history loads empty, nothing to diff" true
-    (H.load ~path = ([], 0) && H.diff [] = []);
-  List.iter (H.append ~path) entries;
-  let oc = open_out_gen [ Open_wronly; Open_append ] 0o644 path in
-  output_string oc "{this is not json\n";
-  close_out oc;
-  let loaded, malformed = H.load ~path in
-  Sys.remove path;
-  Alcotest.(check int) "malformed line counted" 1 malformed;
-  check "entries survive the round trip" true (loaded = entries);
-  let diffs = H.diff loaded in
-  (* groups come out in first-seen (section, mode) order *)
-  Alcotest.(check (list (pair string string)))
-    "first-seen group order"
-    [ ("solver", "full"); ("table1", "full"); ("solver", "smoke") ]
-    (List.map (fun d -> (d.H.sd_section, d.H.sd_mode)) diffs);
-  (* the latest entry of each group is diffed against the median of its
-     priors; smoke and full never cross-compare *)
-  List.iter
-    (fun d ->
-      match (d.H.sd_section, d.H.sd_mode) with
-      | "solver", "full" ->
-          Alcotest.(check (float 1e-9)) "solver latest" 105.0 d.H.sd_latest_ms;
-          (* median of the two priors [100; 110]: percentile 0.5 takes the
-             lower rank *)
-          Alcotest.(check (float 1e-9)) "solver baseline" 100.0 d.H.sd_baseline_ms;
-          Alcotest.(check int) "solver samples" 2 d.H.sd_samples;
-          check "solver ok" true (d.H.sd_status = H.Ok)
-      | "solver", "smoke" ->
-          Alcotest.(check (float 1e-9)) "smoke latest" 11.0 d.H.sd_latest_ms;
-          Alcotest.(check int) "smoke samples" 1 d.H.sd_samples
-      | "table1", _ ->
-          Alcotest.(check (float 1e-9)) "table1 latest" 52.0 d.H.sd_latest_ms
-      | _ -> Alcotest.fail "unexpected group")
-    diffs;
-  (* a regression is flagged against the median, not the previous run *)
-  let regressed = entries @ [ history_entry "solver" 200.0 ] in
-  let d =
-    List.find
-      (fun d -> d.H.sd_section = "solver" && d.H.sd_mode = "full")
-      (H.diff regressed)
-  in
-  check "inflated latest flagged" true (d.H.sd_status = H.Regression);
-  check "flagged beyond the default threshold" true
-    (d.H.sd_delta_pct > H.default_threshold_pct);
-  (* single-entry group has no baseline *)
-  let d =
-    List.find
-      (fun d -> d.H.sd_section = "fresh")
-      (H.diff (entries @ [ history_entry "fresh" 1.0 ]))
-  in
-  check "no baseline on first run" true (d.H.sd_status = H.No_baseline)
-
-let test_history_diff_linear () =
-  (* Regression guard: [diff] used to re-filter the whole history per
-     (section, mode) pair — O(n^2) on the ever-growing NDJSON store.
-     A few thousand entries must group and diff well under a second. *)
-  let module H = Separ_report.History in
-  let sections = [| "table1"; "solver"; "parallel"; "incremental"; "cache" |] in
-  let entries =
-    List.init 6000 (fun i ->
-        history_entry
-          ~mode:(if i mod 3 = 0 then "smoke" else "full")
-          sections.(i mod Array.length sections)
-          (50.0 +. float_of_int (i mod 17)))
-  in
-  let t0 = Unix.gettimeofday () in
-  let diffs = H.diff entries in
-  let elapsed_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-  Alcotest.(check int) "all groups present" 10 (List.length diffs);
-  List.iter
-    (fun d -> check "every group has a baseline" true (d.H.sd_samples > 0))
-    diffs;
-  check
-    (Printf.sprintf "diff over 6000 entries stays linear (%.1fms)" elapsed_ms)
-    true (elapsed_ms < 1000.0)
-
 let test_analysis_report_shape () =
   let analysis =
     Separ.analyze [ Separ.Demo.navigation_app (); Separ.Demo.messenger_app () ]
@@ -248,7 +142,5 @@ let tests =
     Alcotest.test_case "float round trip" `Quick test_float_roundtrip;
     Alcotest.test_case "json parser" `Quick test_parse;
     Alcotest.test_case "t-based confidence intervals" `Quick test_stats_ci;
-    Alcotest.test_case "history diff grouping" `Quick test_history_diff_grouping;
-    Alcotest.test_case "history diff linear time" `Quick test_history_diff_linear;
     Alcotest.test_case "analysis report shape" `Quick test_analysis_report_shape;
   ]
