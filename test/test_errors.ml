@@ -331,6 +331,52 @@ let test_device_unknown_component () =
   Device.start_component d ~pkg ~component:"NoSuchComponent";
   check "unknown component runs nothing" true (Device.effects d = [])
 
+(* [start_component] also runs nothing for an entry the class does not
+   define; [Ir.find_method] is the lookup a caller uses to reject it.
+   The same component started at an entry it does define has effects. *)
+let test_device_unknown_entry () =
+  let module Device = Separ_runtime.Device in
+  let apk = Separ.Demo.navigation_app () in
+  let pkg = Separ_dalvik.Apk.package apk in
+  let component = "LocationFinder" in
+  let cls = Option.get (Separ_dalvik.Apk.find_class apk component) in
+  check "defined entry found" true
+    (Separ_dalvik.Ir.find_method cls "onStartCommand" <> None);
+  check "unknown entry not found" true
+    (Separ_dalvik.Ir.find_method cls "noSuchEntry" = None);
+  let run entry =
+    let d = Device.create () in
+    Device.install d apk;
+    Device.start_component d ~entry ~pkg ~component;
+    Device.effects d
+  in
+  check "defined entry runs" true (run "onStartCommand" <> []);
+  check "unknown entry runs nothing" true (run "noSuchEntry" = [])
+
+(* A file that cannot be read or parsed fails [Apk_text.load] with
+   [Sys_error] or [Failure] whose message alone says what is wrong:
+   the serve daemon prints that message for a failed upload. *)
+let test_apk_text_load_errors () =
+  let missing =
+    Filename.concat (Filename.get_temp_dir_name ()) "separ_no_such.apk.txt"
+  in
+  (match Separ_dalvik.Apk_text.load missing with
+  | _ -> Alcotest.fail "load of a missing file succeeded"
+  | exception Sys_error msg ->
+      check "error names the path" true
+        (String.starts_with ~prefix:missing msg)
+  | exception e -> Alcotest.failf "load raised %s" (Printexc.to_string e));
+  let bad = Filename.temp_file "separ_bad" ".apk.txt" in
+  Out_channel.with_open_bin bad (fun oc ->
+      output_string oc ".package p\ngarbage here\n");
+  (match Separ_dalvik.Apk_text.load bad with
+  | _ -> Alcotest.fail "load of a garbage line succeeded"
+  | exception Failure msg ->
+      Alcotest.(check string)
+        "message names the line" "Apk_text.parse: unexpected line garbage" msg
+  | exception e -> Alcotest.failf "load raised %s" (Printexc.to_string e));
+  Sys.remove bad
+
 (* A path under a regular file cannot be created: [mkdir_p] reports it
    as [Sys_error] naming the path, not as a [Unix_error]. *)
 let test_store_mkdir_p_under_file () =
@@ -403,6 +449,9 @@ let tests =
     Alcotest.test_case "device: unknown app" `Quick test_device_unknown_app;
     Alcotest.test_case "device: unknown component" `Quick
       test_device_unknown_component;
+    Alcotest.test_case "device: unknown entry" `Quick test_device_unknown_entry;
+    Alcotest.test_case "apk text: load errors carry a message" `Quick
+      test_apk_text_load_errors;
     Alcotest.test_case "store: mkdir_p under a file" `Quick
       test_store_mkdir_p_under_file;
     Alcotest.test_case "policy: store with a bad line" `Quick

@@ -593,6 +593,78 @@ let test_two_hop_translation_size () =
            d.Ase.sd_gates)
         true (d.Ase.sd_gates < 5000)
 
+(* An identity helper called with the IMEI and with a clean constant;
+   only the clean result is sent to a logging service.  k=1 extraction
+   keeps the two calls apart; k=0 merges them into a false leak. *)
+let context_trap_app () =
+  let module B = Builder in
+  Apk.make
+    ~manifest:
+      (Manifest.make ~package:"trap"
+         ~uses_permissions:[ Permission.read_phone_state ]
+         ~components:
+           [
+             Component.make ~name:"TrapSrc" ~kind:Component.Activity ();
+             Component.make ~name:"TrapSnk" ~kind:Component.Service
+               ~intent_filters:
+                 [ Separ_android.Intent_filter.make ~actions:[ "trap.go" ] () ]
+               ();
+           ]
+         ())
+    ~classes:
+      [
+        B.cls ~name:"TrapSrc"
+          [
+            B.meth ~name:"onCreate" ~params:1 (fun b ->
+                let v = B.get_device_id b in
+                let v' = B.call_result b ~cls:"TrapSrc" ~name:"id" [ v ] in
+                B.sput b ~field:"keep" ~src:v';
+                let clean = B.const_str b "ok" in
+                let w = B.call_result b ~cls:"TrapSrc" ~name:"id" [ clean ] in
+                let i = B.new_intent b in
+                B.set_action b i "trap.go";
+                B.put_extra b i ~key:"k" ~value:w;
+                B.start_service b i);
+            B.meth ~name:"id" ~params:1 (fun b -> B.return_reg b 0);
+          ];
+        B.cls ~name:"TrapSnk"
+          [
+            B.meth ~name:"onStartCommand" ~params:1 (fun b ->
+                let v = B.get_string_extra b 0 ~key:"k" in
+                B.write_log b ~payload:v);
+          ];
+      ]
+
+(* The facade takes no extraction or signature knobs: [analyze] and
+   [reanalyze] must report exactly what ASE reports when handed
+   k1-extracted models and every registered signature explicitly.  The
+   trap app tells k=1 from k=0 extraction. *)
+let test_facade_defaults () =
+  let stripped report =
+    Separ_report.Report.to_string ~report:(Ase.strip_performance report)
+      ~policies:[] ()
+  in
+  let explicit ~k1 apks =
+    stripped
+      (Ase.analyze ~signatures:(Signatures.all ())
+         (Bundle.of_models (List.map (Extract.extract ~k1) apks)))
+  in
+  let trap = [ context_trap_app () ] in
+  check "the trap app tells k=1 from k=0" true
+    (explicit ~k1:true trap <> explicit ~k1:false trap);
+  check "analyze extracts with k=1" true
+    (stripped (analyze trap).report = explicit ~k1:true trap);
+  let apks = demo_apks () in
+  let analysis = analyze apks in
+  check "analyze = every signature over k1 models" true
+    (stripped analysis.report = explicit ~k1:true apks);
+  let guarded = Demo.messenger_app ~guarded:true () in
+  let updated = reanalyze analysis ~changed:[ guarded; context_trap_app () ] in
+  check "reanalyze = every signature over k1 models" true
+    (stripped updated.report
+    = explicit ~k1:true
+        [ Demo.navigation_app (); guarded; context_trap_app () ])
+
 let extension_tests =
   [
     Alcotest.test_case "incremental reanalysis" `Quick
@@ -615,6 +687,8 @@ let extension_tests =
     Alcotest.test_case "truncation reported" `Quick test_truncation_reported;
     Alcotest.test_case "two-hop translation stays linear" `Quick
       test_two_hop_translation_size;
+    Alcotest.test_case "facade runs every signature over k1 models" `Quick
+      test_facade_defaults;
   ]
 
 let tests = tests @ extension_tests
