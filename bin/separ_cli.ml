@@ -278,12 +278,12 @@ let analyze_cmd =
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Run the analysis in $(docv) worker processes ($(docv) >= 1): \
-             the pool forks them once per run and streams tasks to them, \
-             one at a time.  With multiple bundle directories the work is \
-             sharded across whole bundles first, then across signatures \
-             within each bundle.  Results are merged in order, so output is \
-             identical across $(docv); a crashed worker degrades only its \
-             in-flight tasks instead of failing the run.")
+             the pool forks them once per process and streams tasks to \
+             them, one at a time.  With multiple bundle directories the \
+             work is sharded across whole bundles first, then across \
+             signatures within each bundle.  Results are merged in order, \
+             so output is identical across $(docv); a crashed worker \
+             degrades only its in-flight tasks instead of failing the run.")
   in
   let budget_conflicts =
     Arg.(
@@ -549,8 +549,10 @@ let enforce_cmd =
           ~doc:
             "Component to launch once the device is set up; $(i,PKG) must \
              be one of the given apps, $(i,COMPONENT) one of its classes and \
-             $(i,ENTRY), if given, a method of that class (default \
-             $(b,onCreate))")
+             $(i,ENTRY), if given, a method of that class (default: the \
+             first lifecycle entry point of the component's kind that the \
+             class defines, such as $(b,onCreate) for an activity or \
+             $(b,onStartCommand) for a service)")
   in
   let consent =
     Arg.(
@@ -573,22 +575,34 @@ let enforce_cmd =
     Separ.Device.set_enforcement device true;
     Separ.Device.set_consent device (fun _ _ -> consent);
     let ((pkg, component, entry) as target) = start in
-    (match Separ.Device.find_app device pkg with
-    | None -> failwith ("--start: no app with package " ^ pkg)
-    | Some apk -> (
-        match (Separ.Apk.find_class apk component, entry) with
-        | None, _ ->
-            failwith
-              (Printf.sprintf "--start: package %s has no component %s" pkg
-                 component)
-        | Some cls, Some entry when Separ.Ir.find_method cls entry = None ->
-            failwith
-              (Printf.sprintf "--start: component %s/%s has no entry %s" pkg
-                 component entry)
-        | Some _, _ -> ()));
+    let entry =
+      match Separ.Device.find_app device pkg with
+      | None -> failwith ("--start: no app with package " ^ pkg)
+      | Some apk -> (
+          match (Separ.Apk.find_class apk component, entry) with
+          | None, _ ->
+              failwith
+                (Printf.sprintf "--start: package %s has no component %s" pkg
+                   component)
+          | Some cls, Some entry ->
+              if Separ.Ir.find_method cls entry = None then
+                failwith
+                  (Printf.sprintf "--start: component %s/%s has no entry %s"
+                     pkg component entry);
+              entry
+          | Some _, None -> (
+              match Separ.Apk.default_entry apk component with
+              | Some entry -> entry
+              | None ->
+                  failwith
+                    (Printf.sprintf
+                       "--start: component %s/%s defines no lifecycle entry \
+                        point of its kind; name one as %s/%s/ENTRY"
+                       pkg component pkg component)))
+    in
     Trace.with_span "runtime.start_component"
       ~attrs:[ Trace.attr_str "target" (Fmt.str "%a" pp_start target) ]
-      (fun () -> Separ.Device.start_component device ?entry ~pkg ~component);
+      (fun () -> Separ.Device.start_component device ~entry ~pkg ~component);
     List.iter
       (fun e -> Fmt.pr "%a@." Separ.Effect.pp e)
       (Separ.Device.effects device);

@@ -32,6 +32,16 @@ let entry_methods = function
   | Component.Receiver -> [ "onReceive" ]
   | Component.Provider -> [ "query"; "insert"; "update"; "delete" ]
 
+(* What a launch of component class [name] runs when no entry is named:
+   the first of its kind's entry points that the class defines. *)
+let default_entry t name =
+  match (Manifest.component t.manifest name, find_class t name) with
+  | Some comp, Some cls ->
+      List.find_opt
+        (fun entry -> Ir.find_method cls entry <> None)
+        (entry_methods comp.Component.kind)
+  | _ -> None
+
 (* The lifecycle callbacks the framework drives, in order, after the
    primary entry point has run. *)
 let lifecycle_after = function

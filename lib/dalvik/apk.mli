@@ -21,6 +21,13 @@ val component_class : t -> Component.t -> Ir.cls option
     intent in register 0. *)
 val entry_methods : Component.kind -> string list
 
+(** [default_entry apk name] is the entry point a launch of component
+    [name] runs when none is named: the first of
+    [entry_methods kind] that its class defines.  [None] when [name] is
+    not a declared component with a class, or the class defines none
+    of its kind's entry points. *)
+val default_entry : t -> string -> string option
+
 (** Which entry point an ICC mechanism invokes on the target. *)
 val entry_for_icc : Api.icc_kind -> string
 

@@ -1,43 +1,64 @@
-(* Fork-based worker pool, forked once per run.
+(* Fork-based worker pool, forked once per process.
 
-   Concurrency without threads: [run ~jobs tasks] forks at most [jobs]
-   children *once per run* and streams task indices to them over pipes,
-   one task per message.  A worker loops — read a framed index, run
-   that task, write back one framed reply carrying its outcome plus its
-   telemetry — until its task pipe reaches EOF, so N tasks cost
-   min(jobs, N) forks, not N.  Tasks are closures, which never cross
-   the process boundary: each child inherits the full task array at
-   fork time and the wire carries only indices one way and marshalled
-   results the other.
+   Concurrency without threads: workers are [Unix.fork] children that
+   live for the whole process.  A process-global registry keeps the idle
+   ones; [run ~jobs tasks] takes [min jobs n] of them and forks only the
+   shortfall, so a program that always asks for the same width forks
+   once, on its first run, and a [-j 1] program never forks.  A worker
+   loops — read one framed task, run it, write back one framed reply
+   carrying its outcome plus its telemetry — and goes back to the idle
+   set when the run that took it ends.
 
-   Wire protocol, both directions: the [protocol_tag] magic/version
-   ("SEPARP3\n") followed by one [Marshal] value — [int] (the task
-   index) parent→worker, ['r payload] (outcome + telemetry)
-   worker→parent.  The parent validates the tag before unmarshalling;
-   a stale or garbage-spewing worker surfaces as [Failed], never as a
-   deserialization of garbage.
+   Tasks travel as closures: the worker is a fork of the same
+   executable, so [Marshal.Closures] code pointers stay valid in it.
+   Whatever a task captures is copied into the worker with it and must
+   therefore be marshal-safe (no channels, no custom blocks without a
+   serializer); a task that cannot be marshalled becomes
+   [Failed "cannot send task: ..."] without reaching a worker.  A task
+   reads process-global state as the worker has it — as of its fork,
+   plus what earlier tasks in that worker did — not as the parent has
+   it now; only the telemetry switches are sent along with every task.
+
+   Wire protocol, both directions, led by the [protocol_tag]
+   magic/version ("SEPARP4\n").  Parent -> worker: the marshalled
+   [job] (the task, wrapped to run and marshal its own reply), then the
+   marshalled [switches].  Worker -> parent: the reply, one marshalled
+   ['r payload] (outcome + telemetry).  The parent validates the tag
+   before unmarshalling; a stale or garbage-spewing worker surfaces as
+   [Failed], never as a deserialization of garbage.
 
    Crash isolation is the point: a task that raises reports its
    exception in its reply; a worker that dies outright (segfault,
    [_exit], kill) fails *only its in-flight task* — the parent maps it
-   to [Failed], reaps the corpse, and forks a replacement to drain the
-   remaining tasks.  EPIPE/ECONNRESET on the pool's own pipes (SIGPIPE
-   is ignored for the duration of the run) are treated as worker death,
-   not parent crashes.
+   to [Failed], reaps the corpse, and brings in a replacement to drain
+   the remaining tasks.  EPIPE/ECONNRESET on the pool's own pipes
+   (SIGPIPE is ignored for the duration of a run) are treated as worker
+   death, not parent crashes.
+
+   Lifecycle.  An [at_exit] hook that acts only in the process owning
+   the registry closes each worker's task pipe, sends it SIGKILL and
+   reaps it; it never waits for EOF alone, since another forked child
+   may still hold the pipe.  A forked child (a worker, or any other
+   fork) starts with an empty registry and never touches its parent's
+   workers.  An exception escaping [run] kills and reaps the workers
+   that run still had busy, so no stale reply waits in a pipe for the
+   next run.  If the parent dies by a signal, its workers read EOF on
+   their task pipes and exit.
 
    File-descriptor hygiene: pipes are opened [~cloexec:true] (so an
    exec'ing grandchild drops them), and — because cloexec is invisible
-   to plain forks — every child explicitly closes the parent-side ends
-   of all sibling pipes it inherited.  Without this, a sibling's
+   to plain forks — every new worker closes the parent-side ends of all
+   other workers' pipes it inherited.  Without this, a sibling's
    inherited write end would keep a dead worker's result pipe from ever
    reaching EOF.
 
-   Telemetry: workers reset trace/metrics/log state per task and ship
-   the task's span roots, metric snapshot and buffered log events in
-   the reply; the parent grafts/merges/replays them back — pid-tagged —
-   in *task* order.  Workers never write to the log sink fd they
-   inherit (concurrent children interleaving partial lines would
-   corrupt the NDJSON stream); they buffer via [Log.capture_begin] and
+   Telemetry: before each task a worker applies the parent's current
+   trace/GC-profile/metrics/log switches, resets its trace and metrics,
+   and ships the task's span roots, metric snapshot and captured log
+   events in the reply; the parent grafts/merges/replays them back —
+   pid-tagged — in *task* order.  Workers never write to the log sink
+   they inherit (concurrent children interleaving partial lines would
+   corrupt the NDJSON stream); they capture via [Log.capture_begin] and
    the parent replays through its own sink.  Merging by task index
    keeps the combined telemetry deterministic regardless of which
    worker ran which task. *)
@@ -56,14 +77,27 @@ type 'r payload =
   * Metrics.snapshot
   * Log.event list
 
-(* Wire protocol tag, written ahead of every marshalled message in both
-   directions and checked before unmarshalling.  Marshal itself carries
-   no protocol identity: feeding it bytes produced by a stale or
-   mismatched worker binary deserializes garbage (or worse) — with the
-   tag, the mismatch surfaces as an honest [Failed].  Bump the version
-   whenever the message layout changes (SEPARP3: one task per message,
-   an [int] index out and a single outcome back). *)
-let protocol_tag = "SEPARP3\n"
+(* A task as it crosses the wire: it runs the task and returns its
+   marshalled ['r payload], so the worker loop is the same for every
+   result type. *)
+type job = unit -> string
+
+(* The parent's telemetry switches at send time. *)
+type switches = {
+  sw_trace : bool;
+  sw_profile_gc : bool;
+  sw_metrics : bool;
+  sw_log : Log.level option; (* [None]: the parent has no log sink *)
+}
+
+(* Wire protocol tag, written ahead of every message in both directions
+   and checked before unmarshalling.  Marshal itself carries no protocol
+   identity: feeding it bytes produced by a stale or mismatched worker
+   binary deserializes garbage (or worse) — with the tag, the mismatch
+   surfaces as an honest [Failed].  Bump the version whenever the
+   message layout changes (SEPARP4: a marshalled closure and the
+   telemetry switches out, a single outcome back). *)
+let protocol_tag = "SEPARP4\n"
 let tag_len = String.length protocol_tag
 
 (* Validate a raw worker payload's leading tag; [Ok offset] is where the
@@ -82,7 +116,7 @@ let check_protocol raw =
 type run_stats = {
   rs_jobs : int; (* pool width the run was allowed *)
   rs_forks : int; (* processes forked, including respawns *)
-  rs_respawns : int; (* replacement workers forked after a death *)
+  rs_respawns : int; (* replacement workers brought in after a death *)
   rs_tasks : int; (* tasks sent over the wire, one per message *)
 }
 
@@ -107,13 +141,42 @@ let run_inline tasks =
       match run_task task with Ok v -> Done v | Error msg -> Failed msg)
     tasks
 
+(* The closure that crosses the wire for [task].  It runs in the worker
+   and collects the task's telemetry there; a result that cannot be
+   marshalled (a closure, a channel) becomes the task's failure. *)
+let job_of (task : unit -> 'r) : job =
+ fun () ->
+  let outcome = run_task task in
+  let spans = Trace.roots () in
+  let msnap = Metrics.snapshot () in
+  let events = Log.capture_take () in
+  match Marshal.to_string ((outcome, spans, msnap, events) : 'r payload) [] with
+  | reply -> reply
+  | exception e ->
+      Marshal.to_string
+        (( Error ("cannot return result: " ^ Printexc.to_string e),
+           spans,
+           msnap,
+           events )
+          : 'r payload)
+        []
+
 (* --- worker side ---------------------------------------------------------- *)
 
-(* Serve tasks until the task pipe reaches EOF (the parent's shutdown
-   signal).  Exit statuses: 0 clean, 2 reply write failed or a task
-   blew up outside its containment, 3 protocol mismatch on the task
-   pipe. *)
-let worker_main tasks task_r result_w =
+let apply_switches sw =
+  if sw.sw_trace then Trace.enable () else Trace.disable ();
+  Trace.set_profile_gc sw.sw_profile_gc;
+  if sw.sw_metrics then Metrics.enable () else Metrics.disable ();
+  match sw.sw_log with
+  | Some lvl ->
+      Log.set_level lvl;
+      Log.capture_begin ()
+  | None -> Log.capture_end ()
+
+(* Serve tasks until the task pipe reaches EOF (the parent is gone).
+   Exit statuses: 0 clean, 2 reply write failed or a task blew up
+   outside its containment, 3 protocol mismatch on the task pipe. *)
+let worker_main task_r result_w =
   let ic = Unix.in_channel_of_descr task_r in
   let oc = Unix.out_channel_of_descr result_w in
   let tag = Bytes.create tag_len in
@@ -123,18 +186,15 @@ let worker_main tasks task_r result_w =
     | () ->
         if Bytes.to_string tag <> protocol_tag then 3
         else begin
-          let i : int = Marshal.from_channel ic in
-          (* Only this task's own activity should ship back; capture
-             mode also keeps this child off the parent's log sink. *)
+          let job : job = Marshal.from_channel ic in
+          let sw : switches = Marshal.from_channel ic in
+          apply_switches sw;
+          (* Only this task's own activity should ship back. *)
           Trace.reset ();
           Metrics.reset ();
-          Log.capture_begin ();
-          let outcome = run_task tasks.(i) in
-          let payload : _ payload =
-            (outcome, Trace.roots (), Metrics.snapshot (), Log.capture_take ())
-          in
+          let reply = job () in
           output_string oc protocol_tag;
-          Marshal.to_channel oc payload [];
+          output_string oc reply;
           flush oc;
           serve ()
         end
@@ -144,6 +204,105 @@ let worker_main tasks task_r result_w =
      a child must not replay the parent's pending stdout. *)
   Unix._exit status
 
+(* --- the process-global registry ------------------------------------------ *)
+
+type worker = {
+  wk_pid : int;
+  wk_task_w : Unix.file_descr; (* parent -> worker: framed tasks *)
+  wk_res_r : Unix.file_descr; (* worker -> parent: framed replies *)
+  wk_buf : Buffer.t; (* reply bytes, accumulated incrementally *)
+  mutable wk_inflight : int option; (* index of the task on the wire *)
+}
+
+(* Between them, [idle] and [busy] hold every live worker, and so every
+   parent-side pipe end. *)
+type registry = {
+  mutable owner : int; (* the process these workers belong to *)
+  mutable idle : worker list;
+  mutable busy : worker list; (* taken by the run in progress *)
+}
+
+let reg = { owner = Unix.getpid (); idle = []; busy = [] }
+
+(* The registry of this process.  A forked child finds its parent's
+   entries in its copy of [reg]; those workers are not its own, so it
+   starts over with none. *)
+let registry () =
+  let pid = Unix.getpid () in
+  if reg.owner <> pid then begin
+    reg.owner <- pid;
+    reg.idle <- [];
+    reg.busy <- []
+  end;
+  reg
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let rec waitpid_retry pid =
+  match Unix.waitpid [] pid with
+  | _, status -> status
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_retry pid
+
+(* Drop a worker from the registry and close its pipes.  Closing the
+   task pipe is also the worker's signal to exit. *)
+let forget wk =
+  reg.idle <- List.filter (fun w -> w != wk) reg.idle;
+  reg.busy <- List.filter (fun w -> w != wk) reg.busy;
+  close_quietly wk.wk_task_w;
+  close_quietly wk.wk_res_r
+
+let kill_and_reap wk =
+  forget wk;
+  (try Unix.kill wk.wk_pid Sys.sigkill with Unix.Unix_error _ -> ());
+  ignore (waitpid_retry wk.wk_pid)
+
+let () =
+  at_exit (fun () ->
+      if reg.owner = Unix.getpid () then
+        List.iter kill_and_reap (reg.busy @ reg.idle))
+
+(* Fork a worker and register it as busy. *)
+let spawn () =
+  let task_r, task_w = Unix.pipe ~cloexec:true () in
+  let res_r, res_w = Unix.pipe ~cloexec:true () in
+  (* Flush before forking or the child inherits (and could replay)
+     pending buffered output. *)
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+      (* Drop every inherited parent-side end: a sibling's write fd
+         surviving in this process would hold that sibling's pipes open
+         past its death.  The log sink is the parent's too. *)
+      List.iter
+        (fun w ->
+          close_quietly w.wk_task_w;
+          close_quietly w.wk_res_r)
+        (reg.busy @ reg.idle);
+      Unix.close task_w;
+      Unix.close res_r;
+      Log.close ();
+      ignore (registry ());
+      worker_main task_r res_w
+  | pid ->
+      Unix.close task_r;
+      Unix.close res_w;
+      Metrics.incr c_forks;
+      let wk =
+        {
+          wk_pid = pid;
+          wk_task_w = task_w;
+          wk_res_r = res_r;
+          wk_buf = Buffer.create 4096;
+          wk_inflight = None;
+        }
+      in
+      reg.busy <- wk :: reg.busy;
+      wk
+  | exception e ->
+      List.iter close_quietly [ task_r; task_w; res_r; res_w ];
+      raise e
+
 (* --- parent side ---------------------------------------------------------- *)
 
 let status_string = function
@@ -151,11 +310,6 @@ let status_string = function
       Printf.sprintf "worker exited with status %d mid-task" code
   | Unix.WSIGNALED sg -> Printf.sprintf "worker killed by signal %d" sg
   | Unix.WSTOPPED sg -> Printf.sprintf "worker stopped by signal %d" sg
-
-let rec waitpid_retry pid =
-  match Unix.waitpid [] pid with
-  | _, status -> status
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_retry pid
 
 let rec select_retry fds =
   match Unix.select fds [] [] (-1.0) with
@@ -169,90 +323,64 @@ let rec write_retry fd bytes off len =
     | exception Unix.Unix_error (Unix.EINTR, _, _) ->
         write_retry fd bytes off len
 
-type worker = {
-  wk_pid : int;
-  wk_task_w : Unix.file_descr; (* parent -> worker: framed task indices *)
-  wk_res_r : Unix.file_descr; (* worker -> parent: framed replies *)
-  wk_buf : Buffer.t; (* reply bytes, accumulated incrementally *)
-  mutable wk_inflight : int option; (* index of the task on the wire *)
-  mutable wk_closed : bool; (* task pipe closed (shutdown sent) *)
-}
+let current_switches () =
+  {
+    sw_trace = Trace.is_enabled ();
+    sw_profile_gc = Trace.is_profiling_gc ();
+    sw_metrics = Metrics.is_enabled ();
+    sw_log = (if Log.is_enabled () then Some (Log.level ()) else None);
+  }
 
 let run_forked ~jobs tasks_list =
+  let reg = registry () in
   let tasks = Array.of_list tasks_list in
   let n = Array.length tasks in
   let results = Array.make n (Failed "not run") in
   let telemetry = Array.make n None in
   let next_task = ref 0 in
   let forks = ref 0 and respawns = ref 0 in
-  (* Every parent-side pipe end currently open, so each fork can close
-     the sibling fds it inherited (cloexec only helps across exec). *)
-  let parent_fds : Unix.file_descr list ref = ref [] in
-  let close_parent_fd fd =
-    parent_fds := List.filter (fun f -> f <> fd) !parent_fds;
-    try Unix.close fd with Unix.Unix_error _ -> ()
-  in
-  (* read-fd -> worker, for the live children *)
+  let switches = Marshal.to_bytes (current_switches ()) [] in
+  (* read-fd -> worker, for this run's busy workers *)
   let live : (Unix.file_descr, worker) Hashtbl.t = Hashtbl.create jobs in
-  let spawn () =
-    let task_r, task_w = Unix.pipe ~cloexec:true () in
-    let res_r, res_w = Unix.pipe ~cloexec:true () in
-    (* Flush before forking or the child inherits (and could replay)
-       pending buffered output. *)
-    flush stdout;
-    flush stderr;
-    match Unix.fork () with
-    | 0 ->
-        (* Drop every inherited parent-side end: a sibling's write fd
-           surviving in this process would hold that sibling's pipes
-           open past its death. *)
-        List.iter
-          (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-          !parent_fds;
-        Unix.close task_w;
-        Unix.close res_r;
-        worker_main tasks task_r res_w
-    | pid ->
-        Unix.close task_r;
-        Unix.close res_w;
-        parent_fds := task_w :: res_r :: !parent_fds;
-        incr forks;
-        Metrics.incr c_forks;
-        let wk =
-          {
-            wk_pid = pid;
-            wk_task_w = task_w;
-            wk_res_r = res_r;
-            wk_buf = Buffer.create 4096;
-            wk_inflight = None;
-            wk_closed = false;
-          }
-        in
-        Hashtbl.replace live res_r wk;
-        wk
+  (* An idle worker if there is one, else a fresh fork. *)
+  let acquire () =
+    let wk =
+      match reg.idle with
+      | wk :: rest ->
+          reg.idle <- rest;
+          reg.busy <- wk :: reg.busy;
+          wk
+      | [] ->
+          incr forks;
+          spawn ()
+    in
+    Hashtbl.replace live wk.wk_res_r wk;
+    wk
   in
-  let shutdown wk =
-    (* EOF on the task pipe is the worker's signal to exit cleanly. *)
-    if not wk.wk_closed then begin
-      wk.wk_closed <- true;
-      close_parent_fd wk.wk_task_w
-    end
+  let replacement () =
+    incr respawns;
+    Metrics.incr c_respawns;
+    acquire ()
   in
-  (* Remove a worker and reap it; [failed_inflight] is the task its
-     death takes down, if any. *)
+  let release wk =
+    Hashtbl.remove live wk.wk_res_r;
+    reg.busy <- List.filter (fun w -> w != wk) reg.busy;
+    reg.idle <- wk :: reg.idle
+  in
+  (* Remove a dead worker and reap it; [failed_inflight] is the task
+     its death takes down, if any. *)
   let reap wk ~failed_inflight =
     Hashtbl.remove live wk.wk_res_r;
-    close_parent_fd wk.wk_res_r;
-    shutdown wk;
+    forget wk;
     let status = waitpid_retry wk.wk_pid in
     Option.iter
       (fun i -> results.(i) <- Failed (status_string status))
       failed_inflight
   in
-  let try_send wk i =
-    let body = Marshal.to_bytes (i : int) [] in
-    let msg = Bytes.cat (Bytes.of_string protocol_tag) body in
-    match write_retry wk.wk_task_w msg 0 (Bytes.length msg) with
+  let try_send wk msg =
+    match
+      List.iter (fun b -> write_retry wk.wk_task_w b 0 (Bytes.length b)) msg
+    with
     | () -> true
     | exception Unix.Unix_error _ ->
         (* EPIPE and friends: the worker died before taking delivery.
@@ -260,69 +388,66 @@ let run_forked ~jobs tasks_list =
            return, not a fatal signal. *)
         false
   in
-  (* Hand the next task to an idle worker, or shut it down when the
-     queue is drained.  A worker found dead at send time never received
-     the task, so the task goes to a replacement instead of failing —
-     bounded retries in case forked children keep dying instantly. *)
+  let tag = Bytes.of_string protocol_tag in
+  (* The message for task [i], in the pieces written one after another. *)
+  let encode i =
+    match Marshal.to_bytes (job_of tasks.(i)) [ Marshal.Closures ] with
+    | body -> Ok [ tag; body; switches ]
+    | exception e -> Error ("cannot send task: " ^ Printexc.to_string e)
+  in
+  (* Hand the next task to a waiting worker, or return the worker to
+     the idle set when the queue is drained.  A task that cannot be
+     marshalled fails on the spot.  A worker found dead at send time
+     never received the task, so the task goes to a replacement instead
+     of failing — bounded retries in case fresh workers keep dying
+     instantly. *)
   let rec assign ?(attempts = 0) wk =
-    if !next_task >= n then shutdown wk
+    if !next_task >= n then release wk
     else begin
       let i = !next_task in
-      if try_send wk i then begin
-        incr next_task;
-        wk.wk_inflight <- Some i;
-        Metrics.incr c_tasks
-      end
-      else begin
-        reap wk ~failed_inflight:None;
-        if attempts >= 2 then begin
-          results.(i) <- Failed "worker died before receiving task";
+      match encode i with
+      | Error msg ->
+          results.(i) <- Failed msg;
           incr next_task;
-          if !next_task < n then begin
-            incr respawns;
-            Metrics.incr c_respawns;
-            assign (spawn ())
+          assign wk
+      | Ok msg ->
+          if try_send wk msg then begin
+            incr next_task;
+            wk.wk_inflight <- Some i;
+            Metrics.incr c_tasks
           end
-        end
-        else begin
-          incr respawns;
-          Metrics.incr c_respawns;
-          assign ~attempts:(attempts + 1) (spawn ())
-        end
-      end
+          else begin
+            reap wk ~failed_inflight:None;
+            if attempts >= 2 then begin
+              results.(i) <- Failed "worker died before receiving task";
+              incr next_task;
+              if !next_task < n then assign (replacement ())
+            end
+            else assign ~attempts:(attempts + 1) (replacement ())
+          end
     end
   in
   (* A worker died (EOF or read error on its reply pipe).  Its in-flight
-     task — and only that task — becomes [Failed]; a replacement is
-     forked if tasks remain. *)
+     task — and only that task — becomes [Failed]; a replacement comes
+     in if tasks remain. *)
   let on_death wk =
     let inflight = wk.wk_inflight in
     reap wk ~failed_inflight:inflight;
-    if inflight <> None && !next_task < n then begin
-      incr respawns;
-      Metrics.incr c_respawns;
-      assign (spawn ())
-    end
+    if inflight <> None && !next_task < n then assign (replacement ())
   in
   (* A worker speaking the wrong protocol (stale binary, corrupt bytes)
      is killed rather than trusted further. *)
   let kill_protocol wk msg =
-    let inflight = wk.wk_inflight in
     Hashtbl.remove live wk.wk_res_r;
-    close_parent_fd wk.wk_res_r;
-    shutdown wk;
-    (try Unix.kill wk.wk_pid Sys.sigkill with Unix.Unix_error _ -> ());
-    ignore (waitpid_retry wk.wk_pid);
-    Option.iter (fun i -> results.(i) <- Failed msg) inflight;
-    if !next_task < n then begin
-      incr respawns;
-      Metrics.incr c_respawns;
-      assign (spawn ())
-    end
+    kill_and_reap wk;
+    Option.iter (fun i -> results.(i) <- Failed msg) wk.wk_inflight;
+    if !next_task < n then assign (replacement ())
   in
   (* Try to complete one reply from the worker's buffer.  The exchange
      is strictly ping-pong (one reply per task, next task only after
-     the reply), so the buffer holds at most one message. *)
+     the reply), so the buffer holds at most one message; bytes beyond
+     it would be read as the next run's reply, so they are a protocol
+     breach. *)
   let drain wk =
     let raw = Buffer.contents wk.wk_buf in
     let len = String.length raw in
@@ -334,9 +459,7 @@ let run_forked ~jobs tasks_list =
             let header = Bytes.of_string (String.sub raw off Marshal.header_size) in
             let total = off + Marshal.total_size header 0 in
             if len >= total then begin
-              match
-                ((Marshal.from_string raw off : _ payload), wk.wk_inflight)
-              with
+              match ((Marshal.from_string raw off : _ payload), wk.wk_inflight) with
               | (outcome, spans, msnap, events), Some i ->
                   results.(i) <-
                     (match outcome with
@@ -346,14 +469,38 @@ let run_forked ~jobs tasks_list =
                   wk.wk_inflight <- None;
                   Buffer.clear wk.wk_buf;
                   if len > total then
-                    Buffer.add_string wk.wk_buf
-                      (String.sub raw total (len - total));
-                  assign wk
+                    kill_protocol wk "worker replied with no task sent"
+                  else assign wk
               | _, None -> kill_protocol wk "worker replied with no task sent"
               | exception _ -> kill_protocol wk "worker sent corrupt payload"
             end
           end
     end
+  in
+  let serve_run () =
+    for _ = 1 to min jobs n do
+      if !next_task < n then assign (acquire ())
+    done;
+    let chunk = Bytes.create 65536 in
+    while Hashtbl.length live > 0 do
+      let fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) live [] in
+      let ready = select_retry fds in
+      List.iter
+        (fun fd ->
+          match Hashtbl.find_opt live fd with
+          | None -> ()
+          | Some wk -> (
+              match Unix.read fd chunk 0 (Bytes.length chunk) with
+              | 0 -> on_death wk
+              | k ->
+                  Buffer.add_subbytes wk.wk_buf chunk 0 k;
+                  drain wk
+              | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+              | exception Unix.Unix_error (_, _, _) ->
+                  (* ECONNRESET/EIO from a dying worker: same as EOF *)
+                  on_death wk))
+        ready
+    done
   in
   (* SIGPIPE off for the duration: a worker dying between select and a
      parent write must surface as EPIPE (handled above), not kill the
@@ -368,29 +515,15 @@ let run_forked ~jobs tasks_list =
       | Some h -> ( try Sys.set_signal Sys.sigpipe h with _ -> ())
       | None -> ())
     (fun () ->
-      for _ = 1 to min jobs n do
-        assign (spawn ())
-      done;
-      let chunk = Bytes.create 65536 in
-      while Hashtbl.length live > 0 do
-        let fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) live [] in
-        let ready = select_retry fds in
-        List.iter
-          (fun fd ->
-            match Hashtbl.find_opt live fd with
-            | None -> ()
-            | Some wk -> (
-                match Unix.read fd chunk 0 (Bytes.length chunk) with
-                | 0 -> on_death wk
-                | k ->
-                    Buffer.add_subbytes wk.wk_buf chunk 0 k;
-                    drain wk
-                | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-                | exception Unix.Unix_error (_, _, _) ->
-                    (* ECONNRESET/EIO from a dying worker: same as EOF *)
-                    on_death wk))
-          ready
-      done);
+      match serve_run () with
+      | () -> ()
+      | exception e ->
+          (* A busy worker may still owe a reply; it must not be read
+             as the answer to some later run's task. *)
+          let bt = Printexc.get_raw_backtrace () in
+          Hashtbl.iter (fun _ wk -> kill_and_reap wk) live;
+          Hashtbl.reset live;
+          Printexc.raise_with_backtrace e bt);
   (* Merge worker telemetry in task order so the combined trace,
      metric totals and replayed log stream are deterministic. *)
   Array.iter

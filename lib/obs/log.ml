@@ -8,8 +8,8 @@
    caller's fields.  The emitter is self-contained (no dependency on
    [Separ_report.Json]: that library sits above this one).
 
-   Cost discipline mirrors [Trace]/[Metrics]: with no sink installed,
-   every [info]/[warn]/... call is a single branch.
+   Cost discipline mirrors [Trace]/[Metrics]: with no sink installed
+   and no capture on, every [info]/[warn]/... call is two tests.
 
    Repeated events are rate limited per event name: within a sliding
    window (default 1 s of clock time) only the first [limit] emissions
@@ -19,8 +19,9 @@
 
    Worker processes of [Separ_exec.Pool] must not write to the sink fd
    they inherit (interleaved partial lines from concurrent children
-   would corrupt the stream).  Instead a worker switches to capture mode
-   ([capture_begin]): events buffer in memory, ship back to the parent
+   would corrupt the stream).  Instead a worker closes its copy and,
+   while its parent logs, switches to capture mode ([capture_begin],
+   which needs no sink): events buffer in memory, ship back to the parent
    inside the task reply (they are plain marshal-safe records), and
    the parent [replay]s them through its own sink — already pid-tagged,
    since the pid is stamped at emission time. *)
@@ -192,8 +193,8 @@ let write_event oc ev =
 
 let log lvl ?(fields = []) name =
   match !sink with
-  | None -> () (* the disabled path: one branch, nothing else *)
-  | Some oc ->
+  | None when not !capturing -> () (* the disabled path *)
+  | sink ->
       if level_priority lvl >= level_priority !threshold then begin
         let ts = Trace.now_us () in
         match admit name ts with
@@ -213,7 +214,7 @@ let log lvl ?(fields = []) name =
             in
             Stdlib.incr emitted;
             if !capturing then captured := ev :: !captured
-            else write_event oc ev
+            else Option.iter (fun oc -> write_event oc ev) sink
       end
 
 let debug ?fields name = log Debug ?fields name
@@ -224,10 +225,17 @@ let error ?fields name = log Error ?fields name
 (* --- worker capture / parent replay ---------------------------------------- *)
 
 (* Divert emissions to an in-memory buffer (and clear any previous
-   buffer).  A forked worker calls this once per task: the sink channel
-   it inherited belongs to the parent. *)
+   buffer), whether or not this process has a sink.  A pool worker
+   calls this before each task when its parent logs: the sink channel it
+   inherited belongs to the parent. *)
 let capture_begin () =
   capturing := true;
+  captured := []
+
+(* Stop capturing and drop the buffer: emissions go to the sink again,
+   or nowhere without one. *)
+let capture_end () =
+  capturing := false;
   captured := []
 
 (* Captured events in emission order; the buffer is cleared. *)

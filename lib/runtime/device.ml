@@ -650,11 +650,16 @@ let root_ctx t apk component =
 
 (* Launch a component directly (as if the user opened it), running entry
    method [entry] with an empty intent. *)
-let start_component ?(entry = "onCreate") ?(intent = Intent.empty) t ~pkg
-    ~component =
+let start_component ?entry ?(intent = Intent.empty) t ~pkg ~component =
   match find_app t pkg with
   | None -> invalid_arg ("Device.start_component: app not installed: " ^ pkg)
   | Some apk -> (
+      let entry =
+        match entry with
+        | Some entry -> entry
+        | None ->
+            Option.value ~default:"onCreate" (Apk.default_entry apk component)
+      in
       match Apk.find_class apk component with
       | None -> ()
       | Some cls -> (

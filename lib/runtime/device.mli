@@ -62,7 +62,9 @@ val find_app : t -> string -> Apk.t option
 val app_permissions : Apk.t -> Permission.t list
 
 (** Launch a component directly (as if the user opened it), running
-    [entry] (default ["onCreate"]) with [intent] (default empty).
+    [entry] with [intent] (default empty).  [entry] defaults to
+    {!Apk.default_entry} — the first entry point of the component's
+    kind that its class defines — or ["onCreate"] when there is none.
     Execution is bounded by an instruction budget and call-depth limit.
     @raise Invalid_argument if the app is not installed. *)
 val start_component :

@@ -17,7 +17,7 @@
    Dispatch rides the existing machinery end to end: verdicts read
    through the persistent cache, each scope bundle gets incremental
    shared-base ASE, and multi-bundle events fan out over the worker
-   pool ([jobs]), which forks once per event that needs it. *)
+   pool ([jobs]), whose workers are forked once per process. *)
 
 open Separ_ame
 module Ase = Separ_ase.Ase
@@ -133,17 +133,22 @@ let analyze_scopes t pkgs =
   List.iter2 (fun pkg r -> Hashtbl.replace t.reports pkg r) pkgs reports
 
 (* Process one event against the live store: update models and index,
-   select the candidate set, dispatch only those scope bundles. *)
+   select the candidate set, dispatch only those scope bundles.  One
+   [serve.event] span covers the whole event, with the dispatch in a
+   [serve.analyze] span inside it. *)
 let process t event =
   let t0 = Unix.gettimeofday () in
-  let kind, pkg, affected =
+  let kind, pkg =
     match event with
-    | Upload apk ->
-        let pkg = Separ_dalvik.Apk.package apk in
-        Trace.with_span "serve.event"
-          ~attrs:
-            [ Trace.attr_str "kind" "upload"; Trace.attr_str "package" pkg ]
-          (fun () ->
+    | Upload apk -> ("upload", Separ_dalvik.Apk.package apk)
+    | Remove pkg -> ("remove", pkg)
+  in
+  Trace.with_span "serve.event"
+    ~attrs:[ Trace.attr_str "kind" kind; Trace.attr_str "package" pkg ]
+    (fun () ->
+      let affected =
+        match event with
+        | Upload apk ->
             let fresh = Extract.extract apk in
             (* everyone the old footprint could touch... *)
             let before =
@@ -159,12 +164,8 @@ let process t event =
             (* ... plus everyone the new footprint can touch *)
             let after = Index.affected t.index fresh in
             Metrics.incr c_uploads;
-            ("upload", pkg, Pkgs.add pkg (Pkgs.union before after)))
-    | Remove pkg ->
-        Trace.with_span "serve.event"
-          ~attrs:
-            [ Trace.attr_str "kind" "remove"; Trace.attr_str "package" pkg ]
-          (fun () ->
+            Pkgs.add pkg (Pkgs.union before after)
+        | Remove _ ->
             let affected =
               match Smap.find_opt pkg t.models with
               | Some old ->
@@ -176,48 +177,48 @@ let process t event =
               | None -> Pkgs.empty
             in
             Metrics.incr c_removes;
-            ("remove", pkg, affected))
-  in
-  (* candidates: affected apps still in the store, in sorted order *)
-  let candidates =
-    List.filter (fun p -> Smap.mem p t.models) (Pkgs.elements affected)
-  in
-  let store_size = Smap.cardinal t.models in
-  Trace.with_span "serve.analyze"
-    ~attrs:
-      [
-        Trace.attr_str "package" pkg;
-        Trace.attr_int "candidates" (List.length candidates);
-        Trace.attr_int "store_size" store_size;
-      ]
-    (fun () -> analyze_scopes t candidates);
-  Metrics.add c_selected (List.length candidates);
-  Metrics.add c_skipped (max 0 (store_size - List.length candidates));
-  let latency_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-  Metrics.observe h_latency_ms latency_ms;
-  let vulnerabilities =
-    match Hashtbl.find_opt t.reports pkg with
-    | Some r -> List.length r.Ase.r_vulnerabilities
-    | None -> 0
-  in
-  Log.info "serve.verdict"
-    ~fields:
-      [
-        ("package", Trace.Str pkg);
-        ("event", Trace.Str kind);
-        ("candidates", Trace.Int (List.length candidates));
-        ("store_size", Trace.Int store_size);
-        ("latency_ms", Trace.Float latency_ms);
-      ];
-  {
-    vd_package = pkg;
-    vd_event = kind;
-    vd_store_size = store_size;
-    vd_candidates = candidates;
-    vd_analyzed = List.length candidates;
-    vd_vulnerabilities = vulnerabilities;
-    vd_latency_ms = latency_ms;
-  }
+            affected
+      in
+      (* candidates: affected apps still in the store, in sorted order *)
+      let candidates =
+        List.filter (fun p -> Smap.mem p t.models) (Pkgs.elements affected)
+      in
+      let store_size = Smap.cardinal t.models in
+      Trace.with_span "serve.analyze"
+        ~attrs:
+          [
+            Trace.attr_str "package" pkg;
+            Trace.attr_int "candidates" (List.length candidates);
+            Trace.attr_int "store_size" store_size;
+          ]
+        (fun () -> analyze_scopes t candidates);
+      Metrics.add c_selected (List.length candidates);
+      Metrics.add c_skipped (max 0 (store_size - List.length candidates));
+      let latency_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+      Metrics.observe h_latency_ms latency_ms;
+      let vulnerabilities =
+        match Hashtbl.find_opt t.reports pkg with
+        | Some r -> List.length r.Ase.r_vulnerabilities
+        | None -> 0
+      in
+      Log.info "serve.verdict"
+        ~fields:
+          [
+            ("package", Trace.Str pkg);
+            ("event", Trace.Str kind);
+            ("candidates", Trace.Int (List.length candidates));
+            ("store_size", Trace.Int store_size);
+            ("latency_ms", Trace.Float latency_ms);
+          ];
+      {
+        vd_package = pkg;
+        vd_event = kind;
+        vd_store_size = store_size;
+        vd_candidates = candidates;
+        vd_analyzed = List.length candidates;
+        vd_vulnerabilities = vulnerabilities;
+        vd_latency_ms = latency_ms;
+      })
 
 let submit t event = Queue.add event t.queue
 

@@ -11,7 +11,7 @@
     bundles dispatched on sparse stores.
 
     Verdicts read through the persistent [cache]; multi-bundle events
-    fan out over the worker pool ([jobs]), forked once per such event;
+    fan out over the worker pool ([jobs]), forked once per process;
     every event is traced ([serve.event]/[serve.analyze]
     spans) and metered ([serve.*] counters, the
     [serve.upload_to_verdict_ms] histogram). *)

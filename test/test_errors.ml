@@ -414,6 +414,49 @@ let test_policy_store_bad_line () =
          Separ_policy.Policy.of_string
            (line ^ "\nnot a policy\n" ^ line ^ "\n")))
 
+(* A bare launch enters the first entry point of the component's kind
+   that its class defines: a generated Service, which defines only
+   [onStartCommand], runs it and has effects; an Activity enters
+   [onCreate].  A class with none of its kind's entry points, or one
+   that no component declares, has no default entry. *)
+let test_default_entry () =
+  let module Apk = Separ_dalvik.Apk in
+  let module Ir = Separ_dalvik.Ir in
+  let module Component = Separ_android.Component in
+  let module Device = Separ_runtime.Device in
+  let apk =
+    (List.hd (Separ_workload.Generator.generate ())).Separ_workload.Generator.apk
+  in
+  let first kind =
+    (List.find
+       (fun c -> c.Component.kind = kind)
+       apk.Apk.manifest.Separ_android.Manifest.components)
+      .Component.name
+  in
+  let svc = first Component.Service in
+  let entry = Alcotest.(check (option string)) in
+  entry "service enters onStartCommand" (Some "onStartCommand")
+    (Apk.default_entry apk svc);
+  entry "activity enters onCreate" (Some "onCreate")
+    (Apk.default_entry apk (first Component.Activity));
+  entry "undeclared class has none" None
+    (Apk.default_entry apk "NoSuchComponent");
+  let bare =
+    {
+      apk with
+      Apk.classes =
+        List.map
+          (fun (c : Ir.cls) ->
+            if c.Ir.cname = svc then { c with Ir.methods = [] } else c)
+          apk.Apk.classes;
+    }
+  in
+  entry "class without entry points has none" None (Apk.default_entry bare svc);
+  let d = Device.create () in
+  Device.install d apk;
+  Device.start_component d ~pkg:(Apk.package apk) ~component:svc;
+  check "a bare start of the service has effects" true (Device.effects d <> [])
+
 let tests =
   [
     Alcotest.test_case "asm: bad instruction" `Quick test_asm_bad_instruction;
@@ -450,6 +493,8 @@ let tests =
     Alcotest.test_case "device: unknown component" `Quick
       test_device_unknown_component;
     Alcotest.test_case "device: unknown entry" `Quick test_device_unknown_entry;
+    Alcotest.test_case "apk: default entry follows the component kind" `Quick
+      test_default_entry;
     Alcotest.test_case "apk text: load errors carry a message" `Quick
       test_apk_text_load_errors;
     Alcotest.test_case "store: mkdir_p under a file" `Quick

@@ -1,6 +1,6 @@
 (* The fork-based worker pool: result ordering, exception and crash
-   isolation, and worker-telemetry merge (spans, metrics, log
-   events). *)
+   isolation, worker-telemetry merge (spans, metrics, log events), and
+   the lifecycle of workers that live as long as their process. *)
 
 module Pool = Separ_exec.Pool
 module Trace = Separ_obs.Trace
@@ -73,9 +73,10 @@ let test_crash_isolation () =
       check "exit status reported" true (contains ~affix:"status 7" msg)
   | _ -> Alcotest.fail "expected crash isolated to its own task"
 
-(* Workers are forked once per run: many more tasks than workers must
-   be served by the same forked children, one task per message — not
-   one fork per task. *)
+(* Workers are forked once per process: many more tasks than workers
+   must be served by the same children, one task per message, and a
+   run forks only what the idle set lacks — over a sequence of runs, no
+   more than the widest pool requested plus respawns. *)
 let test_worker_reuse () =
   let parent = Unix.getpid () in
   let results =
@@ -90,9 +91,12 @@ let test_worker_reuse () =
   check "at most 3 distinct worker pids for 12 tasks" true
     (List.length distinct <= 3);
   let stats = Pool.last_run_stats () in
-  check_int "forks = pool width, not task count" 3 stats.Pool.rs_forks;
+  check "forks <= pool width, not task count" true (stats.Pool.rs_forks <= 3);
   check_int "one message per task" 12 stats.Pool.rs_tasks;
-  check_int "no respawns in a crash-free run" 0 stats.Pool.rs_respawns
+  check_int "no respawns in a crash-free run" 0 stats.Pool.rs_respawns;
+  ignore (Pool.map ~jobs:2 (fun _ -> Unix.getpid ()) (List.init 4 Fun.id));
+  check_int "a narrower run after it forks nothing" 0
+    (Pool.last_run_stats ()).Pool.rs_forks
 
 (* A worker dying mid-task fails that task — and only that task;
    completed and not-yet-assigned tasks are unaffected. *)
@@ -128,7 +132,8 @@ let test_respawn_after_crash () =
   | _ -> Alcotest.fail "expected Done/Failed/Done around the crash");
   let stats = Pool.last_run_stats () in
   check_int "one respawn recorded" 1 stats.Pool.rs_respawns;
-  check_int "two initial forks + one respawn" 3 stats.Pool.rs_forks
+  check "forks <= pool width + respawns" true
+    (stats.Pool.rs_forks <= 2 + stats.Pool.rs_respawns)
 
 (* Worker-side metrics ship back and merge additively into the parent
    registry. *)
@@ -311,6 +316,209 @@ let test_obs_survives_midtask_crash () =
       check_int "surviving worker spans grafted despite the crash" 4
         (Trace.count "test.crash_span"))
 
+(* --- lifecycle: workers live as long as the process that forked them -- *)
+
+let distinct_pids results = List.sort_uniq compare (done_values results)
+
+(* Wait up to 2 s for every pid to be gone. *)
+let all_gone pids =
+  let alive pid =
+    match Unix.kill pid 0 with
+    | () -> true
+    | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
+  in
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  let rec wait () =
+    match List.filter alive pids with
+    | [] -> true
+    | _ when Unix.gettimeofday () > deadline -> false
+    | _ ->
+        Unix.sleepf 0.02;
+        wait ()
+  in
+  wait ()
+
+(* A child process runs [Pool.map ~jobs:2], writes its worker pids up a
+   pipe, then ends by [exit 0], [exit 3] or an uncaught exception (the
+   helper executable [pool_child.exe]).  Once the child is reaped, none
+   of its workers may still exist — even though a grandchild still
+   holds their task pipes open, so they never read EOF. *)
+let test_no_worker_outlives_parent () =
+  let helper =
+    Filename.concat (Filename.dirname Sys.executable_name) "pool_child.exe"
+  in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  List.iter
+    (fun (ending, want) ->
+      let r, w = Unix.pipe ~cloexec:true () in
+      let pid =
+        Unix.create_process helper [| helper; ending |] Unix.stdin w devnull
+      in
+      Unix.close w;
+      let ic = Unix.in_channel_of_descr r in
+      let line = input_line ic in
+      let holder = int_of_string (input_line ic) in
+      let status = snd (Unix.waitpid [] pid) in
+      close_in ic;
+      let workers = List.map int_of_string (String.split_on_char ' ' line) in
+      let gone = all_gone workers in
+      (try Unix.kill holder Sys.sigkill with Unix.Unix_error _ -> ());
+      check_int (ending ^ ": the child ran two workers") 2
+        (List.length workers);
+      check (ending ^ ": exit status") true (status = Unix.WEXITED want);
+      check (ending ^ ": every worker is gone within 2 s") true gone)
+    [ ("exit0", 0); ("exit3", 3); ("raise", 2) ];
+  Unix.close devnull
+
+(* A forked child starts with no workers: it forks its own, and its exit
+   takes down only those.  The parent's workers keep serving. *)
+let test_forked_child_leaves_parent_workers () =
+  let pids () =
+    distinct_pids (Pool.map ~jobs:2 (fun _ -> Unix.getpid ()) [ 1; 2 ])
+  in
+  let mine = pids () in
+  let r, w = Unix.pipe ~cloexec:true () in
+  flush_all ();
+  match Unix.fork () with
+  | 0 ->
+      (* Never return into the test runner from here. *)
+      (try
+         Unix.close r;
+         let theirs = pids () in
+         let oc = Unix.out_channel_of_descr w in
+         output_string oc
+           (String.concat " " (List.map string_of_int theirs) ^ "\n");
+         close_out oc
+       with _ -> Unix._exit 1);
+      exit 0
+  | child ->
+      Unix.close w;
+      let ic = Unix.in_channel_of_descr r in
+      let theirs =
+        List.map int_of_string (String.split_on_char ' ' (input_line ic))
+      in
+      close_in ic;
+      ignore (Unix.waitpid [] child);
+      check_int "the child's pool ran both tasks" 2 (List.length theirs);
+      check "the child forked workers of its own" true
+        (List.for_all (fun p -> not (List.mem p mine)) theirs);
+      check "the child's workers went with it" true (all_gone theirs);
+      Alcotest.(check (list int))
+        "the parent's workers still serve" mine (pids ());
+      check_int "and nothing was forked" 0
+        (Pool.last_run_stats ()).Pool.rs_forks
+
+(* Workers apply the parent's telemetry switches per task: the same
+   workers, last run with tracing and metrics off, trace and count once
+   the parent turns both on. *)
+let test_telemetry_follows_parent () =
+  Trace.disable ();
+  Metrics.disable ();
+  let probe _ =
+    Metrics.incr (Metrics.counter "test.pool_switch");
+    Trace.with_span "test.pool_switch" (fun () ->
+        (Unix.getpid (), Trace.is_enabled (), Metrics.is_enabled ()))
+  in
+  let off = done_values (Pool.map ~jobs:2 probe [ 1; 2 ]) in
+  check "workers ran with tracing and metrics off" true
+    (List.for_all (fun (_, t, m) -> (not t) && not m) off);
+  Trace.enable ();
+  Metrics.enable ();
+  Trace.reset ();
+  Metrics.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.reset ();
+      Metrics.reset ();
+      Trace.disable ();
+      Metrics.disable ())
+    (fun () ->
+      let on = done_values (Pool.map ~jobs:2 probe [ 1; 2 ]) in
+      check_int "no worker forked for the second run" 0
+        (Pool.last_run_stats ()).Pool.rs_forks;
+      Alcotest.(check (list int))
+        "the same workers ran both runs"
+        (List.sort_uniq compare (List.map (fun (p, _, _) -> p) off))
+        (List.sort_uniq compare (List.map (fun (p, _, _) -> p) on));
+      check "workers ran with tracing and metrics on" true
+        (List.for_all (fun (_, t, m) -> t && m) on);
+      check_int "worker spans grafted" 2 (Trace.count "test.pool_switch");
+      List.iter
+        (fun sp ->
+          check "grafted span is pid-tagged" true
+            (List.mem_assoc "pid" sp.Trace.sp_attrs))
+        (Trace.roots ());
+      check_int "worker counters merged" 2
+        (Metrics.counter_value (Metrics.counter "test.pool_switch")))
+
+(* A task that captures a channel cannot be marshalled: it fails alone,
+   and the pool stays usable. *)
+let test_unmarshallable_task () =
+  let ic = open_in_bin Sys.executable_name in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () ->
+      match
+        Pool.run ~jobs:2
+          [ (fun () -> 1); (fun () -> in_channel_length ic); (fun () -> 3) ]
+      with
+      | [ Pool.Done 1; Pool.Failed msg; Pool.Done 3 ] ->
+          check "failure names the send" true
+            (contains ~affix:"cannot send task" msg)
+      | _ -> Alcotest.fail "expected only the channel-capturing task failed");
+  Alcotest.(check (list int))
+    "the next run succeeds" [ 2; 4 ]
+    (done_values (Pool.map ~jobs:2 (fun x -> 2 * x) [ 1; 2 ]))
+
+(* Successive runs at one width reuse the same workers. *)
+let test_successive_runs_reuse () =
+  let run () =
+    distinct_pids
+      (Pool.map ~jobs:2 (fun _ -> Unix.getpid ()) (List.init 6 Fun.id))
+  in
+  let first = run () in
+  let second = run () in
+  check_int "two workers served the first run" 2 (List.length first);
+  Alcotest.(check (list int)) "the same worker pids" first second;
+  check_int "the second run forked nothing" 0
+    (Pool.last_run_stats ()).Pool.rs_forks
+
+(* An exception escaping [run] (here: raised by a signal handler while
+   the parent waits on its workers) kills and reaps the workers the run
+   still had busy, so the next run reads no stale reply. *)
+let test_escape_kills_busy_workers () =
+  let path = Filename.temp_file "separ_test_pool_pid" "" in
+  let previous =
+    Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> raise Exit))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore
+        (Unix.setitimer Unix.ITIMER_REAL
+           { Unix.it_interval = 0.0; it_value = 0.0 });
+      Sys.set_signal Sys.sigalrm previous;
+      Sys.remove path)
+    (fun () ->
+      let slow () =
+        Out_channel.with_open_text path (fun oc ->
+            output_string oc (string_of_int (Unix.getpid ())));
+        Unix.sleep 3;
+        1
+      in
+      ignore
+        (Unix.setitimer Unix.ITIMER_REAL
+           { Unix.it_interval = 0.0; it_value = 0.3 });
+      (match Pool.run ~jobs:2 [ slow; (fun () -> 2) ] with
+      | _ -> Alcotest.fail "expected the handler's exception to escape run"
+      | exception Exit -> ());
+      let busy =
+        int_of_string (In_channel.with_open_text path In_channel.input_all)
+      in
+      check "the busy worker is gone" true (all_gone [ busy ]);
+      Alcotest.(check (list int))
+        "the next run gets its own replies" [ 10; 20 ]
+        (done_values (Pool.map ~jobs:2 (fun x -> 10 * x) [ 1; 2 ])))
+
 let tests =
   [
     Alcotest.test_case "map preserves task order" `Quick test_map_order;
@@ -328,4 +536,16 @@ let tests =
       test_worker_logs_shipped;
     Alcotest.test_case "logs and GC metrics survive mid-task crash" `Quick
       test_obs_survives_midtask_crash;
+    Alcotest.test_case "no worker outlives its parent" `Quick
+      test_no_worker_outlives_parent;
+    Alcotest.test_case "forked child leaves the parent's workers" `Quick
+      test_forked_child_leaves_parent_workers;
+    Alcotest.test_case "telemetry switches follow the parent" `Quick
+      test_telemetry_follows_parent;
+    Alcotest.test_case "unmarshallable task fails alone" `Quick
+      test_unmarshallable_task;
+    Alcotest.test_case "successive runs reuse workers" `Quick
+      test_successive_runs_reuse;
+    Alcotest.test_case "an escaping exception kills busy workers" `Quick
+      test_escape_kills_busy_workers;
   ]

@@ -522,7 +522,10 @@ let test_bundle_sharding_matches_sequential () =
 
 let test_one_flat_pool () =
   (* -j 4 over two bundles: two signature shards per bundle, four tasks
-     in one pool run — four forks in all, none of them by a worker. *)
+     in one pool run — at most four forks (fewer when idle workers are
+     left from earlier runs), none of them by a worker: worker metrics
+     merge into the parent, so a worker's fork would show in the
+     counter on top of the parent's own. *)
   let module Metrics = Separ_obs.Metrics in
   Metrics.enable ();
   Metrics.reset ();
@@ -530,8 +533,13 @@ let test_one_flat_pool () =
   ignore
     (Ase.analyze_many ~jobs:4
        [ bundle (demo_apks ()); bundle (demo_apks () @ [ Demo.relay_malware () ]) ]);
-  check_int "forks across parent and workers" 4
-    (Metrics.counter_value (Metrics.counter "pool.forks"));
+  let forks = Metrics.counter_value (Metrics.counter "pool.forks") in
+  let stats = Separ_exec.Pool.last_run_stats () in
+  check_int "four tasks in one run" 4 stats.Separ_exec.Pool.rs_tasks;
+  check "forks across parent and workers <= pool width + respawns" true
+    (forks <= 4 + stats.Separ_exec.Pool.rs_respawns);
+  check_int "no worker forked: every fork is the parent's"
+    stats.Separ_exec.Pool.rs_forks forks;
   Metrics.reset ();
   Metrics.disable ()
 
