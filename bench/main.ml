@@ -1156,12 +1156,12 @@ let cache ~mode =
    each upload genuinely changes the app's body (and usually its
    footprint).  Selective re-analysis must reproduce a brute-force full
    repair byte for byte (stripped reports) while dispatching strictly
-   fewer scope bundles.  Both are timed cold: the update stream sees
-   only new content, and the repair runs in its own daemon whose cache
-   directory is emptied after an untimed ingest of the final store.  A
-   third daemon replaying the final store through the update stream's
-   cache directory measures the warm path and must agree too, and every
-   hot-updated footprint index must equal a from-scratch rebuild. *)
+   fewer scope bundles; the repair runs in its own daemon after an
+   untimed ingest of the final store.  A third daemon replaying the
+   final store must agree too, re-uploading the final store byte for
+   byte into the update stream's daemon must dispatch nothing and leave
+   its reports as they are, and every hot-updated footprint index must
+   equal a from-scratch rebuild. *)
 let serve ~mode =
   let n, k = if mode = "smoke" then (8, 2) else (24, 6) in
   let profile =
@@ -1183,14 +1183,12 @@ let serve ~mode =
     List.filteri (fun i _ -> i mod (max 1 (n / k)) = 0) regenerated
     |> List.filteri (fun i _ -> i < k)
   in
-  let dir = fresh_cache_dir "separ_serve_bench" in
   let stripped serve =
     List.map
       (fun (pkg, r) -> (pkg, stripped_report_string r))
       (Serve.reports serve)
   in
-  let cache = Cache.open_ ~dir () in
-  let serve = Serve.create ~cache () in
+  let serve = Serve.create () in
   List.iter (fun apk -> Serve.submit serve (Serve.Upload apk)) initial;
   let cold_verdicts, cold_ms =
     Trace.timed "bench.serve_cold" (fun () -> Serve.drain serve)
@@ -1210,27 +1208,28 @@ let serve ~mode =
         | None -> apk)
       initial
   in
-  (* cold full repair: ingest the final store into a daemon over a fresh
-     cache directory, then delete every entry the ingest wrote, so the
-     timed repair pays the same misses and stores as the update stream *)
-  let repair_dir = fresh_cache_dir "separ_serve_bench" in
-  let repair = Serve.create ~cache:(Cache.open_ ~dir:repair_dir ()) () in
+  let repair = Serve.create () in
   List.iter (fun apk -> Serve.submit repair (Serve.Upload apk)) final_store;
   ignore (Serve.drain repair);
-  Array.iter
-    (fun entry -> Sys.remove (Filename.concat repair_dir entry))
-    (Sys.readdir repair_dir);
   let (_ : int), repair_ms =
     Trace.timed "bench.serve_repair" (fun () -> Serve.full_repair repair)
   in
   let reference = stripped repair in
-  (* warm replay: a fresh daemon ingests the final store through the
-     update stream's cache directory *)
-  let serve2 = Serve.create ~cache:(Cache.open_ ~dir ()) () in
+  (* replay: a fresh daemon ingests the final store *)
+  let serve2 = Serve.create () in
   List.iter (fun apk -> Serve.submit serve2 (Serve.Upload apk)) final_store;
-  let (_ : Serve.verdict list), warm_ms =
-    Trace.timed "bench.serve_warm" (fun () -> Serve.drain serve2)
+  let (_ : Serve.verdict list), replay_ms =
+    Trace.timed "bench.serve_replay" (fun () -> Serve.drain serve2)
   in
+  (* unchanged re-upload: the final store again, byte for byte *)
+  List.iter (fun apk -> Serve.submit serve (Serve.Upload apk)) final_store;
+  let reupload_verdicts, reupload_ms =
+    Trace.timed "bench.serve_reupload" (fun () -> Serve.drain serve)
+  in
+  let reupload_selected =
+    List.fold_left (fun acc v -> acc + v.Serve.vd_analyzed) 0 reupload_verdicts
+  in
+  let reupload_unchanged = stripped serve = selective_reports in
   let latencies =
     List.map
       (fun v -> v.Serve.vd_latency_ms)
@@ -1247,7 +1246,7 @@ let serve ~mode =
          update_verdicts
   in
   let identical = selective_reports = reference in
-  let warm_identical = stripped serve2 = reference in
+  let replay_identical = stripped serve2 = reference in
   let index_consistent =
     List.for_all
       (fun d -> Footprint.equal (Serve.index d) (Serve.rebuilt_index d))
@@ -1260,13 +1259,15 @@ let serve ~mode =
   Printf.printf
     "store:   %d apps ingested cold in %.1f ms (%.1f apps/s)\n\
      updates: %d uploads re-analyzed %d bundles (full repair: %d) in %.1f ms\n\
-     repair:  %.1f ms (cold)   warm replay: %.1f ms\n\
+     repair:  %.1f ms   replay: %.1f ms\n\
+     re-upload: %d unchanged uploads re-analyzed %d bundles in %.1f ms\n\
      latency: p50 %.1f ms  p99 %.1f ms (upload -> verdict)\n"
     n cold_ms apps_per_sec (List.length updates) selected dispatch_full
-    update_ms repair_ms warm_ms p50_ms p99_ms;
+    update_ms repair_ms replay_ms n reupload_selected reupload_ms p50_ms p99_ms;
   Printf.printf
-    "stripped reports identical (selective %b, warm %b), index consistent %b\n%!"
-    identical warm_identical index_consistent;
+    "stripped reports identical (selective %b, replay %b, re-upload %b), \
+     index consistent %b\n%!"
+    identical replay_identical reupload_unchanged index_consistent;
   outcome
     ~body:
       [
@@ -1274,14 +1275,17 @@ let serve ~mode =
         ("updates", Json.Int (List.length updates));
         ("bundles_selected", Json.Int selected);
         ("bundles_full_repair", Json.Int dispatch_full);
+        ("reupload_bundles_selected", Json.Int reupload_selected);
         ("selective", Json.Bool selective);
         ("identical_stripped_reports", Json.Bool identical);
-        ("warm_identical_stripped_reports", Json.Bool warm_identical);
+        ("replay_identical_stripped_reports", Json.Bool replay_identical);
+        ("reupload_unchanged_stripped_reports", Json.Bool reupload_unchanged);
         ("index_consistent", Json.Bool index_consistent);
         ("cold_ms", Json.Float cold_ms);
         ("update_stream_ms", Json.Float update_ms);
         ("full_repair_ms", Json.Float repair_ms);
-        ("warm_ms", Json.Float warm_ms);
+        ("replay_ms", Json.Float replay_ms);
+        ("reupload_ms", Json.Float reupload_ms);
         ("upload_to_verdict_p50_ms", Json.Float p50_ms);
         ("upload_to_verdict_p99_ms", Json.Float p99_ms);
         ("cold_apps_per_sec", Json.Float apps_per_sec);
@@ -1296,8 +1300,13 @@ let serve ~mode =
           Printf.sprintf
             "update stream dispatched %d bundles, full repair would dispatch %d"
             selected dispatch_full );
-        ( warm_identical,
-          "warm replay through the cache produced different stripped reports" );
+        ( replay_identical,
+          "replay of the final store produced different stripped reports" );
+        ( reupload_selected = 0 && reupload_unchanged,
+          Printf.sprintf
+            "unchanged re-upload of the final store dispatched %d bundles or \
+             changed the stripped reports"
+            reupload_selected );
         ( index_consistent,
           "hot-updated footprint index differs from a from-scratch rebuild" );
       ]

@@ -10,7 +10,7 @@
          run the Figure-1 attack/defense demonstration
      separ generate -n 5 -d DIR
          emit synthetic store apps as .apk.txt files
-     separ serve --cache DIR
+     separ serve
          run the app-store analysis daemon: upload/remove events on
          stdin (or --events FILE), footprint-indexed selective
          re-analysis, one verdict line per event
@@ -162,7 +162,7 @@ let telemetry_finish ?(to_stderr = true) ~trace ~metrics ?(metrics_out = None)
   end;
   Log.close ()
 
-(* Persistent-cache flags, shared by [analyze] and [serve]. *)
+(* [analyze]'s persistent-cache flags. *)
 let cache_dir_arg =
   Arg.(
     value
@@ -650,6 +650,7 @@ let generate_cmd =
    line and emitting one verdict line per event.  Commands:
 
      upload PATH    load PATH (.apk.txt), re-analyze affected bundles
+                    (none when its model is unchanged)
      remove PKG     drop PKG, re-analyze its old partners
      status         print store size and packages
      repair         brute-force re-analysis of every bundle
@@ -674,7 +675,8 @@ let serve_cmd =
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Fan multi-bundle events out over $(docv) worker processes \
-             ($(docv) >= 1), forked afresh for each such event")
+             ($(docv) >= 1), forked once and kept for the daemon's \
+             lifetime")
   in
   let limit =
     Arg.(
@@ -682,11 +684,10 @@ let serve_cmd =
       & opt int Separ_relog.Solve.default_enum_limit
       & info [ "limit" ] ~doc:"Maximum scenarios per vulnerability signature")
   in
-  let run events jobs limit cache_dir no_cache cache_max_mb cache_stats trace
-      metrics log log_level metrics_out profile_gc =
+  let run events jobs limit trace metrics log log_level metrics_out profile_gc
+      =
     telemetry_setup ~trace ~metrics ~log ~log_level ~metrics_out ~profile_gc;
-    let cache = open_cache ~cache_dir ~no_cache ~cache_max_mb in
-    let serve = Separ.Serve.create ~limit_per_sig:limit ~jobs ?cache () in
+    let serve = Separ.Serve.create ~limit_per_sig:limit ~jobs () in
     let ic, close_ic =
       match events with
       | Some path ->
@@ -749,7 +750,6 @@ let serve_cmd =
     in
     loop ();
     close_ic ();
-    print_cache_stats ~cache_stats cache;
     telemetry_finish ~trace ~metrics ~metrics_out ()
   in
   Cmd.v
@@ -758,9 +758,8 @@ let serve_cmd =
          "Run the app-store analysis daemon: footprint-indexed selective \
           re-analysis of upload/remove events")
     Term.(
-      const run $ events $ jobs $ limit $ cache_dir_arg $ no_cache_arg
-      $ cache_max_mb_arg $ cache_stats_arg $ trace_arg $ metrics_arg
-      $ log_arg $ log_level_arg $ metrics_out_arg $ profile_gc_arg)
+      const run $ events $ jobs $ limit $ trace_arg $ metrics_arg $ log_arg
+      $ log_level_arg $ metrics_out_arg $ profile_gc_arg)
 
 let () =
   let info =

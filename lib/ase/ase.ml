@@ -360,7 +360,10 @@ let run_shard ~limit ?budget ~cache bundle (sigs : Signatures.t list) =
               | None -> Computed (solve sig_ env formula base)
               | Some store -> (
                   let key = cache_key ~limit sig_ env formula in
-                  match Store.find store ~key with
+                  match
+                    Trace.with_span "cache.find" (fun () ->
+                        Store.find store ~key)
+                  with
                   | Some cv ->
                       incr hits;
                       Computed
@@ -377,11 +380,12 @@ let run_shard ~limit ?budget ~cache bundle (sigs : Signatures.t list) =
                          next run *)
                       if
                         sr.sr_outcome = Complete
-                        && Store.store store ~key
-                             {
-                               cv_scenarios = sr.sr_scenarios;
-                               cv_truncated = sr.sr_truncated;
-                             }
+                        && Trace.with_span "cache.store" (fun () ->
+                               Store.store store ~key
+                                 {
+                                   cv_scenarios = sr.sr_scenarios;
+                                   cv_truncated = sr.sr_truncated;
+                                 })
                       then incr stores;
                       Computed sr)
             with e ->

@@ -14,10 +14,15 @@
    processing reproduces full repair byte for byte while dispatching
    strictly fewer bundles on sparse stores.
 
-   Dispatch rides the existing machinery end to end: verdicts read
-   through the persistent cache, each scope bundle gets incremental
-   shared-base ASE, and multi-bundle events fan out over the worker
-   pool ([jobs]), whose workers are forked once per process. *)
+   An upload whose extracted model equals the stored one (extraction
+   time aside) changes neither the model map nor the index, so every
+   scope bundle and every report stays as it is: it dispatches only the
+   bundles among [pkg] and its old reach whose report is missing or
+   degraded, normally none.  Every other event's dispatch rides the
+   existing machinery: each scope bundle gets incremental shared-base
+   ASE, and multi-bundle events fan out over the worker pool ([jobs]),
+   whose workers are forked once per process.  No persistent cache: on
+   this traffic its file publishes cost more than its hits saved. *)
 
 open Separ_ame
 module Ase = Separ_ase.Ase
@@ -56,11 +61,10 @@ type t = {
   queue : event Queue.t;
   limit_per_sig : int;
   jobs : int;
-  cache : Separ_cache.Store.t option;
 }
 
 let create ?(limit_per_sig = Separ_relog.Solve.default_enum_limit) ?(jobs = 1)
-    ?cache () =
+    ?cache:_ () =
   {
     models = Smap.empty;
     index = Index.create ();
@@ -68,7 +72,6 @@ let create ?(limit_per_sig = Separ_relog.Solve.default_enum_limit) ?(jobs = 1)
     queue = Queue.create ();
     limit_per_sig;
     jobs;
-    cache;
   }
 
 let store_size t = Smap.cardinal t.models
@@ -127,13 +130,19 @@ let scope_bundle t pkg =
 let analyze_scopes t pkgs =
   let bundles = List.map (scope_bundle t) pkgs in
   let reports =
-    Ase.analyze_many ~limit_per_sig:t.limit_per_sig ~jobs:t.jobs ?cache:t.cache
-      bundles
+    Ase.analyze_many ~limit_per_sig:t.limit_per_sig ~jobs:t.jobs bundles
   in
   List.iter2 (fun pkg r -> Hashtbl.replace t.reports pkg r) pkgs reports
 
+(* Equal up to extraction time, the one field that differs between two
+   extractions of the same bytes.  Equal models leave the model map and
+   the index as they are, and with them every scope bundle. *)
+let same_model (a : App_model.t) (b : App_model.t) =
+  { a with App_model.am_extraction_ms = b.App_model.am_extraction_ms } = b
+
 (* Process one event against the live store: update models and index,
-   select the candidate set, dispatch only those scope bundles.  One
+   select the candidate set, dispatch only those scope bundles (none
+   for an unchanged re-upload whose reports are all complete).  One
    [serve.event] span covers the whole event, with the dispatch in a
    [serve.analyze] span inside it. *)
 let process t event =
@@ -148,23 +157,35 @@ let process t event =
     (fun () ->
       let affected =
         match event with
-        | Upload apk ->
+        | Upload apk -> (
             let fresh = Extract.extract apk in
-            (* everyone the old footprint could touch... *)
-            let before =
-              match Smap.find_opt pkg t.models with
-              | Some old ->
-                  let reach = Index.affected t.index old in
-                  Index.remove t.index old;
-                  reach
-              | None -> Pkgs.empty
-            in
-            t.models <- Smap.add pkg fresh t.models;
-            Index.add t.index fresh;
-            (* ... plus everyone the new footprint can touch *)
-            let after = Index.affected t.index fresh in
             Metrics.incr c_uploads;
-            Pkgs.add pkg (Pkgs.union before after)
+            match Smap.find_opt pkg t.models with
+            | Some old when same_model fresh old ->
+                (* unchanged: the stored model and the index stay, so
+                   only a report an earlier event left missing or
+                   degraded needs another run *)
+                Pkgs.filter
+                  (fun p ->
+                    match Hashtbl.find_opt t.reports p with
+                    | Some r -> r.Ase.r_degraded <> []
+                    | None -> true)
+                  (Pkgs.add pkg (Index.affected t.index old))
+            | old ->
+                (* everyone the old footprint could touch... *)
+                let before =
+                  match old with
+                  | Some old ->
+                      let reach = Index.affected t.index old in
+                      Index.remove t.index old;
+                      reach
+                  | None -> Pkgs.empty
+                in
+                t.models <- Smap.add pkg fresh t.models;
+                Index.add t.index fresh;
+                (* ... plus everyone the new footprint can touch *)
+                let after = Index.affected t.index fresh in
+                Pkgs.add pkg (Pkgs.union before after))
         | Remove _ ->
             let affected =
               match Smap.find_opt pkg t.models with

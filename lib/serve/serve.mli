@@ -10,11 +10,14 @@
     reproduce byte for byte (stripped reports), with strictly fewer
     bundles dispatched on sparse stores.
 
-    Verdicts read through the persistent [cache]; multi-bundle events
-    fan out over the worker pool ([jobs]), forked once per process;
-    every event is traced ([serve.event]/[serve.analyze]
-    spans) and metered ([serve.*] counters, the
-    [serve.upload_to_verdict_ms] histogram). *)
+    An upload whose extracted model equals the stored model of its
+    package (extraction time aside) leaves the store and the index as
+    they are, and dispatches only the scope bundles among the package
+    and its reach whose report is missing or degraded — normally none.
+    Multi-bundle events fan out over the worker pool ([jobs]), forked
+    once per process; every event is traced
+    ([serve.event]/[serve.analyze] spans) and metered ([serve.*]
+    counters, the [serve.upload_to_verdict_ms] histogram). *)
 
 type event = Upload of Separ_dalvik.Apk.t | Remove of string
 
@@ -30,6 +33,9 @@ type verdict = {
 
 type t
 
+(** [cache] is ignored: the daemon keeps no persistent verdict cache.
+    The argument stays only for existing callers and goes with the
+    next revision of the end-to-end benchmark. *)
 val create :
   ?limit_per_sig:int ->
   ?jobs:int ->

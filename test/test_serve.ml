@@ -1,7 +1,8 @@
 (* The app-store analysis service: footprint-index soundness (candidate
-   sets are supersets of exact resolution), hot-update = rebuild, and
-   the serve store's selective re-analysis reproducing full repair byte
-   for byte while dispatching strictly fewer bundles. *)
+   sets are supersets of exact resolution), hot-update = rebuild, the
+   serve store's selective re-analysis reproducing full repair byte for
+   byte while dispatching strictly fewer bundles, and unchanged
+   re-uploads dispatching nothing. *)
 
 open Separ
 module Serve = Separ_serve.Serve
@@ -438,26 +439,119 @@ let test_serve_remove () =
   check "index hot update = rebuild after remove" true
     (Index.equal (Serve.index serve) (Serve.rebuilt_index serve))
 
-(* Upload events drain through the persistent cache: a second store fed
-   the same apps through the same cache directory reproduces the same
-   reports (and re-solves nothing). *)
-let test_serve_with_cache () =
-  let dir = Filename.temp_file "separ_serve_cache" "" in
-  Sys.remove dir;
-  let apks = [ Demo.navigation_app (); Demo.relay_malware () ] in
-  let run () =
-    let cache = Cache.open_ ~dir () in
-    let serve = Serve.create ~cache () in
-    List.iter (fun apk -> Serve.submit serve (Serve.Upload apk)) apks;
+let one_verdict serve =
+  match Serve.drain serve with
+  | [ v ] -> v
+  | vs -> Alcotest.failf "expected one verdict, got %d" (List.length vs)
+
+let figure1_store () =
+  let serve = Serve.create () in
+  List.iter
+    (fun apk -> Serve.submit serve (Serve.Upload apk))
+    [
+      Demo.navigation_app ();
+      Demo.messenger_app ();
+      Demo.relay_malware ();
+      quiet_app ();
+    ];
+  ignore (Serve.drain serve : Serve.verdict list);
+  serve
+
+(* Reports and index agree with a brute-force full repair and a
+   rebuild. *)
+let check_repaired what serve =
+  let selective = stripped_reports serve in
+  ignore (Serve.full_repair serve : int);
+  check (what ^ ": reports identical to full repair") true
+    (selective = stripped_reports serve);
+  check (what ^ ": index hot update = rebuild") true
+    (Index.equal (Serve.index serve) (Serve.rebuilt_index serve))
+
+(* Re-uploading the same bytes extracts an equal model: nothing is
+   dispatched and every report stays as it was, which is also what a
+   full repair gives. *)
+let test_serve_unchanged_reupload () =
+  let serve = figure1_store () in
+  let before = stripped_reports serve in
+  Serve.submit serve (Serve.Upload (Demo.relay_malware ()));
+  let v = one_verdict serve in
+  check_int "unchanged re-upload analyzed nothing" 0 v.Serve.vd_analyzed;
+  Alcotest.(check (list string)) "no candidates" [] v.Serve.vd_candidates;
+  check_int "store size unchanged" 4 v.Serve.vd_store_size;
+  check "reports unchanged by the re-upload" true
+    (before = stripped_reports serve);
+  check_repaired "after unchanged re-upload" serve
+
+(* After an unchanged re-upload the store still follows real changes:
+   an update, then a remove and a re-upload of the same bytes (a fresh
+   upload, not an unchanged one). *)
+let test_serve_changes_after_unchanged_reupload () =
+  let serve = figure1_store () in
+  Serve.submit serve (Serve.Upload (Demo.messenger_app ()));
+  check_int "unchanged re-upload analyzed nothing" 0
+    (one_verdict serve).Serve.vd_analyzed;
+  Serve.submit serve (Serve.Upload (Demo.messenger_app ~guarded:true ()));
+  check "update re-analyzed the messenger" true
+    (List.mem "com.example.messenger" (one_verdict serve).Serve.vd_candidates);
+  check_repaired "after update" serve;
+  Serve.submit serve (Serve.Remove "com.mal.relay");
+  ignore (one_verdict serve : Serve.verdict);
+  Serve.submit serve (Serve.Upload (Demo.relay_malware ()));
+  let v = one_verdict serve in
+  check "re-upload after remove analyzed the relay" true
+    (List.mem "com.mal.relay" v.Serve.vd_candidates);
+  check "and its partner" true
+    (List.mem "com.example.navigation" v.Serve.vd_candidates);
+  check_repaired "after remove and re-upload" serve
+
+(* A degraded report is re-run by the next unchanged re-upload that
+   reaches it.  The failure is injected through a registered signature
+   that raises while [broken] is set; the registry is global, so the
+   scenario runs in a forked child that reports through its exit code
+   and leaves the test process's registry as it was. *)
+let test_serve_reupload_repairs_degraded () =
+  let scenario () =
+    let broken = ref true in
+    let hijack = Signatures.intent_hijack in
+    Signatures.register
+      {
+        hijack with
+        Signatures.name = "test_flaky";
+        formula =
+          (fun env ->
+            if !broken then failwith "injected" else hijack.Signatures.formula env);
+      };
+    let serve = Serve.create () in
+    List.iter
+      (fun apk -> Serve.submit serve (Serve.Upload apk))
+      [ Demo.navigation_app (); Demo.relay_malware (); quiet_app () ];
     ignore (Serve.drain serve : Serve.verdict list);
-    (stripped_reports serve, cache)
+    let degraded () =
+      List.filter_map
+        (fun (pkg, r) -> if r.Ase.r_degraded <> [] then Some pkg else None)
+        (Serve.reports serve)
+    in
+    let all_degraded = degraded () = Serve.packages serve in
+    broken := false;
+    (* the relay reaches the navigation app but not the quiet one *)
+    Serve.submit serve (Serve.Upload (Demo.relay_malware ()));
+    let v = one_verdict serve in
+    let repaired_reach =
+      v.Serve.vd_candidates = [ "com.example.navigation"; "com.mal.relay" ]
+      && degraded () = [ "com.quiet.app" ]
+    in
+    let selective = stripped_reports serve in
+    ignore (Serve.full_repair serve : int);
+    all_degraded && repaired_reach && degraded () = []
+    && List.remove_assoc "com.quiet.app" selective
+       = List.remove_assoc "com.quiet.app" (stripped_reports serve)
   in
-  let first, _ = run () in
-  let second, cache = run () in
-  check "cached second run identical" true (first = second);
-  let stat name = List.assoc name (Cache.stats cache) in
-  check "second run hit the cache" true (stat "hits" > 0);
-  check_int "second run missed no ASE verdict" 0 (stat "misses")
+  match Unix.fork () with
+  | 0 -> Unix._exit (match scenario () with true -> 0 | false | (exception _) -> 1)
+  | pid -> (
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "degraded reports were not re-run by the re-upload")
 
 let tests =
   [
@@ -471,6 +565,10 @@ let tests =
     Alcotest.test_case "selective = full repair (upload)" `Quick
       test_serve_selective_matches_full_repair;
     Alcotest.test_case "remove event" `Quick test_serve_remove;
-    Alcotest.test_case "serve through the persistent cache" `Quick
-      test_serve_with_cache;
+    Alcotest.test_case "unchanged re-upload dispatches nothing" `Quick
+      test_serve_unchanged_reupload;
+    Alcotest.test_case "update, remove and re-upload after it" `Quick
+      test_serve_changes_after_unchanged_reupload;
+    Alcotest.test_case "unchanged re-upload re-runs degraded reports" `Quick
+      test_serve_reupload_repairs_degraded;
   ]
