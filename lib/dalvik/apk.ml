@@ -9,10 +9,7 @@ type t = {
   classes : Ir.cls list;
 }
 
-let make ~manifest ~classes =
-  let t = { manifest; classes } in
-  List.iter Ir.validate_class classes;
-  t
+let make ~manifest ~classes = { manifest; classes }
 
 let package t = t.manifest.Manifest.package
 
@@ -68,7 +65,6 @@ let entry_for_icc (k : Api.icc_kind) =
 let size t = List.fold_left (fun acc c -> acc + Ir.size_of_class c) 0 t.classes
 
 let validate t =
-  List.iter Ir.validate_class t.classes;
   (* every component entry point that exists must accept one parameter *)
   List.iter
     (fun (comp : Component.t) ->

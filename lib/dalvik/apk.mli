@@ -9,8 +9,8 @@ type t = {
   classes : Ir.cls list;
 }
 
-(** Build and validate a package.
-    @raise Failure on malformed IR. *)
+(** Build a package; its methods were checked when they were built
+    (see {!Ir.make_method}). *)
 val make : manifest:Manifest.t -> classes:Ir.cls list -> t
 
 val package : t -> string
@@ -38,7 +38,8 @@ val lifecycle_after : string -> string list
 (** App size in IR instructions (the Figure 5 size metric). *)
 val size : t -> int
 
-(** Re-validate classes and entry-point arities.
+(** Check that every entry point of a declared component takes the
+    incoming intent (at least one parameter).
     @raise Failure on violations. *)
 val validate : t -> unit
 

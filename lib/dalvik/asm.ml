@@ -138,14 +138,9 @@ let assemble text =
         | None -> fail ".end without .method"
         | Some (name, n_params, n_regs) ->
             let m =
-              Ir.{
-                mname = name;
-                n_params;
-                n_regs;
-                body = Array.of_list (List.rev !cur_body);
-              }
+              Ir.make_method ~name ~n_params ~n_regs
+                (Array.of_list (List.rev !cur_body))
             in
-            Ir.validate_method m;
             cur_methods := m :: !cur_methods;
             cur_method := None
       end

@@ -26,8 +26,6 @@ let fresh_label b =
   b.next_label <- b.next_label + 1;
   l
 
-let param _b i = i
-
 (* --- basic instructions ------------------------------------------------ *)
 
 let const_str b s =
@@ -104,13 +102,7 @@ let get_contacts b = source_call b Resource.Contacts
 let send_text_message b ~number ~body =
   invoke b (Api.mref Api.c_sms_manager "sendTextMessage") [ number; body ]
 
-let http_post b ~payload =
-  invoke b (Api.mref Api.c_http "post") [ payload ]
-
 let write_log b ~payload = invoke b (Api.mref Api.c_log "i") [ payload ]
-
-let write_sdcard b ~payload =
-  invoke b (Api.mref Api.c_storage "writeFile") [ payload ]
 
 (* --- intents ------------------------------------------------------------ *)
 
@@ -169,9 +161,6 @@ let bind_service b intent =
 let send_broadcast b intent =
   invoke b (Api.mref Api.c_context "sendBroadcast") [ intent ]
 
-let send_ordered_broadcast b intent =
-  invoke b (Api.mref Api.c_context "sendOrderedBroadcast") [ intent ]
-
 let abort_broadcast b =
   invoke b (Api.mref Api.c_context "abortBroadcast") []
 
@@ -213,12 +202,8 @@ let call_result b ~cls ~name args =
 (* --- assembly ----------------------------------------------------------- *)
 
 let finish b ~name =
-  let body = Array.of_list (List.rev b.instrs) in
-  let m =
-    Ir.{ mname = name; n_params = b.n_params; n_regs = max b.next_reg 1; body }
-  in
-  Ir.validate_method m;
-  m
+  Ir.make_method ~name ~n_params:b.n_params ~n_regs:(max b.next_reg 1)
+    (Array.of_list (List.rev b.instrs))
 
 (* Convenience: a method whose body is built by [f]. *)
 let meth ~name ?(params = 0) f =

@@ -11,7 +11,6 @@ val create : ?params:int -> unit -> t
 val emit : t -> Ir.instr -> unit
 val fresh_reg : t -> Ir.reg
 val fresh_label : t -> Ir.label
-val param : t -> int -> Ir.reg
 
 (** {1 Basic instructions} *)
 
@@ -49,9 +48,7 @@ val get_location : t -> Ir.reg
 val get_device_id : t -> Ir.reg
 val get_contacts : t -> Ir.reg
 val send_text_message : t -> number:Ir.reg -> body:Ir.reg -> unit
-val http_post : t -> payload:Ir.reg -> unit
 val write_log : t -> payload:Ir.reg -> unit
-val write_sdcard : t -> payload:Ir.reg -> unit
 
 (** {1 Intents} *)
 
@@ -73,9 +70,6 @@ val start_service : t -> Ir.reg -> unit
 val bind_service : t -> Ir.reg -> unit
 val send_broadcast : t -> Ir.reg -> unit
 
-(** Priority-ordered delivery; receivers may consume it. *)
-val send_ordered_broadcast : t -> Ir.reg -> unit
-
 (** Consume the ordered broadcast being handled. *)
 val abort_broadcast : t -> unit
 val set_result : t -> Ir.reg -> unit
@@ -96,7 +90,8 @@ val call_result : t -> cls:string -> name:string -> Ir.reg list -> Ir.reg
 
 (** {1 Assembly} *)
 
-(** Finish the body into a validated method. *)
+(** Finish the body into a method (see {!Ir.make_method}).
+    @raise Failure on malformed IR. *)
 val finish : t -> name:string -> Ir.meth
 
 (** A method whose body is built by [f]; appends a return if the body

@@ -3,7 +3,8 @@
    with labels for branch targets, field access, and invoke/move-result
    pairs.  Apps are compiled to this IR by the builder DSL (or assembled
    from text); the static analyses and the runtime interpreter both
-   consume it. *)
+   consume it.  A method's branches are resolved to instruction indices
+   once, when it is built. *)
 
 type reg = int
 
@@ -38,6 +39,7 @@ type meth = {
   n_params : int;     (* parameters arrive in registers 0 .. n_params-1 *)
   n_regs : int;
   body : instr array;
+  targets : int array;  (* branch at i -> index of its Label; else -1 *)
 }
 
 type cls = {
@@ -48,38 +50,29 @@ type cls = {
 let find_method cls name =
   List.find_opt (fun m -> m.mname = name) cls.methods
 
-(* Map label -> instruction index. *)
-let label_table (m : meth) =
-  let tbl = Hashtbl.create 8 in
+(* The only constructor: checks that labels are unique, registers in
+   range, branch labels defined and move-result only after an invoke,
+   and resolves every branch to the index of its label. *)
+let make_method ~name ~n_params ~n_regs body =
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg -> failwith (Printf.sprintf "Ir.validate: %s in %s" msg name))
+      fmt
+  in
+  let labels = Hashtbl.create 8 in
   Array.iteri
     (fun i instr ->
       match instr with
       | Label l ->
-          if Hashtbl.mem tbl l then
-            invalid_arg ("Ir.label_table: duplicate label " ^ l);
-          Hashtbl.replace tbl l i
+          if Hashtbl.mem labels l then fail "duplicate label %s" l;
+          Hashtbl.replace labels l i
       | _ -> ())
-    m.body;
-  tbl
-
-(* Static well-formedness: labels unique, registers in range, labels
-   resolved, move-result only after an invoke. *)
-let validate_method (m : meth) =
-  let labels =
-    try label_table m
-    with Invalid_argument msg ->
-      failwith (Printf.sprintf "Ir.validate: %s in %s" msg m.mname)
-  in
+    body;
   let check_reg r =
-    if r < 0 || r >= m.n_regs then
-      failwith
-        (Printf.sprintf "Ir.validate: register v%d out of range in %s" r
-           m.mname)
+    if r < 0 || r >= n_regs then fail "register v%d out of range" r
   in
   let check_label l =
-    if not (Hashtbl.mem labels l) then
-      failwith
-        (Printf.sprintf "Ir.validate: undefined label %s in %s" l m.mname)
+    if not (Hashtbl.mem labels l) then fail "undefined label %s" l
   in
   Array.iteri
     (fun i instr ->
@@ -103,17 +96,18 @@ let validate_method (m : meth) =
       | Return None | Label _ | Nop -> ());
       match instr with
       | Move_result _ ->
-          if
-            i = 0
-            || (match m.body.(i - 1) with Invoke _ -> false | _ -> true)
-          then
-            failwith
-              (Printf.sprintf
-                 "Ir.validate: move-result not after invoke in %s" m.mname)
+          if i = 0 || (match body.(i - 1) with Invoke _ -> false | _ -> true)
+          then fail "move-result not after invoke"
       | _ -> ())
-    m.body
-
-let validate_class c = List.iter validate_method c.methods
+    body;
+  let targets =
+    Array.map
+      (function
+        | If_eqz (_, l) | If_nez (_, l) | Goto l -> Hashtbl.find labels l
+        | _ -> -1)
+      body
+  in
+  { mname = name; n_params; n_regs; body; targets }
 
 let size_of_method m = Array.length m.body
 let size_of_class c =

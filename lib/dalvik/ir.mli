@@ -2,7 +2,12 @@
     bytecode: flat instruction arrays over virtual registers, labels for
     branch targets, field and array access, and invoke/move-result
     pairs.  Both the static analyses and the runtime interpreter consume
-    this IR. *)
+    this IR.
+
+    A {!meth} is built only by {!make_method}, which checks it and
+    resolves every branch to the index of its [Label] once: the
+    interpreter jumps through [targets] and the analyses read
+    successors from it, so no consumer looks a label up. *)
 
 type reg = int
 type const = Cstr of string | Cint of int | Cnull
@@ -29,12 +34,22 @@ type instr =
   | Return of reg option
   | Nop
 
-type meth = {
+type meth = private {
   mname : string;
   n_params : int;  (** parameters arrive in registers 0 .. n_params-1 *)
   n_regs : int;
   body : instr array;
+  targets : int array;
+      (** for a branch at [i] ([If_eqz], [If_nez], [Goto]), the index of
+          the [Label] it names; [-1] for every other instruction *)
 }
+
+(** [make_method ~name ~n_params ~n_regs body] checks that labels are
+    unique, registers are below [n_regs], every branch names a label of
+    [body] and move-result only follows an invoke, then resolves the
+    branch targets.
+    @raise Failure on violations. *)
+val make_method : name:string -> n_params:int -> n_regs:int -> instr array -> meth
 
 type cls = {
   cname : string;
@@ -42,17 +57,6 @@ type cls = {
 }
 
 val find_method : cls -> string -> meth option
-
-(** Label -> instruction index.
-    @raise Invalid_argument on duplicate labels. *)
-val label_table : meth -> (label, int) Hashtbl.t
-
-(** Labels unique, registers in range, labels resolved, move-result
-    placement.
-    @raise Failure on violations. *)
-val validate_method : meth -> unit
-
-val validate_class : cls -> unit
 val size_of_method : meth -> int
 val size_of_class : cls -> int
 val pp_const : Format.formatter -> const -> unit

@@ -166,7 +166,6 @@ let synthetic_source_value = function
 let rec exec_method (ctx : ctx) (m : Ir.meth) (args : Value.t list) : Value.t =
   if ctx.depth > ctx.device.max_depth then Vnull
   else begin
-    let labels = Ir.label_table m in
     let regs = Array.make (max m.Ir.n_regs 1) Value.Vnull in
     List.iteri (fun i v -> if i < m.Ir.n_regs then regs.(i) <- v) args;
     let last_result = ref Value.Vnull in
@@ -215,11 +214,11 @@ let rec exec_method (ctx : ctx) (m : Ir.meth) (args : Value.t list) : Value.t =
             ->
               regs.(d) <- arr.(k)
           | _ -> regs.(d) <- Value.Vnull)
-      | Ir.If_eqz (r, l) ->
-          if not (Value.truthy regs.(r)) then next := Hashtbl.find labels l
-      | Ir.If_nez (r, l) ->
-          if Value.truthy regs.(r) then next := Hashtbl.find labels l
-      | Ir.Goto l -> next := Hashtbl.find labels l
+      | Ir.If_eqz (r, _) ->
+          if not (Value.truthy regs.(r)) then next := m.Ir.targets.(!pc)
+      | Ir.If_nez (r, _) ->
+          if Value.truthy regs.(r) then next := m.Ir.targets.(!pc)
+      | Ir.Goto _ -> next := m.Ir.targets.(!pc)
       | Ir.Label _ | Ir.Nop -> ()
       | Ir.Return (Some r) ->
           ret := regs.(r);

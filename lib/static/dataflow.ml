@@ -1,7 +1,10 @@
-(* A generic forward worklist dataflow engine over the instruction-level
-   CFG.  The client supplies the lattice (bottom, join, equality) and the
-   transfer function; the engine iterates to a fixpoint and returns the
-   state *before* each instruction. *)
+(* A generic forward worklist dataflow engine over a method's
+   instruction-level control flow.  The client supplies the lattice
+   (bottom, join, equality) and the transfer function; the engine
+   iterates to a fixpoint and returns the state *before* each
+   instruction. *)
+
+open Separ_dalvik
 
 type 'a lattice = {
   bot : 'a;
@@ -11,8 +14,8 @@ type 'a lattice = {
 
 (* [entry] is the state before instruction 0.  [transfer i instr s] is the
    state after executing [instr] (at index [i]) in state [s]. *)
-let forward (lat : 'a lattice) ~entry ~transfer (cfg : Cfg.t) : 'a array =
-  let n = Cfg.n_instrs cfg in
+let forward (lat : 'a lattice) ~entry ~transfer (m : Ir.meth) : 'a array =
+  let n = Array.length m.Ir.body in
   if n = 0 then [||]
   else begin
     let inb = Array.make n lat.bot in
@@ -24,9 +27,8 @@ let forward (lat : 'a lattice) ~entry ~transfer (cfg : Cfg.t) : 'a array =
     while not (Queue.is_empty queue) do
       let i = Queue.take queue in
       dirty.(i) <- false;
-      let out = transfer i (Cfg.instr cfg i) inb.(i) in
-      List.iter
-        (fun j ->
+      let out = transfer i m.Ir.body.(i) inb.(i) in
+      Cfg.iter_succs m i (fun j ->
           let merged = lat.join inb.(j) out in
           if not (lat.equal merged inb.(j)) then begin
             inb.(j) <- merged;
@@ -35,7 +37,6 @@ let forward (lat : 'a lattice) ~entry ~transfer (cfg : Cfg.t) : 'a array =
               Queue.add j queue
             end
           end)
-        (Cfg.succs cfg i)
     done;
     inb
   end

@@ -506,13 +506,12 @@ let state_lattice : state Dataflow.lattice =
   }
 
 let analyze_method t key (m : Ir.meth) entry_regs : state array =
-  let cfg = Cfg.make m in
   let regs = ref IM.empty in
   Array.iteri
     (fun i v -> if not (Absval.is_bot v) then regs := IM.add i v !regs)
     entry_regs;
   let entry = { regs = !regs; result = Absval.bot; reach = true } in
-  Dataflow.forward state_lattice ~entry ~transfer:(transfer t key) cfg
+  Dataflow.forward state_lattice ~entry ~transfer:(transfer t key) m
 
 (* Rounds of the global fixpoint before it gives up.  Each round analyzes
    the methods registered before it started, so a call chain deeper than
@@ -552,11 +551,10 @@ let run t (roots : (key * Ir.meth * Absval.t array) list) =
 (* Permissions whose dynamic check guards instruction [idx]: cutting the
    "granted" edges of every conditional branching on that permission's
    check result makes [idx] unreachable. *)
-let guards_of_instr (states : state array) (cfg : Cfg.t) idx =
-  let n = Cfg.n_instrs cfg in
+let guards_of_instr (states : state array) (m : Ir.meth) idx =
   let perms = ref SS.empty in
-  for i = 0 to n - 1 do
-    match Cfg.instr cfg i with
+  for i = 0 to Array.length m.Ir.body - 1 do
+    match m.Ir.body.(i) with
     | Ir.If_eqz (r, _) | Ir.If_nez (r, _) ->
         if states.(i).reach then
           perms := SS.union !perms (get_reg states.(i) r).Absval.perm_checks
@@ -564,20 +562,19 @@ let guards_of_instr (states : state array) (cfg : Cfg.t) idx =
   done;
   SS.fold
     (fun perm acc ->
-      let labels = Ir.label_table cfg.Cfg.meth in
       let cut i j =
-        match Cfg.instr cfg i with
+        match m.Ir.body.(i) with
         | Ir.If_eqz (r, _) when SS.mem perm (get_reg states.(i) r).Absval.perm_checks
           ->
             (* jumps away when denied; granted path is the fall-through *)
             j = i + 1
-        | Ir.If_nez (r, l) when SS.mem perm (get_reg states.(i) r).Absval.perm_checks
+        | Ir.If_nez (r, _) when SS.mem perm (get_reg states.(i) r).Absval.perm_checks
           ->
             (* jumps when granted *)
-            j = Hashtbl.find labels l
+            j = m.Ir.targets.(i)
         | _ -> false
       in
-      let reach = Cfg.reachable ~cut cfg in
+      let reach = Cfg.reachable ~cut m in
       if not reach.(idx) then SS.add perm acc else acc)
     !perms SS.empty
 
@@ -651,7 +648,6 @@ let extract_facts t (states : (key, state array) KeyH.t) : facts =
                 match find_internal_method t ccls cmtd with
                 | None -> SS.empty
                 | Some m ->
-                    let cfg = Cfg.make m in
                     (* the callee is guarded only if every calling context
                        guards the call site *)
                     let caller_keys = caller_keys_of ccls cmtd in
@@ -661,7 +657,7 @@ let extract_facts t (states : (key, state array) KeyH.t) : facts =
                           match KeyH.find_opt states ck with
                           | Some st ->
                               SS.union
-                                (guards_of_instr st cfg idx)
+                                (guards_of_instr st m idx)
                                 (entry_guards ck)
                           | None -> SS.empty
                         in
@@ -679,7 +675,6 @@ let extract_facts t (states : (key, state array) KeyH.t) : facts =
       match find_internal_method t key.kcls key.kmtd with
       | None -> ()
       | Some m ->
-          let cfg = Cfg.make m in
           Array.iteri
             (fun idx instr ->
               if idx < Array.length st && st.(idx).reach then
@@ -693,7 +688,7 @@ let extract_facts t (states : (key, state array) KeyH.t) : facts =
                         let guards =
                           SS.elements
                             (SS.union
-                               (guards_of_instr st cfg idx)
+                               (guards_of_instr st m idx)
                                (entry_guards key))
                         in
                         List.iter
@@ -727,7 +722,7 @@ let extract_facts t (states : (key, state array) KeyH.t) : facts =
                             let guards =
                               SS.elements
                                 (SS.union
-                                   (guards_of_instr st cfg idx)
+                                   (guards_of_instr st m idx)
                                    (entry_guards key))
                             in
                             IS.iter

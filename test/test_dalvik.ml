@@ -18,7 +18,10 @@ let test_builder_valid () =
         B.put_extra b i ~key:"k" ~value:v;
         B.start_service b i)
   in
-  Ir.validate_method m;
+  check "passes the constructor's checks again" true
+    (Ir.make_method ~name:m.Ir.mname ~n_params:m.Ir.n_params
+       ~n_regs:m.Ir.n_regs m.Ir.body
+    = m);
   check "params recorded" true (m.Ir.n_params = 1);
   check "has instructions" true (Array.length m.Ir.body > 5)
 
@@ -27,35 +30,28 @@ let test_builder_implicit_return () =
   check "implicit return appended" true
     (m.Ir.body.(Array.length m.Ir.body - 1) = Ir.Return None)
 
+let rejected body =
+  try
+    ignore (Ir.make_method ~name:"bad" ~n_params:0 ~n_regs:1 body);
+    false
+  with Failure _ -> true
+
 let test_validate_bad_register () =
-  let m =
-    Ir.{ mname = "bad"; n_params = 0; n_regs = 1; body = [| Move (5, 0) |] }
-  in
-  check "bad register rejected" true
-    (try
-       Ir.validate_method m;
-       false
-     with Failure _ -> true)
+  check "bad register rejected" true (rejected Ir.[| Move (5, 0) |])
 
 let test_validate_bad_label () =
-  let m =
-    Ir.{ mname = "bad"; n_params = 0; n_regs = 1; body = [| Goto "nowhere" |] }
-  in
-  check "bad label rejected" true
-    (try
-       Ir.validate_method m;
-       false
-     with Failure _ -> true)
+  check "bad label rejected" true (rejected Ir.[| Goto "nowhere" |])
 
 let test_validate_move_result () =
-  let m =
-    Ir.{ mname = "bad"; n_params = 0; n_regs = 1; body = [| Move_result 0 |] }
-  in
-  check "floating move-result rejected" true
-    (try
-       Ir.validate_method m;
-       false
-     with Failure _ -> true)
+  check "floating move-result rejected" true (rejected Ir.[| Move_result 0 |])
+
+(* The message names the checker, the label and the method, nothing else. *)
+let test_validate_duplicate_label () =
+  Alcotest.check_raises "duplicate label message"
+    (Failure "Ir.validate: duplicate label L0 in bad") (fun () ->
+      ignore
+        (Ir.make_method ~name:"bad" ~n_params:0 ~n_regs:1
+           Ir.[| Label "L0"; Label "L0"; Return None |]))
 
 let test_branches () =
   let m =
@@ -65,9 +61,9 @@ let test_branches () =
         B.nop b;
         B.place_label b skip)
   in
-  let cfg = Separ_static.Cfg.make m in
-  check "branch has two successors" true
-    (List.length (Separ_static.Cfg.succs cfg 0) = 2)
+  let succs = ref [] in
+  Separ_static.Cfg.iter_succs m 0 (fun j -> succs := j :: !succs);
+  check "branch has two successors" true (List.length !succs = 2)
 
 (* --- assembler round trips -------------------------------------------------- *)
 
@@ -180,6 +176,45 @@ let test_entry_methods () =
   check "broadcast entry" true
     (Apk.entry_for_icc Separ_android.Api.Send_broadcast = "onReceive")
 
+(* --- resolved branch targets ---------------------------------------------------- *)
+
+(* Over the first 200 seed-2016 corpus apps: every branch's target is the
+   [Label] it names, no other instruction has one, and printing and
+   re-parsing the APK text rebuilds equal methods. *)
+let test_corpus_targets () =
+  let module G = Separ_workload.Generator in
+  let first = { (List.hd G.default_profiles) with G.count = 200 } in
+  let apks =
+    G.generate ~seed:2016 ~profiles:[ first ] ()
+    |> List.map (fun (g : G.generated) -> g.G.apk)
+  in
+  let branches = ref 0 and wrong = ref [] in
+  let check_method (m : Ir.meth) =
+    let n = Array.length m.Ir.body in
+    if Array.length m.Ir.targets <> n then wrong := m.Ir.mname :: !wrong;
+    Array.iteri
+      (fun i instr ->
+        let t = m.Ir.targets.(i) in
+        let ok =
+          match instr with
+          | Ir.If_eqz (_, l) | Ir.If_nez (_, l) | Ir.Goto l ->
+              incr branches;
+              t >= 0 && t < n && m.Ir.body.(t) = Ir.Label l
+          | _ -> t = -1
+        in
+        if not ok then wrong := Printf.sprintf "%s@%d" m.Ir.mname i :: !wrong)
+      m.Ir.body
+  in
+  List.iter
+    (fun apk ->
+      List.iter (fun c -> List.iter check_method c.Ir.methods) apk.Apk.classes;
+      if (Apk_text.parse (Apk_text.print apk)).Apk.classes <> apk.Apk.classes
+      then wrong := ("round trip of " ^ Apk.package apk) :: !wrong)
+    apks;
+  Alcotest.(check (list string)) "every target resolved, every round trip equal"
+    [] !wrong;
+  check "the corpus branches" true (!branches > 0)
+
 let tests =
   [
     Alcotest.test_case "builder produces valid IR" `Quick test_builder_valid;
@@ -188,6 +223,8 @@ let tests =
     Alcotest.test_case "validate bad register" `Quick test_validate_bad_register;
     Alcotest.test_case "validate bad label" `Quick test_validate_bad_label;
     Alcotest.test_case "validate move-result" `Quick test_validate_move_result;
+    Alcotest.test_case "validate duplicate label" `Quick
+      test_validate_duplicate_label;
     Alcotest.test_case "branch successors" `Quick test_branches;
     Alcotest.test_case "assembler round trip" `Quick test_asm_roundtrip;
     Alcotest.test_case "assembler random round trips" `Slow
@@ -195,4 +232,5 @@ let tests =
     Alcotest.test_case "apk text round trip" `Quick test_apk_text_roundtrip;
     Alcotest.test_case "apk size" `Quick test_apk_size;
     Alcotest.test_case "entry methods" `Quick test_entry_methods;
+    Alcotest.test_case "corpus branch targets" `Quick test_corpus_targets;
   ]

@@ -185,7 +185,8 @@ let test_solver_zero_literal () =
 
 let test_dimacs_garbage () =
   check "garbage token" true
-    (raises_failure (fun () -> Separ_sat.Dimacs.parse_string "p cnf 2 1\n1 x 0\n"))
+    (raises_failure (fun () ->
+         Separ_test_support.Dimacs.parse_string "p cnf 2 1\n1 x 0\n"))
 
 (* --- mutation fuzzing ------------------------------------------------------------ *)
 
@@ -254,14 +255,14 @@ let test_fuzz_dimacs () =
       (1 + Random.State.int rng n_vars) * if Random.State.bool rng then 1 else -1
     in
     {
-      Separ_sat.Dimacs.n_vars;
+      Separ_test_support.Dimacs.n_vars;
       clauses =
         List.init (Random.State.int rng 40) (fun _ ->
             List.init (1 + Random.State.int rng 4) (fun _ -> lit ()));
     }
   in
-  fuzz_parser "Dimacs.parse_string" Separ_sat.Dimacs.parse_string
-    (List.init 4 (fun _ -> Separ_sat.Dimacs.to_string (cnf ())))
+  fuzz_parser "Dimacs.parse_string" Separ_test_support.Dimacs.parse_string
+    (List.init 4 (fun _ -> Separ_test_support.Dimacs.to_string (cnf ())))
 
 (* A real stored verdict, mutated in place: every mutant is a recorded
    corrupt miss that deletes the file and never raises, and the

@@ -865,3 +865,74 @@ let compiled_pdp_tests =
   ]
 
 let tests = tests @ compiled_pdp_tests
+
+(* --- pinned interpreter output ------------------------------------------------ *)
+
+(* Launch every component of [apk] at its default entry point on [d];
+   a launch that raises is recorded by the exception's name. *)
+let launch_all d apk =
+  let pkg = Apk.package apk in
+  List.filter_map
+    (fun (c : Component.t) ->
+      let component = c.Component.name in
+      Option.map
+        (fun entry ->
+          Device.clear_effects d;
+          let outcome =
+            match Device.start_component ~entry d ~pkg ~component with
+            | () -> Ok (Device.effects d)
+            | exception e -> Error (Printexc.exn_slot_name e)
+          in
+          (pkg, component, entry, outcome))
+        (Apk.default_entry apk component))
+    apk.Apk.manifest.Manifest.components
+
+(* What the interpreter does, digested: every component of the first 100
+   seed-2016 corpus apps launched at its default entry point, all apps
+   installed on one device so launches also exercise cross-app dispatch;
+   then every FlowBench app (the corpus has no [if-nez] and no loop) on a
+   fresh device each, and every Table I case's own driver.  The
+   marshalling ignores sharing, so the digest moves only when what the
+   interpreter does changes; a deliberate change must update it. *)
+let pinned_effects_digest = "d43607886f7ac928d694d98cd5682fe2"
+
+let test_pinned_effects () =
+  let corpus =
+    let module G = Separ_workload.Generator in
+    let first = { (List.hd G.default_profiles) with G.count = 100 } in
+    G.generate ~seed:2016 ~profiles:[ first ] ()
+    |> List.map (fun (g : G.generated) -> g.G.apk)
+  in
+  let d = Device.create () in
+  List.iter (Device.install d) corpus;
+  let corpus_launches = List.concat_map (launch_all d) corpus in
+  let flowbench_launches =
+    List.concat_map
+      (fun (c : Separ_suites.Flowbench.case) ->
+        let d = Device.create () in
+        Device.install d c.Separ_suites.Flowbench.fb_apk;
+        launch_all d c.Separ_suites.Flowbench.fb_apk)
+      (Separ_suites.Flowbench.all ())
+  in
+  let case_runs =
+    List.map
+      (fun (c : Separ_suites.Case.t) ->
+        let d = Device.create () in
+        List.iter (Device.install d) c.Separ_suites.Case.apks;
+        ( c.Separ_suites.Case.name,
+          match c.Separ_suites.Case.run d with
+          | () -> Ok (Device.effects d)
+          | exception e -> Error (Printexc.exn_slot_name e) ))
+      (Separ_suites.Table1.all_cases ())
+  in
+  Alcotest.(check string)
+    "interpreter output digest" pinned_effects_digest
+    (Digest.to_hex
+       (Digest.string
+          (Marshal.to_string
+             (corpus_launches @ flowbench_launches, case_runs)
+             [ Marshal.No_sharing ])))
+
+let tests =
+  tests
+  @ [ Alcotest.test_case "pinned output digest" `Quick test_pinned_effects ]

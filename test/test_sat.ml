@@ -2,6 +2,7 @@
    against the naive DPLL reference, and the minimal-model machinery. *)
 
 open Separ_sat
+open Separ_test_support
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)

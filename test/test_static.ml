@@ -41,12 +41,11 @@ let test_cfg_reachability_cut () =
         B.place_label b l;
         B.nop b)
   in
-  let cfg = Separ_static.Cfg.make m in
-  let all = Separ_static.Cfg.reachable cfg in
+  let all = Separ_static.Cfg.reachable m in
   check "everything reachable" true (Array.for_all (fun x -> x) all);
   (* cut the fall-through edge of the branch: instr 1 dies *)
   let cut i j = i = 0 && j = 1 in
-  let r = Separ_static.Cfg.reachable ~cut cfg in
+  let r = Separ_static.Cfg.reachable ~cut m in
   check "fall-through dead" false r.(1);
   check "target alive" true r.(2)
 
@@ -59,7 +58,6 @@ let test_dataflow_constants () =
         let _ = B.const_str b "a" in
         B.if_eqz b 0 top)
   in
-  let cfg = Separ_static.Cfg.make m in
   let lat =
     Separ_static.Dataflow.
       { bot = 0; join = max; equal = Int.equal }
@@ -67,7 +65,7 @@ let test_dataflow_constants () =
   let states =
     Separ_static.Dataflow.forward lat ~entry:1
       ~transfer:(fun _ _ s -> min (s + 1) 5)
-      cfg
+      m
   in
   check "fixpoint reached" true (Array.length states > 0)
 
