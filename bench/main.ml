@@ -17,7 +17,7 @@ module Generator = Separ_workload.Generator
 module Trace = Separ_obs.Trace
 module Metrics = Separ_obs.Metrics
 module Telemetry = Separ_report.Telemetry
-module Json = Separ_report.Json
+module Json = Separ_obs.Json
 module Provenance = Separ_report.Provenance
 
 (* What one section run produced, for the runner. *)
@@ -728,6 +728,17 @@ let solver ~mode =
         ( enum_stats.S.s_act_live = 0
           && enum_stats.S.s_act_retired <= List.length scenarios + 1,
           "activation literals leak again (one per shrink round?)" );
+        (* the enumeration kernel allocates no activation literal, so
+           the check above cannot fire; the demo-bundle run attaches one
+           per signature and must retire each *)
+        ( report.Ase.r_solver.S.s_act_live = 0
+          && report.Ase.r_solver.S.s_act_retired
+             = List.length (Signatures.all ()),
+          Printf.sprintf
+            "demo-bundle activation literals: %d live, %d retired (want 0, \
+             one per signature)"
+            report.Ase.r_solver.S.s_act_live
+            report.Ase.r_solver.S.s_act_retired );
       ]
     ()
 

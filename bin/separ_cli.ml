@@ -33,9 +33,10 @@ let with_path path f =
 let load_apks paths =
   List.map (fun path -> with_path path Separ_dalvik.Apk_text.load) paths
 
-(* Validating argument converters: [-j 0] or a negative solve budget
-   used to be accepted silently and produce undefined downstream
-   behaviour; now they fail at parse time with a clear message. *)
+(* Validating argument converters: [-j 0], [--limit 0] or a negative
+   solve budget used to be accepted silently and produce undefined or
+   empty downstream behaviour; now they fail at parse time with a clear
+   message. *)
 let int_at_least ~min ~what =
   let parse s =
     match Arg.conv_parser Arg.int s with
@@ -81,7 +82,7 @@ let metrics_arg =
 (* Structured observability flags, shared by [analyze] and [enforce]:
    [--log FILE] streams leveled NDJSON events (one JSON object per
    line; /dev/stderr works), [--metrics-out FILE] dumps the metric
-   registry as OpenMetrics text at exit, [--profile-gc] adds GC deltas
+   registry as JSON at exit, [--profile-gc] adds GC deltas
    to every span.  All of them imply switching the relevant telemetry
    layer on; with everything off the instrumented hot paths stay one
    branch each. *)
@@ -115,8 +116,9 @@ let metrics_out_arg =
     & opt (some string) None
     & info [ "metrics-out" ] ~docv:"FILE"
         ~doc:
-          "Write the metric registry to $(docv) in OpenMetrics/Prometheus \
-           text format at exit (implies metric collection)")
+          "Write the metric registry to $(docv) as JSON at exit (the \
+           $(b,metrics) object of $(b,--format json --metrics); implies \
+           metric collection)")
 
 let profile_gc_arg =
   Arg.(
@@ -140,7 +142,7 @@ let telemetry_setup ~trace ~metrics ~log ~log_level ~metrics_out ~profile_gc =
   | None -> ()
 
 (* Flush collected telemetry at the end of a command: the trace file if
-   requested, the OpenMetrics dump, and (for non-JSON consumers)
+   requested, the metric dump, and (for non-JSON consumers)
    human-readable summaries on stderr. *)
 let telemetry_finish ?(to_stderr = true) ~trace ~metrics ?(metrics_out = None)
     () =
@@ -151,8 +153,8 @@ let telemetry_finish ?(to_stderr = true) ~trace ~metrics ?(metrics_out = None)
   | None -> ());
   (match metrics_out with
   | Some path ->
-      Separ_report.Telemetry.write_openmetrics path;
-      Fmt.epr "wrote OpenMetrics text to %s@." path
+      Separ_report.Telemetry.write_metrics path;
+      Fmt.epr "wrote metrics to %s@." path
   | None -> ());
   if metrics && to_stderr then begin
     Fmt.epr "--- span tree ---@.";
@@ -268,7 +270,8 @@ let analyze_cmd =
   let limit =
     Arg.(
       value
-      & opt int Separ_relog.Solve.default_enum_limit
+      & opt (int_at_least ~min:1 ~what:"--limit")
+          Separ_relog.Solve.default_enum_limit
       & info [ "limit" ] ~doc:"Maximum scenarios per vulnerability signature")
   in
   let jobs =
@@ -681,7 +684,8 @@ let serve_cmd =
   let limit =
     Arg.(
       value
-      & opt int Separ_relog.Solve.default_enum_limit
+      & opt (int_at_least ~min:1 ~what:"--limit")
+          Separ_relog.Solve.default_enum_limit
       & info [ "limit" ] ~doc:"Maximum scenarios per vulnerability signature")
   in
   let run events jobs limit trace metrics log log_level metrics_out profile_gc

@@ -279,11 +279,10 @@ type shard_result = {
   sh_solver : Separ_sat.Solver.stats_record;
   sh_base_ms : float; (* base translation time, paid once per config *)
   sh_pid : int; (* the process that ran the shard *)
-  (* cache traffic: a worker's copy of the store handle counts it where
+  (* how far the store handle's [Store.stats] moved during the shard
+     ([] without a cache): a worker's copy of the handle counts where
      the parent never sees *)
-  sh_hits : int;
-  sh_misses : int;
-  sh_stores : int;
+  sh_cache : (string * int) list;
 }
 
 (* Run a shard of one bundle's signatures on shared per-config bases.
@@ -342,7 +341,8 @@ let run_shard ~limit ?budget ~cache bundle (sigs : Signatures.t list) =
     Solve.detach session;
     result
   in
-  let hits = ref 0 and misses = ref 0 and stores = ref 0 in
+  let cache_stats () = Option.fold ~none:[] ~some:Store.stats cache in
+  let cache_before = cache_stats () in
   let items =
     List.map
       (fun (sig_ : Signatures.t) ->
@@ -365,7 +365,6 @@ let run_shard ~limit ?budget ~cache bundle (sigs : Signatures.t list) =
                         Store.find store ~key)
                   with
                   | Some cv ->
-                      incr hits;
                       Computed
                         {
                           sr_scenarios = cv.cv_scenarios;
@@ -374,19 +373,17 @@ let run_shard ~limit ?budget ~cache bundle (sigs : Signatures.t list) =
                           sr_stats = zero_solve_stats;
                         }
                   | None ->
-                      incr misses;
                       let sr = solve sig_ env formula base in
                       (* a budget-exhausted signature must be re-attempted
                          next run *)
-                      if
-                        sr.sr_outcome = Complete
-                        && Trace.with_span "cache.store" (fun () ->
-                               Store.store store ~key
+                      if sr.sr_outcome = Complete then
+                        Trace.with_span "cache.store" (fun () ->
+                            ignore
+                              (Store.store store ~key
                                  {
                                    cv_scenarios = sr.sr_scenarios;
                                    cv_truncated = sr.sr_truncated;
-                                 })
-                      then incr stores;
+                                 }));
                       Computed sr)
             with e ->
               (* Best-effort cleanup: retiring the (at most one) live
@@ -413,9 +410,10 @@ let run_shard ~limit ?budget ~cache bundle (sigs : Signatures.t list) =
     sh_base_ms =
       List.fold_left (fun acc b -> acc +. Solve.base_translation_ms b) 0.0 built;
     sh_pid = Unix.getpid ();
-    sh_hits = !hits;
-    sh_misses = !misses;
-    sh_stores = !stores;
+    sh_cache =
+      List.map2
+        (fun (k, n) (_, n0) -> (k, n - n0))
+        (cache_stats ()) cache_before;
   }
 
 (* Split [xs] into at most [k] contiguous, balanced shards (first shards
@@ -582,8 +580,7 @@ let analyze_many ?(signatures = Signatures.all ())
             List.iter
               (function
                 | Pool.Done sh when sh.sh_pid <> Unix.getpid () ->
-                    Store.credit store ~hits:sh.sh_hits ~misses:sh.sh_misses
-                      ~stores:sh.sh_stores
+                    Store.credit store sh.sh_cache
                 | Pool.Done _ | Pool.Failed _ -> ())
               results;
             Store.stats store

@@ -245,10 +245,18 @@ let store t ~key v =
 
 (* Counters only: the [Metrics] side of a worker's lookups already
    reaches the parent through the pool's telemetry merge. *)
-let credit t ~hits ~misses ~stores =
-  t.hits <- t.hits + hits;
-  t.misses <- t.misses + misses;
-  t.stores <- t.stores + stores
+let credit t deltas =
+  List.iter
+    (fun (name, n) ->
+      match name with
+      | "corrupt" -> t.corrupt <- t.corrupt + n
+      | "evictions" -> t.evictions <- t.evictions + n
+      | "hits" -> t.hits <- t.hits + n
+      | "misses" -> t.misses <- t.misses + n
+      | "stores" -> t.stores <- t.stores + n
+      | "tmp_swept" -> t.tmp_swept <- t.tmp_swept + n
+      | _ -> invalid_arg ("Store.credit: unknown counter " ^ name))
+    deltas
 
 let stats t =
   [

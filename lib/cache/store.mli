@@ -60,11 +60,12 @@ val store : t -> key:string -> 'a -> bool
     ["stores"], ["tmp_swept"]. *)
 val stats : t -> (string * int) list
 
-(** [credit t ~hits ~misses ~stores] adds lookups and stores made
-    through a copy of [t] — a forked worker's, whose counters the parent
-    never sees — to [t]'s counters.  Metric counters are left alone: the
-    worker pool merges those back itself. *)
-val credit : t -> hits:int -> misses:int -> stores:int -> unit
+(** [credit t deltas] adds how far the counters of a copy of [t] moved
+    — a forked worker's, whose counters the parent never sees — to
+    [t]'s counters.  [deltas] names counters as [stats] does.  Metric
+    counters are left alone: the worker pool merges those back itself.
+    @raise Invalid_argument on a name [stats] does not list. *)
+val credit : t -> (string * int) list -> unit
 
 (** Total bytes of the entries currently on disk. *)
 val size_bytes : t -> int

@@ -5,8 +5,7 @@
    clock), [level], [event] (machine-readable [subsystem.event] name),
    [pid], optionally [span] (the innermost open [Trace] span id, for
    correlating events with the phase that emitted them) — plus the
-   caller's fields.  The emitter is self-contained (no dependency on
-   [Separ_report.Json]: that library sits above this one).
+   caller's fields, rendered by [Json] on one line.
 
    Cost discipline mirrors [Trace]/[Metrics]: with no sink installed
    and no capture on, every [info]/[warn]/... call is two tests.
@@ -122,72 +121,23 @@ let admit name ts =
     end
   end
 
-(* --- NDJSON rendering ------------------------------------------------------ *)
-
-let add_escaped buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
-let add_float buf f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Buffer.add_string buf (Printf.sprintf "%.1f" f)
-  else
-    let s = Printf.sprintf "%g" f in
-    if float_of_string s = f then Buffer.add_string buf s
-    else Buffer.add_string buf (Printf.sprintf "%.17g" f)
-
-let add_value buf = function
-  | Trace.Int i -> Buffer.add_string buf (string_of_int i)
-  | Trace.Float f -> add_float buf f
-  | Trace.Bool b -> Buffer.add_string buf (string_of_bool b)
-  | Trace.Str s ->
-      Buffer.add_char buf '"';
-      add_escaped buf s;
-      Buffer.add_char buf '"'
-
-let to_ndjson ev =
-  let buf = Buffer.create 160 in
-  Buffer.add_string buf "{\"ts_us\":";
-  add_float buf ev.ev_ts_us;
-  Buffer.add_string buf ",\"level\":\"";
-  Buffer.add_string buf (level_name ev.ev_level);
-  Buffer.add_string buf "\",\"event\":\"";
-  add_escaped buf ev.ev_event;
-  Buffer.add_string buf "\",\"pid\":";
-  Buffer.add_string buf (string_of_int ev.ev_pid);
-  (match ev.ev_span with
-  | Some id ->
-      Buffer.add_string buf ",\"span\":";
-      Buffer.add_string buf (string_of_int id)
-  | None -> ());
-  if ev.ev_suppressed > 0 then begin
-    Buffer.add_string buf ",\"suppressed\":";
-    Buffer.add_string buf (string_of_int ev.ev_suppressed)
-  end;
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf ",\"";
-      add_escaped buf k;
-      Buffer.add_string buf "\":";
-      add_value buf v)
-    ev.ev_fields;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
-
 (* --- emission -------------------------------------------------------------- *)
 
 let write_event oc ev =
-  output_string oc (to_ndjson ev);
+  let envelope =
+    ("ts_us", Json.Float ev.ev_ts_us)
+    :: ("level", Json.Str (level_name ev.ev_level))
+    :: ("event", Json.Str ev.ev_event)
+    :: ("pid", Json.Int ev.ev_pid)
+    :: (match ev.ev_span with Some id -> [ ("span", Json.Int id) ] | None -> [])
+    @ if ev.ev_suppressed > 0 then [ ("suppressed", Json.Int ev.ev_suppressed) ]
+      else []
+  in
+  let fields =
+    List.map (fun (k, v) -> (k, Trace.json_of_value v)) ev.ev_fields
+  in
+  output_string oc
+    (Json.to_string ~indent:false (Json.Obj (envelope @ fields)));
   output_char oc '\n';
   flush oc
 

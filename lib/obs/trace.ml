@@ -112,6 +112,14 @@ let attr_float k v = (k, Float v)
 let attr_str k v = (k, Str v)
 let attr_bool k v = (k, Bool v)
 
+(* The one mapping of an attribute or log-field value to JSON, shared
+   by the trace exporter and the event log. *)
+let json_of_value = function
+  | Int i -> Json.Int i
+  | Float f -> Json.Float f
+  | Str s -> Json.Str s
+  | Bool b -> Json.Bool b
+
 (* Attach an attribute to the innermost open span (no-op when disabled
    or outside any span). *)
 let add_attr key v =

@@ -104,9 +104,6 @@ let condition_holds (ev : icc_event) = function
   | Extras_include r -> List.mem r (Intent.carried_resources ev.ev_intent)
   | Sender_lacks_permission p -> not (List.mem p ev.ev_sender_permissions)
 
-let matches (p : t) (ev : icc_event) =
-  p.p_event = ev.ev_kind && List.for_all (condition_holds ev) p.p_conditions
-
 (* PDP decision: the most restrictive action among matching policies
    (Deny > Prompt > Allow), with the deciding policy. *)
 type decision = Allowed | Prompted of t | Denied of t

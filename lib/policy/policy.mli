@@ -64,7 +64,6 @@ type view = private {
 val view_of_event : icc_event -> view
 val condition_holds : icc_event -> condition -> bool
 val condition_holds_view : view -> condition -> bool
-val matches : t -> icc_event -> bool
 
 (** PDP verdict: the most restrictive action among matching policies
     (Deny > Prompt > Allow), with the deciding policy. *)

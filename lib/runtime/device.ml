@@ -8,8 +8,10 @@
 
    Enforcement follows the paper's architecture: every ICC operation is
    routed through a hook (the PEP); when enforcement is on, the hook
-   builds an event record and consults the PDP ({!Separ_policy.Policy.decide})
-   against the synthesized policies; prompts go to a user-consent
+   builds an event record and consults the PDP against the synthesized
+   policies — the compiled matcher ({!Separ_policy.Compile.decide_full}),
+   or in [Reference] mode the uncompiled scan
+   ({!Separ_policy.Policy.decide_both}); prompts go to a user-consent
    callback; refused or denied operations are skipped without crashing
    the caller — the asynchronous call simply never completes. *)
 

@@ -248,7 +248,7 @@ let test_resolves_to () =
 
 module Metrics = Separ_obs.Metrics
 module Log = Separ_obs.Log
-module Json = Separ_report.Json
+module Json = Separ_obs.Json
 
 (* A service whose entry point starts a chain of [depth] internal calls;
    only the last method sends an intent.  Each fixpoint round reaches one

@@ -353,8 +353,9 @@ let test_failed_writes_keep_verdicts () =
   Sys.remove dir
 
 (* The cache behaves the same at any pool width: a directory filled at
-   one [-j] serves another, and the store handle counts lookups and
-   stores made in forked workers exactly as an inline run counts them.
+   one [-j] serves another, and the store handle counts lookups, stores,
+   corrupt entries and evictions made in forked workers exactly as an
+   inline run counts them.
    The builtin signatures share no key across these two bundles (the
    cold reference asserts it): a key two bundles of one run share is
    hit by the second at -j 1 but may miss in both when they are solved
@@ -434,6 +435,49 @@ let test_cache_across_jobs () =
           check_int "warm -j 1 hits them all" cold_misses warm_hits
       | _ -> Alcotest.fail "-j 1 reference: expected a cold miss, warm hit run")
     [ [ demo ]; [ demo; relay ] ];
+  (* Corrupt entries and evictions are counted in the worker too: a
+     corrupted warm cache reports every entry corrupt, and a 1-byte cap
+     evicts, at -j 2 as at -j 1. *)
+  let filled = fresh_dir () in
+  ignore
+    (Ase.analyze_many ~signatures ~jobs:1
+       ~cache:(Store.open_ ~dir:filled ())
+       [ demo ]);
+  let entries = Sys.readdir filled in
+  Array.iter
+    (fun name ->
+      let path = Filename.concat filled name in
+      let b = Bytes.of_string (slurp path) in
+      let mid = Bytes.length b / 2 in
+      Bytes.set b mid (Char.chr (Char.code (Bytes.get b mid) lxor 0xff));
+      spit path (Bytes.to_string b))
+    entries;
+  List.iter
+    (fun jobs ->
+      let dir = fresh_dir () in
+      Store.mkdir_p dir;
+      Array.iter
+        (fun name ->
+          spit (Filename.concat dir name) (slurp (Filename.concat filled name)))
+        entries;
+      let t = Store.open_ ~dir () in
+      ignore (Ase.analyze_many ~signatures ~jobs ~cache:t [ demo ]);
+      check_int
+        (Printf.sprintf "every corrupted entry counted at -j %d" jobs)
+        (Array.length entries)
+        (List.assoc "corrupt" (Store.stats t));
+      let tiny = Store.open_ ~dir:(fresh_dir ()) ~max_bytes:1 () in
+      let reports = Ase.analyze_many ~signatures ~jobs ~cache:tiny [ demo ] in
+      check
+        (Printf.sprintf "a 1-byte cap evicts at -j %d" jobs)
+        true
+        (List.assoc "evictions" (Store.stats tiny) > 0);
+      check
+        (Printf.sprintf "report cache section shows the evictions at -j %d"
+           jobs)
+        true
+        (List.for_all (fun r -> r.Ase.r_cache = Store.stats tiny) reports))
+    [ 1; 2 ];
   Metrics.reset ();
   Metrics.disable ()
 

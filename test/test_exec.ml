@@ -6,7 +6,7 @@ module Pool = Separ_exec.Pool
 module Trace = Separ_obs.Trace
 module Metrics = Separ_obs.Metrics
 module Log = Separ_obs.Log
-module Json = Separ_report.Json
+module Json = Separ_obs.Json
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)

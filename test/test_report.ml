@@ -1,7 +1,7 @@
 (* Tests for the JSON report layer: escaping, printer structure, and the
    analysis report shape. *)
 
-module Json = Separ_report.Json
+module Json = Separ_obs.Json
 
 let check = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
