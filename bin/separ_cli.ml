@@ -380,12 +380,12 @@ let analyze_cmd =
           if metrics then Some (Separ_report.Telemetry.telemetry_json ())
           else None
         in
-        (* One JSON report per line: a single object for one bundle, and
-           newline-delimited JSON in multi-bundle mode. *)
+        (* One indented object for loose APK files; in multi-bundle mode,
+           newline-delimited JSON: one single-line report per bundle. *)
         List.iter
-          (fun (_, analysis) ->
+          (fun (label, analysis) ->
             print_endline
-              (Separ_report.Report.to_string ?telemetry
+              (Separ_report.Report.to_string ~indent:(label = None) ?telemetry
                  ~report:analysis.Separ.report
                  ~policies:analysis.Separ.policies ()))
           analyses;
@@ -436,7 +436,9 @@ let analyze_cmd =
         output_string oc (Separ.Policy.to_string policies);
         output_string oc "\n";
         close_out oc;
-        Fmt.pr "wrote %d policies to %s@." (List.length policies) path
+        (* stderr, like the trace and metrics notices: stdout stays the
+           report alone *)
+        Fmt.epr "wrote %d policies to %s@." (List.length policies) path
     | None -> ()
   in
   Cmd.v

@@ -78,4 +78,3 @@ let equal a b =
 let strings v = if v.str_top then None else Some (SS.elements v.strs)
 
 let taint_list v = RS.elements v.taints
-let is_bot v = equal v bot

@@ -37,4 +37,3 @@ val equal : t -> t -> bool
 val strings : t -> string list option
 
 val taint_list : t -> Separ_android.Resource.t list
-val is_bot : t -> bool

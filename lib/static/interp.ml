@@ -17,14 +17,20 @@
      resource], including ICC as a source (data read from the incoming
      intent) and as a sink (tainted data attached to an outgoing intent),
      together with the permissions whose dynamic checks guard the sink
-     (the basis for code-level permission enforcement detection). *)
+     (the basis for code-level permission enforcement detection).
+
+   Each method's fixpoint runs over basic blocks ({!Dataflow.forward}):
+   in-states, dense register arrays, live only at block heads, and every
+   block runs in one mutable frame.  Fact extraction does not re-run the
+   transfer function: while a block runs it records what extraction
+   reads, the argument values at each invoke and the permission checks a
+   branch tests. *)
 
 open Separ_dalvik
 open Separ_android
 module SS = Absval.SS
 module RS = Absval.RS
 module IS = Absval.IS
-module IM = Map.Make (Int)
 
 type key = { kcls : string; kmtd : string; kctx : int }
 
@@ -57,12 +63,25 @@ let fresh_props () =
     extra_taints = RS.empty;
   }
 
-(* The register file is sparse and persistent: only registers whose value
-   is not bottom are bound.  An instruction writes at most one register,
-   so consecutive states share all but one path of the map, and a state
-   costs O(log registers) to derive from its predecessor.  Bottom is
-   never bound, so equal states have equal maps. *)
-type state = { regs : Absval.t IM.t; result : Absval.t; reach : bool }
+(* A dense register file plus the result of the last invoke, awaiting
+   its move-result.  The state at a block head is one, and so is the
+   frame each block runs in: a block copies its head's state into the
+   component's one frame and then writes registers in place, so a state
+   is copied only where control enters a block.  The frame grows to the
+   widest method analyzed; its registers past a method's count are never
+   read. *)
+type state = { regs : Absval.t array; mutable result : Absval.t }
+
+(* What fact extraction reads of one method's analysis, per instruction,
+   recorded while its blocks run.  Each run of a block overwrites its
+   records, and the last run sees the block's final in-state, so the
+   records are those of the fixpoint's last pass over the method. *)
+type read =
+  | Unreached
+  | Args of Absval.t list  (* argument values at a reached invoke *)
+  | Tested of SS.t
+      (* permission checks held by the register a reached if-eqz/if-nez
+         tests *)
 
 (* Facts reported per component. *)
 type intent_fact = {
@@ -115,6 +134,7 @@ type t = {
       (* index-insensitive summary cell per array allocation site *)
   mutable read_keys : SS.t; (* extra keys read from the incoming intent *)
   mutable changed : bool;
+  mutable frame : state;
 }
 
 let create ?(k1 = true) apk =
@@ -132,6 +152,7 @@ let create ?(k1 = true) apk =
     arr_cells = Hashtbl.create 16;
     read_keys = SS.empty;
     changed = false;
+    frame = { regs = [||]; result = Absval.bot };
   }
 
 let site_id t key idx =
@@ -249,20 +270,15 @@ let join_entry t key (args : Absval.t list) n_params n_regs =
 
 (* --- the transfer function -------------------------------------------- *)
 
-let get_reg s r = Option.value ~default:Absval.bot (IM.find_opt r s.regs)
+let get_reg f r = f.regs.(r)
+let set_reg f r v = f.regs.(r) <- v
 
-let set_reg s r v =
-  let regs =
-    if Absval.is_bot v then IM.remove r s.regs else IM.add r v s.regs
-  in
-  if regs == s.regs then s else { s with regs }
-
-let handle_intent_op t s op (args : int list) =
-  let arg n = get_reg s (List.nth args n) in
+let handle_intent_op t f op (arg_vals : Absval.t list) =
+  let arg n = List.nth arg_vals n in
   let sites v = IS.elements v.Absval.sites in
   match op with
-  | Api.New_intent -> { s with result = Absval.bot }
-  | Api.Get_intent -> { s with result = Absval.incoming_intent }
+  | Api.New_intent -> f.result <- Absval.bot
+  | Api.Get_intent -> f.result <- Absval.incoming_intent
   | Api.Set_action ->
       let intent = arg 0 and a = arg 1 in
       List.iter
@@ -276,8 +292,7 @@ let handle_intent_op t s op (args : int list) =
             ~get:(fun () -> p.actions)
             ~set:(fun v -> p.actions <- v)
             a)
-        (sites intent);
-      s
+        (sites intent)
   | Api.Add_category ->
       let intent = arg 0 and c = arg 1 in
       List.iter
@@ -287,8 +302,7 @@ let handle_intent_op t s op (args : int list) =
           | Some ss ->
               grow_ss t (fun () -> p.categories) (fun v -> p.categories <- v) ss
           | None -> ())
-        (sites intent);
-      s
+        (sites intent)
   | Api.Set_data_type ->
       let intent = arg 0 and d = arg 1 in
       List.iter
@@ -298,8 +312,7 @@ let handle_intent_op t s op (args : int list) =
           | Some ss ->
               grow_ss t (fun () -> p.data_types) (fun v -> p.data_types <- v) ss
           | None -> ())
-        (sites intent);
-      s
+        (sites intent)
   | Api.Set_data_scheme ->
       (* setData takes a URI: split "scheme://host" into its parts *)
       let intent = arg 0 and d = arg 1 in
@@ -324,8 +337,7 @@ let handle_intent_op t s op (args : int list) =
                   | None -> ())
                 ss
           | None -> ())
-        (sites intent);
-      s
+        (sites intent)
   | Api.Set_class_name ->
       let intent = arg 0 and c = arg 1 in
       List.iter
@@ -334,8 +346,7 @@ let handle_intent_op t s op (args : int list) =
           match Absval.strings c with
           | Some ss -> grow_ss t (fun () -> p.targets) (fun v -> p.targets <- v) ss
           | None -> ())
-        (sites intent);
-      s
+        (sites intent)
   | Api.Put_extra ->
       let intent = arg 0 and k = arg 1 and v = arg 2 in
       List.iter
@@ -349,11 +360,10 @@ let handle_intent_op t s op (args : int list) =
             (fun () -> p.extra_taints)
             (fun x -> p.extra_taints <- x)
             (Absval.taint_list v))
-        (sites intent);
-      s
+        (sites intent)
   | Api.Get_extra | Api.Get_all_extras ->
       let intent = arg 0 in
-      (if intent.Absval.incoming && List.length args > 1 then
+      (if intent.Absval.incoming && List.length arg_vals > 1 then
          match Absval.strings (arg 1) with
          | Some keys ->
              List.iter
@@ -372,35 +382,30 @@ let handle_intent_op t s op (args : int list) =
       let taints =
         if intent.Absval.incoming then RS.add Resource.Icc taints else taints
       in
-      { s with result = { Absval.str_top = true;
-                          strs = SS.empty;
-                          sites = IS.empty;
-                          incoming = false;
-                          taints;
-                          perm_checks = SS.empty } }
+      f.result <- { Absval.str_top = true;
+                    strs = SS.empty;
+                    sites = IS.empty;
+                    incoming = false;
+                    taints;
+                    perm_checks = SS.empty }
 
-let handle_invoke t key s idx (mref : Api.method_ref) (args : int list) =
-  let arg_vals = List.map (get_reg s) args in
+let handle_invoke t key f idx (mref : Api.method_ref) (arg_vals : Absval.t list) =
   match Api.classify mref with
   | Api.Source r ->
-      { s with result = { (Absval.of_taints [ r ]) with Absval.str_top = true } }
-  | Api.Sink _ -> { s with result = Absval.bot }
+      f.result <- { (Absval.of_taints [ r ]) with Absval.str_top = true }
+  | Api.Sink _ -> f.result <- Absval.bot
   | Api.Icc (Api.Bind_service | Api.Provider_query) ->
       (* binder- and cursor-mediated results: data produced by another
          component, i.e. ICC-sourced *)
-      {
-        s with
-        result =
-          { (Absval.of_taints [ Resource.Icc ]) with Absval.str_top = true };
-      }
-  | Api.Icc _ -> { s with result = Absval.bot }
-  | Api.Intent_op op -> handle_intent_op t s op args
+      f.result <- { (Absval.of_taints [ Resource.Icc ]) with Absval.str_top = true }
+  | Api.Icc _ -> f.result <- Absval.bot
+  | Api.Intent_op op -> handle_intent_op t f op arg_vals
   | Api.Callback_reg ->
       (* the named methods of this class become additional roots: the
          framework may invoke them on user interaction *)
-      (match args with
+      (match arg_vals with
       | h :: _ -> (
-          match Absval.strings (get_reg s h) with
+          match Absval.strings h with
           | Some handlers ->
               List.iter
                 (fun mtd ->
@@ -412,121 +417,142 @@ let handle_invoke t key s idx (mref : Api.method_ref) (args : int list) =
                 handlers
           | None -> ())
       | [] -> ());
-      { s with result = Absval.bot }
-  | Api.Broadcast_abort -> { s with result = Absval.bot }
-  | Api.Permission_check -> (
-      match args with
-      | [] -> { s with result = Absval.bot }
-      | p :: _ -> (
-          match Absval.strings (get_reg s p) with
-          | Some perms ->
-              {
-                s with
-                result =
-                  List.fold_left
-                    (fun acc perm -> Absval.join acc (Absval.of_perm_check perm))
-                    Absval.bot perms;
-              }
-          | None -> { s with result = Absval.bot }))
+      f.result <- Absval.bot
+  | Api.Broadcast_abort -> f.result <- Absval.bot
+  | Api.Permission_check ->
+      f.result <-
+        (match arg_vals with
+        | [] -> Absval.bot
+        | p :: _ -> (
+            match Absval.strings p with
+            | Some perms ->
+                List.fold_left
+                  (fun acc perm -> Absval.join acc (Absval.of_perm_check perm))
+                  Absval.bot perms
+            | None -> Absval.bot))
   | Api.Other ->
-      if is_internal t mref.Api.cls then begin
-        match find_internal_method t mref.Api.cls mref.Api.mtd with
-        | None -> { s with result = Absval.bot }
-        | Some m ->
-            let ctx = if t.k1 then call_site_id t key idx else 0 in
-            let callee =
-              { kcls = mref.Api.cls; kmtd = mref.Api.mtd; kctx = ctx }
-            in
-            join_entry t callee arg_vals m.Ir.n_params m.Ir.n_regs;
-            { s with result = ret_of t callee }
-      end
-      else { s with result = Absval.bot }
+      f.result <-
+        (if is_internal t mref.Api.cls then
+           match find_internal_method t mref.Api.cls mref.Api.mtd with
+           | None -> Absval.bot
+           | Some m ->
+               let ctx = if t.k1 then call_site_id t key idx else 0 in
+               let callee =
+                 { kcls = mref.Api.cls; kmtd = mref.Api.mtd; kctx = ctx }
+               in
+               join_entry t callee arg_vals m.Ir.n_params m.Ir.n_regs;
+               ret_of t callee
+         else Absval.bot)
 
-let transfer t key _i instr (s : state) : state =
-  if not s.reach then s
-  else
-    match instr with
-    | Ir.Const (r, Ir.Cstr str) -> set_reg s r (Absval.of_string str)
-    | Ir.Const (r, _) -> set_reg s r Absval.bot
-    | Ir.Move (d, src) -> set_reg s d (get_reg s src)
-    | Ir.New_instance (r, cls) when cls = Api.c_intent ->
-        set_reg s r (Absval.of_site (site_id t key _i))
-    | Ir.New_instance (r, _) -> set_reg s r Absval.bot
-    | Ir.Invoke (_, mref, args) -> handle_invoke t key s _i mref args
-    | Ir.Move_result r -> set_reg s r s.result
-    | Ir.Iget (d, _o, f) -> set_reg s d (field_get t f)
-    | Ir.Iput (src, _o, f) ->
-        field_put t f (get_reg s src);
-        s
-    | Ir.Sget (d, f) -> set_reg s d (field_get t f)
-    | Ir.Sput (src, f) ->
-        field_put t f (get_reg s src);
-        s
-    | Ir.New_array (r, _) -> set_reg s r (Absval.of_site (site_id t key _i))
-    | Ir.Aput (src, arr, _) ->
-        IS.iter (fun sid -> arr_put t sid (get_reg s src)) (get_reg s arr).Absval.sites;
-        s
-    | Ir.Aget (d, arr, _) ->
-        set_reg s d
-          (IS.fold
-             (fun sid acc -> Absval.join acc (arr_get t sid))
-             (get_reg s arr).Absval.sites Absval.bot)
-    | Ir.If_eqz _ | Ir.If_nez _ | Ir.Goto _ | Ir.Label _ | Ir.Nop -> s
-    | Ir.Return (Some r) ->
-        join_ret t key (get_reg s r);
-        s
-    | Ir.Return None -> s
+(* Execute instruction [i] in the frame [f], recording what fact
+   extraction reads of it in [reads]. *)
+let step t key reads f i instr =
+  match instr with
+  | Ir.Const (r, Ir.Cstr str) -> set_reg f r (Absval.of_string str)
+  | Ir.Const (r, _) -> set_reg f r Absval.bot
+  | Ir.Move (d, src) -> set_reg f d (get_reg f src)
+  | Ir.New_instance (r, cls) when cls = Api.c_intent ->
+      set_reg f r (Absval.of_site (site_id t key i))
+  | Ir.New_instance (r, _) -> set_reg f r Absval.bot
+  | Ir.Invoke (_, mref, args) ->
+      let arg_vals = List.map (get_reg f) args in
+      reads.(i) <- Args arg_vals;
+      handle_invoke t key f i mref arg_vals
+  | Ir.Move_result r -> set_reg f r f.result
+  | Ir.Iget (d, _o, fld) -> set_reg f d (field_get t fld)
+  | Ir.Iput (src, _o, fld) -> field_put t fld (get_reg f src)
+  | Ir.Sget (d, fld) -> set_reg f d (field_get t fld)
+  | Ir.Sput (src, fld) -> field_put t fld (get_reg f src)
+  | Ir.New_array (r, _) -> set_reg f r (Absval.of_site (site_id t key i))
+  | Ir.Aput (src, arr, _) ->
+      IS.iter (fun sid -> arr_put t sid (get_reg f src)) (get_reg f arr).Absval.sites
+  | Ir.Aget (d, arr, _) ->
+      set_reg f d
+        (IS.fold
+           (fun sid acc -> Absval.join acc (arr_get t sid))
+           (get_reg f arr).Absval.sites Absval.bot)
+  | Ir.If_eqz (r, _) | Ir.If_nez (r, _) ->
+      reads.(i) <- Tested (get_reg f r).Absval.perm_checks
+  | Ir.Goto _ | Ir.Label _ | Ir.Nop | Ir.Return None -> ()
+  | Ir.Return (Some r) -> join_ret t key (get_reg f r)
 
 (* --- fixpoint over all registered methods ------------------------------ *)
 
-let state_lattice : state Dataflow.lattice =
+(* Joins at a block head go register by register; a register whose value
+   is physically the head's, as untouched registers are, costs one
+   pointer comparison. *)
+let join_value a b =
+  if a == b then a
+  else
+    let j = Absval.join a b in
+    if Absval.equal j a then a else j
+
+(* Head states of a method with [len] registers. *)
+let head_lattice len : state Dataflow.lattice =
   {
-    bot = { regs = IM.empty; result = Absval.bot; reach = false };
-    join =
-      (fun a b ->
-        if not a.reach then b
-        else if not b.reach then a
-        else if a == b then a
-        else
-          {
-            regs =
-              (if a.regs == b.regs then a.regs
-               else
-                 IM.union (fun _ x y -> Some (Absval.join x y)) a.regs b.regs);
-            result = Absval.join a.result b.result;
-            reach = true;
-          });
-    equal =
-      (fun a b ->
-        a == b
-        || a.reach = b.reach
-           && (not a.reach
-              || Absval.equal a.result b.result
-                 && (a.regs == b.regs || IM.equal Absval.equal a.regs b.regs)));
+    copy = (fun s -> { regs = Array.sub s.regs 0 len; result = s.result });
+    join_into =
+      (fun h s ->
+        let grew = ref false in
+        for r = 0 to len - 1 do
+          let a = h.regs.(r) in
+          let j = join_value a s.regs.(r) in
+          if j != a then begin
+            h.regs.(r) <- j;
+            grew := true
+          end
+        done;
+        let j = join_value h.result s.result in
+        if j != h.result then begin
+          h.result <- j;
+          grew := true
+        end;
+        !grew);
   }
 
-let analyze_method t key (m : Ir.meth) entry_regs : state array =
-  let regs = ref IM.empty in
-  Array.iteri
-    (fun i v -> if not (Absval.is_bot v) then regs := IM.add i v !regs)
-    entry_regs;
-  let entry = { regs = !regs; result = Absval.bot; reach = true } in
-  Dataflow.forward state_lattice ~entry ~transfer:(transfer t key) m
+(* Analyze one method from its entry registers, returning the reads fact
+   extraction needs.  [prev] is the method's reads from the round before,
+   overwritten in place: every analysis runs every reachable block, so
+   each reached invoke and branch gets a fresh record, and the rest stay
+   [Unreached]. *)
+let analyze_method t key (m : Ir.meth) entry_regs prev : read array =
+  let reads =
+    match prev with
+    | Some r -> r
+    | None -> Array.make (Array.length m.Ir.body) Unreached
+  in
+  let len = Array.length entry_regs in
+  if Array.length t.frame.regs < len then
+    t.frame <- { regs = Array.make len Absval.bot; result = Absval.bot };
+  let frame = t.frame in
+  let run start stop (s : state) =
+    Array.blit s.regs 0 frame.regs 0 len;
+    frame.result <- s.result;
+    for i = start to stop - 1 do
+      step t key reads frame i m.Ir.body.(i)
+    done;
+    frame
+  in
+  ignore
+    (Dataflow.forward (head_lattice len)
+       ~entry:{ regs = entry_regs; result = Absval.bot }
+       ~run m);
+  reads
 
 (* Rounds of the global fixpoint before it gives up.  Each round analyzes
    the methods registered before it started, so a call chain deeper than
    this is cut short: the facts of its deepest methods are missing. *)
 let max_rounds = 100
 
-(* Run the global fixpoint from the given roots.  Returns the final
-   in-states per method key, the rounds run, and whether the cap stopped
-   the iteration before it converged. *)
+(* Run the global fixpoint from the given roots.  Returns the reads of
+   each method key's last analysis, the rounds run, and whether the cap
+   stopped the iteration before it converged. *)
 let run t (roots : (key * Ir.meth * Absval.t array) list) =
   List.iter
     (fun (key, m, entry_regs) ->
       join_entry t key (Array.to_list entry_regs) m.Ir.n_params m.Ir.n_regs)
     roots;
-  let states = KeyH.create 16 in
+  let reads = KeyH.create 16 in
   let rounds = ref 0 in
   let continue = ref true in
   while !continue && !rounds < max_rounds do
@@ -539,44 +565,40 @@ let run t (roots : (key * Ir.meth * Absval.t array) list) =
         | None -> ()
         | Some m ->
             let entry_regs = KeyH.find t.entries key in
-            let st = analyze_method t key m entry_regs in
-            KeyH.replace states key st)
+            let prev = KeyH.find_opt reads key in
+            KeyH.replace reads key (analyze_method t key m entry_regs prev))
       keys;
     if not t.changed then continue := false
   done;
-  (states, !rounds, !continue)
+  (reads, !rounds, !continue)
 
 (* --- post-pass: fact extraction ---------------------------------------- *)
 
 (* Permissions whose dynamic check guards instruction [idx]: cutting the
    "granted" edges of every conditional branching on that permission's
    check result makes [idx] unreachable. *)
-let guards_of_instr (states : state array) (m : Ir.meth) idx =
-  let perms = ref SS.empty in
-  for i = 0 to Array.length m.Ir.body - 1 do
-    match m.Ir.body.(i) with
-    | Ir.If_eqz (r, _) | Ir.If_nez (r, _) ->
-        if states.(i).reach then
-          perms := SS.union !perms (get_reg states.(i) r).Absval.perm_checks
-    | _ -> ()
-  done;
+let guards_of_instr (reads : read array) (m : Ir.meth) idx =
+  let tested i = match reads.(i) with Tested ps -> ps | _ -> SS.empty in
+  let perms =
+    Array.fold_left
+      (fun acc r -> match r with Tested ps -> SS.union acc ps | _ -> acc)
+      SS.empty reads
+  in
   SS.fold
     (fun perm acc ->
       let cut i j =
         match m.Ir.body.(i) with
-        | Ir.If_eqz (r, _) when SS.mem perm (get_reg states.(i) r).Absval.perm_checks
-          ->
+        | Ir.If_eqz _ when SS.mem perm (tested i) ->
             (* jumps away when denied; granted path is the fall-through *)
             j = i + 1
-        | Ir.If_nez (r, _) when SS.mem perm (get_reg states.(i) r).Absval.perm_checks
-          ->
+        | Ir.If_nez _ when SS.mem perm (tested i) ->
             (* jumps when granted *)
             j = m.Ir.targets.(i)
         | _ -> false
       in
       let reach = Cfg.reachable ~cut m in
       if not reach.(idx) then SS.add perm acc else acc)
-    !perms SS.empty
+    perms SS.empty
 
 let intent_fact_of_site p icc =
   {
@@ -610,7 +632,7 @@ let forwarded_intent_fact icc =
     if_forwards_incoming = true;
   }
 
-let extract_facts t (states : (key, state array) KeyH.t) : facts =
+let extract_facts t (reads : (key, read array) KeyH.t) : facts =
   let intents = ref [] in
   let paths = ref [] in
   let uses = ref SS.empty in
@@ -631,7 +653,7 @@ let extract_facts t (states : (key, state array) KeyH.t) : facts =
   let caller_keys_of ccls cmtd =
     KeyH.fold
       (fun k _ acc -> if k.kcls = ccls && k.kmtd = cmtd then k :: acc else acc)
-      states []
+      reads []
   in
   let entry_guard_memo = Hashtbl.create 16 in
   let rec entry_guards key =
@@ -654,10 +676,10 @@ let extract_facts t (states : (key, state array) KeyH.t) : facts =
                     List.fold_left
                       (fun acc ck ->
                         let here =
-                          match KeyH.find_opt states ck with
-                          | Some st ->
+                          match KeyH.find_opt reads ck with
+                          | Some rd ->
                               SS.union
-                                (guards_of_instr st m idx)
+                                (guards_of_instr rd m idx)
                                 (entry_guards ck)
                           | None -> SS.empty
                         in
@@ -671,79 +693,72 @@ let extract_facts t (states : (key, state array) KeyH.t) : facts =
         g
   in
   KeyH.iter
-    (fun key st ->
+    (fun key rd ->
       match find_internal_method t key.kcls key.kmtd with
       | None -> ()
       | Some m ->
           Array.iteri
             (fun idx instr ->
-              if idx < Array.length st && st.(idx).reach then
-                match instr with
-                | Ir.Invoke (_, mref, args) -> (
-                    (match Api.permission_of mref with
-                    | Some p -> uses := SS.add p !uses
-                    | None -> ());
-                    match Api.classify mref with
-                    | Api.Sink r ->
-                        let guards =
-                          SS.elements
-                            (SS.union
-                               (guards_of_instr st m idx)
-                               (entry_guards key))
-                        in
-                        List.iter
-                          (fun a ->
-                            List.iter
-                              (fun taint -> add_path taint r guards)
-                              (Absval.taint_list (get_reg st.(idx) a)))
-                          args
-                    | Api.Icc Api.Register_receiver ->
-                        dyn := true;
-                        (match args with
-                        | intent_reg :: _ ->
-                            let v = get_reg st.(idx) intent_reg in
-                            IS.iter
-                              (fun sid ->
-                                let p = props_of t sid in
-                                if not p.actions_top then
-                                  dyn_filters :=
-                                    ( (match SS.elements p.targets with
-                                      | [ tgt ] -> Some tgt
-                                      | _ -> None),
-                                      SS.elements p.actions )
-                                    :: !dyn_filters)
-                              v.Absval.sites
-                        | [] -> ())
-                    | Api.Icc icc -> (
-                        match args with
-                        | [] -> ()
-                        | intent_reg :: _ ->
-                            let v = get_reg st.(idx) intent_reg in
-                            let guards =
-                              SS.elements
-                                (SS.union
-                                   (guards_of_instr st m idx)
-                                   (entry_guards key))
-                            in
-                            IS.iter
-                              (fun sid ->
-                                let p = props_of t sid in
-                                intents :=
-                                  intent_fact_of_site p icc :: !intents;
-                                (* tainted extras leaving via ICC *)
-                                RS.iter
-                                  (fun taint ->
-                                    add_path taint Resource.Icc guards)
-                                  p.extra_taints)
-                              v.Absval.sites;
-                            if v.Absval.incoming then begin
-                              intents := forwarded_intent_fact icc :: !intents;
-                              add_path Resource.Icc Resource.Icc guards
-                            end)
-                    | _ -> ())
-                | _ -> ())
+              match (instr, rd.(idx)) with
+              | Ir.Invoke (_, mref, _), Args vals -> (
+                  (match Api.permission_of mref with
+                  | Some p -> uses := SS.add p !uses
+                  | None -> ());
+                  match Api.classify mref with
+                  | Api.Sink r ->
+                      let guards =
+                        SS.elements
+                          (SS.union (guards_of_instr rd m idx) (entry_guards key))
+                      in
+                      List.iter
+                        (fun v ->
+                          List.iter
+                            (fun taint -> add_path taint r guards)
+                            (Absval.taint_list v))
+                        vals
+                  | Api.Icc Api.Register_receiver ->
+                      dyn := true;
+                      (match vals with
+                      | v :: _ ->
+                          IS.iter
+                            (fun sid ->
+                              let p = props_of t sid in
+                              if not p.actions_top then
+                                dyn_filters :=
+                                  ( (match SS.elements p.targets with
+                                    | [ tgt ] -> Some tgt
+                                    | _ -> None),
+                                    SS.elements p.actions )
+                                  :: !dyn_filters)
+                            v.Absval.sites
+                      | [] -> ())
+                  | Api.Icc icc -> (
+                      match vals with
+                      | [] -> ()
+                      | v :: _ ->
+                          let guards =
+                            SS.elements
+                              (SS.union
+                                 (guards_of_instr rd m idx)
+                                 (entry_guards key))
+                          in
+                          IS.iter
+                            (fun sid ->
+                              let p = props_of t sid in
+                              intents := intent_fact_of_site p icc :: !intents;
+                              (* tainted extras leaving via ICC *)
+                              RS.iter
+                                (fun taint -> add_path taint Resource.Icc guards)
+                                p.extra_taints)
+                            v.Absval.sites;
+                          if v.Absval.incoming then begin
+                            intents := forwarded_intent_fact icc :: !intents;
+                            add_path Resource.Icc Resource.Icc guards
+                          end)
+                  | _ -> ())
+              | _ -> ())
             m.Ir.body)
-    states;
+    reads;
   {
     intents = List.rev !intents;
     paths = List.rev !paths;
@@ -751,7 +766,7 @@ let extract_facts t (states : (key, state array) KeyH.t) : facts =
     registers_dynamic_receiver = !dyn;
     dynamic_filters = List.rev !dyn_filters;
     reads_extra_keys = SS.elements t.read_keys;
-    analyzed_methods = KeyH.length states;
+    analyzed_methods = KeyH.length reads;
     fixpoint_rounds = 0;
     fixpoint_capped = false;
   }
@@ -793,9 +808,9 @@ let analyze_component ?(k1 = true) ?(all_methods = false) apk
             (fun entry -> Option.map root_of (Ir.find_method cls entry))
             (Apk.entry_methods comp.Component.kind)
       in
-      let states, rounds, capped = run t roots in
+      let reads, rounds, capped = run t roots in
       {
-        (extract_facts t states) with
+        (extract_facts t reads) with
         fixpoint_rounds = rounds;
         fixpoint_capped = capped;
       }

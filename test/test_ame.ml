@@ -338,7 +338,7 @@ let test_fixpoint_cap_reported () =
    moves. *)
 let pinned_models_digest = "34056cfc5da5e658d96da1c392634f64"
 
-let test_pinned_output () =
+let pinned_corpus () =
   let table1_apks =
     List.concat_map
       (fun (c : Separ_suites.Case.t) -> c.Separ_suites.Case.apks)
@@ -352,16 +352,37 @@ let test_pinned_output () =
     G.generate ~seed:2016 ~profiles:[ first ] ()
     |> List.map (fun (g : G.generated) -> g.G.apk)
   in
+  table1_apks @ corpus_apks
+
+let test_pinned_output () =
   let models =
     List.map
       (fun apk ->
         { (Extract.extract apk) with App_model.am_extraction_ms = 0.0 })
-      (table1_apks @ corpus_apks)
+      (pinned_corpus ())
   in
   Alcotest.(check string)
     "AME output digest" pinned_models_digest
     (Digest.to_hex
        (Digest.string (Marshal.to_string models [ Marshal.No_sharing ])))
+
+(* Minor words allocated per instruction while extracting the pinned
+   corpus.  The count is deterministic in one domain.  The block-level
+   fixpoint with a dense frame per block measured 35.5 words per
+   instruction; the instruction-level fixpoint it replaced, which kept a
+   persistent register map per instruction, measured 162.6.  The budget
+   sits halfway, so it fails if the per-instruction states come back. *)
+let words_per_instr_budget = 99.0
+
+let test_allocation_budget () =
+  let apks = pinned_corpus () in
+  let instrs = List.fold_left (fun acc apk -> acc + Apk.size apk) 0 apks in
+  let before = Gc.minor_words () in
+  List.iter (fun apk -> ignore (Extract.extract apk)) apks;
+  let per_instr = (Gc.minor_words () -. before) /. float_of_int instrs in
+  if per_instr > words_per_instr_budget then
+    Alcotest.failf "%.1f minor words per instruction, budget %.1f" per_instr
+      words_per_instr_budget
 
 let tests =
   [
@@ -378,4 +399,5 @@ let tests =
     Alcotest.test_case "fixpoint round cap reported" `Quick
       test_fixpoint_cap_reported;
     Alcotest.test_case "pinned output digest" `Quick test_pinned_output;
+    Alcotest.test_case "allocation budget" `Quick test_allocation_budget;
   ]

@@ -1,8 +1,9 @@
 (* Tests for the static analysis framework: CFG reachability with cuts,
    the dataflow engine, and the combined abstract interpreter — string
    resolution, intent-site properties, taint (flow, field, and context
-   sensitivity), permission guards, reachability pruning, and the
-   dynamic-registration facts. *)
+   sensitivity), permission guards, reachability pruning, the
+   dynamic-registration facts, joins across loop back edges, and facts
+   that do not depend on where blocks start. *)
 
 open Separ_android
 open Separ_dalvik
@@ -50,7 +51,9 @@ let test_cfg_reachability_cut () =
   check "target alive" true r.(2)
 
 let test_dataflow_constants () =
-  (* x = "a"; loop back; state stabilizes *)
+  (* x = "a"; loop back to the head.  Each pass through the loop block
+     adds one, capped at 5, so the loop head climbs from the entry value
+     to the cap and the exit block sees the cap too. *)
   let m =
     B.meth ~name:"m" ~params:1 (fun b ->
         let top = B.fresh_label b in
@@ -60,14 +63,27 @@ let test_dataflow_constants () =
   in
   let lat =
     Separ_static.Dataflow.
-      { bot = 0; join = max; equal = Int.equal }
+      {
+        copy = (fun s -> ref !s);
+        join_into =
+          (fun h s ->
+            if !s > !h then begin
+              h := !s;
+              true
+            end
+            else false);
+      }
   in
-  let states =
-    Separ_static.Dataflow.forward lat ~entry:1
-      ~transfer:(fun _ _ s -> min (s + 1) 5)
+  let ins =
+    Separ_static.Dataflow.forward lat ~entry:(ref 1)
+      ~run:(fun _ _ s -> ref (min (!s + 1) 5))
       m
   in
-  check "fixpoint reached" true (Array.length states > 0)
+  (* blocks: label, const, branch | the return Builder appends *)
+  Alcotest.(check int) "blocks" 2 (Array.length ins);
+  let value b = Option.map ( ! ) ins.(b) in
+  Alcotest.(check (option int)) "loop head at its fixpoint" (Some 5) (value 0);
+  Alcotest.(check (option int)) "exit block" (Some 5) (value 1)
 
 (* --- intent extraction -------------------------------------------------------- *)
 
@@ -517,12 +533,12 @@ let test_guard_intersection_across_callers () =
          p.Interp.pf_sink = Resource.Sms && p.Interp.pf_guards = [])
        facts.Interp.paths)
 
-(* --- sparse register states ------------------------------------------------------ *)
+(* --- wide register files --------------------------------------------------------- *)
 
 (* Generated methods hold hundreds of registers, most of them dead after
    one use.  [high b] fills 300 registers with constants and returns a
-   fresh register above them, so these cases exercise the sparse state
-   far from the parameters. *)
+   fresh register above them, so these cases exercise block-head copies
+   and joins far from the parameters. *)
 let high b =
   for k = 1 to 300 do
     ignore (B.const_str b (Printf.sprintf "pad%d" k))
@@ -537,7 +553,7 @@ let wide_service ~perms body =
 (* The tainted state reaches the join point second when the taint is
    written on the fall-through branch, and first when the fall-through
    branch overwrites it: the join must keep it either way. *)
-let test_sparse_taint_one_branch () =
+let test_wide_taint_one_branch () =
   let apk ~write_on_branch =
     wide_service ~perms:[ Permission.read_phone_state ] (fun b ->
         let v = B.get_device_id b in
@@ -558,7 +574,7 @@ let test_sparse_taint_one_branch () =
     (has_path (facts_of (apk ~write_on_branch:false) "S") Resource.Imei
        Resource.Log)
 
-let test_sparse_overwrite_with_bottom () =
+let test_wide_overwrite_with_bottom () =
   let apk =
     wide_service ~perms:[ Permission.read_phone_state ] (fun b ->
         let v = B.get_device_id b in
@@ -570,7 +586,7 @@ let test_sparse_overwrite_with_bottom () =
   check "overwritten taint reports no path" false
     (has_path (facts_of apk "S") Resource.Imei Resource.Log)
 
-let test_sparse_guard_in_high_register () =
+let test_wide_guard_in_high_register () =
   let apk =
     wide_service ~perms:[ Permission.send_sms ] (fun b ->
         let num = B.get_string_extra b 0 ~key:"n" in
@@ -585,18 +601,165 @@ let test_sparse_guard_in_high_register () =
   check "check held in a high register guards the sink" true
     (List.mem Permission.send_sms (guards_of (facts_of apk "S")))
 
+(* --- loops ------------------------------------------------------------------------ *)
+
+(* [loop b body] emits [head: if-eqz c exit; body; goto head; exit:],
+   with [c] read from the incoming intent, so the back edge is taken as
+   often as the fixpoint needs. *)
+let loop b body =
+  let c = B.get_string_extra b 0 ~key:"more" in
+  let head = B.fresh_label b in
+  let exit = B.fresh_label b in
+  B.place_label b head;
+  B.if_eqz b c exit;
+  body ();
+  B.goto b head;
+  B.place_label b exit
+
+let test_loop_reassigned_string () =
+  let apk =
+    service_apk ~name:"S"
+      [
+        B.meth ~name:"onStartCommand" ~params:1 (fun b ->
+            let i = B.new_intent b in
+            let a = B.const_str b "first" in
+            loop b (fun () -> B.emit b (Ir.Const (a, Ir.Cstr "again")));
+            B.invoke b (Api.mref Api.c_intent "setAction") [ i; a ];
+            B.start_service b i);
+      ]
+  in
+  match (facts_of apk "S").Interp.intents with
+  | [ f ] ->
+      Alcotest.(check (option (list string)))
+        "both actions reach the send" (Some [ "again"; "first" ])
+        (Option.map (List.sort compare) f.Interp.if_actions)
+  | l -> Alcotest.failf "expected 1 intent fact, got %d" (List.length l)
+
+(* [a] takes [t]'s value from the previous iteration, and [t] turns
+   tainted in the first: [a] holds the taint only from the second
+   iteration on. *)
+let test_loop_taint_second_iteration () =
+  let apk =
+    service_apk ~name:"S" ~perms:[ Permission.read_phone_state ]
+      [
+        B.meth ~name:"onStartCommand" ~params:1 (fun b ->
+            let a = B.const_str b "clean" in
+            let t = B.const_str b "clean" in
+            loop b (fun () ->
+                B.move b ~dst:a ~src:t;
+                let v = B.get_device_id b in
+                B.move b ~dst:t ~src:v);
+            B.write_log b ~payload:a);
+      ]
+  in
+  let facts = facts_of apk "S" in
+  check "taint from the second iteration reaches the sink" true
+    (has_path facts Resource.Imei Resource.Log);
+  check "the loop condition does not reach the sink" false
+    (has_path facts Resource.Icc Resource.Log)
+
+let test_loop_guard_if_nez () =
+  let apk =
+    service_apk ~name:"S" ~perms:[ Permission.send_sms ]
+      [
+        B.meth ~name:"onStartCommand" ~params:1 (fun b ->
+            let num = B.get_string_extra b 0 ~key:"n" in
+            loop b (fun () ->
+                let res = B.check_calling_permission b Permission.send_sms in
+                let denied = B.fresh_label b in
+                let granted = B.fresh_label b in
+                B.if_nez b res granted;
+                B.goto b denied;
+                B.place_label b granted;
+                B.send_text_message b ~number:num ~body:num;
+                B.place_label b denied));
+      ]
+  in
+  let facts = facts_of apk "S" in
+  check "sink in the loop body reports its path" true
+    (has_path facts Resource.Icc Resource.Sms);
+  check "if-nez check in the loop body guards the sink" true
+    (List.mem Permission.send_sms (guards_of facts))
+
+(* --- block boundaries ----------------------------------------------------------- *)
+
+(* [split_blocks rand apk] inserts [goto L; :L] before about a quarter
+   of the instructions of every method, never before a move-result
+   (which must follow its invoke).  Each insertion ends a block and
+   starts a new one without changing what any path computes. *)
+let split_blocks rand (apk : Apk.t) =
+  let fresh = ref 0 in
+  let split (m : Ir.meth) =
+    let body =
+      Array.to_list m.Ir.body
+      |> List.concat_map (fun instr ->
+             match instr with
+             | Ir.Move_result _ -> [ instr ]
+             | _ when Random.State.int rand 4 > 0 -> [ instr ]
+             | _ ->
+                 incr fresh;
+                 let l = Printf.sprintf "split.%d" !fresh in
+                 [ Ir.Goto l; Ir.Label l; instr ])
+    in
+    Ir.make_method ~name:m.Ir.mname ~n_params:m.Ir.n_params ~n_regs:m.Ir.n_regs
+      (Array.of_list body)
+  in
+  Apk.make ~manifest:apk.Apk.manifest
+    ~classes:
+      (List.map
+         (fun (c : Ir.cls) -> { c with Ir.methods = List.map split c.Ir.methods })
+         apk.Apk.classes)
+
+(* Every Table I case app, every FlowBench app and the first 200 apps of
+   the seed-2016 corpus. *)
+let split_corpus =
+  lazy
+    (List.concat_map
+       (fun (c : Separ_suites.Case.t) -> c.Separ_suites.Case.apks)
+       (Separ_suites.Table1.all_cases ())
+    @ List.map
+        (fun (c : Separ_suites.Flowbench.case) -> c.Separ_suites.Flowbench.fb_apk)
+        (Separ_suites.Flowbench.all ())
+    @
+    let module G = Separ_workload.Generator in
+    let first = { (List.hd G.default_profiles) with G.count = 200 } in
+    G.generate ~seed:2016 ~profiles:[ first ] ()
+    |> List.map (fun (g : G.generated) -> g.G.apk))
+
+let component_facts apk =
+  List.map
+    (fun comp -> Interp.analyze_component apk comp)
+    apk.Apk.manifest.Manifest.components
+
+let qcheck_block_splits_keep_facts =
+  QCheck.Test.make ~name:"block splits keep the facts" ~count:5 QCheck.int
+    (fun seed ->
+      let rand = Random.State.make [| seed |] in
+      List.for_all
+        (fun apk ->
+          component_facts (split_blocks rand apk) = component_facts apk
+          || QCheck.Test.fail_reportf "facts of %s changed" (Apk.package apk))
+        (Lazy.force split_corpus))
+
 let extra_tests =
   [
     Alcotest.test_case "recursion terminates" `Quick
       test_recursive_program_terminates;
     Alcotest.test_case "guard intersection across callers" `Quick
       test_guard_intersection_across_callers;
-    Alcotest.test_case "sparse state: taint on one branch" `Quick
-      test_sparse_taint_one_branch;
-    Alcotest.test_case "sparse state: overwrite with bottom" `Quick
-      test_sparse_overwrite_with_bottom;
-    Alcotest.test_case "sparse state: guard in a high register" `Quick
-      test_sparse_guard_in_high_register;
+    Alcotest.test_case "wide register file: taint on one branch" `Quick
+      test_wide_taint_one_branch;
+    Alcotest.test_case "wide register file: overwrite with bottom" `Quick
+      test_wide_overwrite_with_bottom;
+    Alcotest.test_case "wide register file: guard in a high register" `Quick
+      test_wide_guard_in_high_register;
+    Alcotest.test_case "loop: reassigned string reaches a send" `Quick
+      test_loop_reassigned_string;
+    Alcotest.test_case "loop: taint on the second iteration" `Quick
+      test_loop_taint_second_iteration;
+    Alcotest.test_case "loop: if-nez guard in the body" `Quick
+      test_loop_guard_if_nez;
+    QCheck_alcotest.to_alcotest qcheck_block_splits_keep_facts;
   ]
 
 let tests = tests @ extra_tests
