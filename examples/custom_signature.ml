@@ -56,7 +56,7 @@ let chatty_app () =
         B.cls ~name:"Announcer"
           [
             B.meth ~name:"onCreate" ~params:1 (fun b ->
-                let v = B.get_contacts b in
+                let v = B.source_call b Resource.Contacts in
                 let i = B.new_intent b in
                 B.set_action b i "com.example.contacts.SYNCED";
                 B.put_extra b i ~key:"book" ~value:v;

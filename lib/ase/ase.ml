@@ -33,7 +33,6 @@ module Log = Separ_obs.Log
 module Pool = Separ_exec.Pool
 
 let c_scenarios = Metrics.counter "ase.scenarios"
-let c_blocked = Metrics.counter "ase.blocked_models"
 let c_signatures = Metrics.counter "ase.signatures_run"
 let c_degraded = Metrics.counter "ase.degraded_signatures"
 
@@ -66,23 +65,6 @@ type sig_result = {
   sr_stats : Solve.stats;
 }
 
-(* What one signature cost on top of the shared base its solver already
-   held (all zeros for a verdict replayed from the persistent cache). *)
-type sig_delta = {
-  sd_kind : string; (* signature name *)
-  sd_vars : int;
-  sd_clauses : int;
-  sd_gates : int;
-  sd_cache_hits : int; (* translate expr-cache *)
-  sd_cache_misses : int;
-  sd_hc_hits : int; (* circuit hash-cons *)
-  sd_hc_misses : int;
-  sd_reused_clauses : int; (* already in the solver at session start *)
-  sd_reused_learnts : int; (* learnt clauses carried over *)
-  sd_construction_ms : float;
-  sd_solving_ms : float;
-}
-
 type report = {
   r_stats : Bundle.stats;
   r_vulnerabilities : vulnerability list;
@@ -94,7 +76,9 @@ type report = {
   r_clauses : int;
   r_solver : Separ_sat.Solver.stats_record;
   (* CDCL counters aggregated over the shared per-config solvers *)
-  r_sig_deltas : sig_delta list; (* per signature, in signature order *)
+  r_sig_deltas : (string * Solve.stats) list;
+  (* per signature, in signature order: what its session added on top of
+     the shared base ([Solve.empty_stats] for a replayed verdict) *)
   r_cache : (string * int) list;
   (* persistent-cache counters (hits, misses, stores, evictions,
      corrupt), sorted by name; [] when no cache was used *)
@@ -146,7 +130,6 @@ let enumerate_signature ~limit (sig_ : Signatures.t) (env : Encode.env)
             | Solve.Sat inst ->
                 Solve.block_on session witness_rels;
                 Metrics.incr c_scenarios;
-                Metrics.incr c_blocked;
                 Some (Ok (Signatures.decode sig_ env inst)))
       with
       | None -> (List.rev acc, false, Complete)
@@ -220,26 +203,6 @@ type cached_verdict = {
   cv_truncated : bool;
 }
 
-let zero_solve_stats =
-  Solve.
-    {
-      translation_ms = 0.0;
-      solving_ms = 0.0;
-      n_vars = 0;
-      n_clauses = 0;
-      n_gates = 0;
-      delta_vars = 0;
-      delta_clauses = 0;
-      delta_gates = 0;
-      cache_hits = 0;
-      cache_misses = 0;
-      hc_hits = 0;
-      hc_misses = 0;
-      reused_clauses = 0;
-      reused_learnts = 0;
-      solver = Separ_sat.Solver.empty_stats;
-    }
-
 (* The per-(bundle, signature) cache key: the encoded problem projected
    onto the signature's relation support ({!Encode.problem_fingerprint}),
    plus everything else that can change the verdict — encode + verdict
@@ -274,8 +237,6 @@ type shard_result = {
   sh_items : item list; (* one per signature, in shard order *)
   (* totals of the shard's shared solvers, snapshotted after the last
      signature — per-signature sums would double-count the shared base *)
-  sh_vars : int;
-  sh_clauses : int;
   sh_solver : Separ_sat.Solver.stats_record;
   sh_base_ms : float; (* base translation time, paid once per config *)
   sh_pid : int; (* the process that ran the shard *)
@@ -370,7 +331,7 @@ let run_shard ~limit ?budget ~cache bundle (sigs : Signatures.t list) =
                           sr_scenarios = cv.cv_scenarios;
                           sr_truncated = cv.cv_truncated;
                           sr_outcome = Complete;
-                          sr_stats = zero_solve_stats;
+                          sr_stats = Solve.empty_stats;
                         }
                   | None ->
                       let sr = solve sig_ env formula base in
@@ -398,11 +359,8 @@ let run_shard ~limit ?budget ~cache bundle (sigs : Signatures.t list) =
       sigs
   in
   let built = built () in
-  let sum f = List.fold_left (fun acc b -> acc + f (Solve.base_solver b)) 0 in
   {
     sh_items = items;
-    sh_vars = sum Separ_sat.Solver.n_vars built;
-    sh_clauses = sum Separ_sat.Solver.n_clauses built;
     sh_solver =
       List.fold_left
         (fun acc b -> Separ_sat.Solver.sum_stats acc (Solve.base_stats b))
@@ -427,22 +385,6 @@ let partition_contiguous k xs =
       List.filteri (fun j _ -> j >= start i && j < start (i + 1)) xs)
 
 (* --- reports --------------------------------------------------------------- *)
-
-let delta_of name (st : Solve.stats) =
-  {
-    sd_kind = name;
-    sd_vars = st.Solve.delta_vars;
-    sd_clauses = st.Solve.delta_clauses;
-    sd_gates = st.Solve.delta_gates;
-    sd_cache_hits = st.Solve.cache_hits;
-    sd_cache_misses = st.Solve.cache_misses;
-    sd_hc_hits = st.Solve.hc_hits;
-    sd_hc_misses = st.Solve.hc_misses;
-    sd_reused_clauses = st.Solve.reused_clauses;
-    sd_reused_learnts = st.Solve.reused_learnts;
-    sd_construction_ms = st.Solve.translation_ms;
-    sd_solving_ms = st.Solve.solving_ms;
-  }
 
 (* One bundle's report from the pool results of its shards, in shard
    order.  A shard whose worker died leaves every one of its signatures
@@ -479,7 +421,7 @@ let bundle_report ~signatures ~r_cache bundle shards results =
                degrade name ("worker_crashed: " ^ msg);
                []
            | Computed sr ->
-               deltas := delta_of name sr.sr_stats :: !deltas;
+               deltas := (name, sr.sr_stats) :: !deltas;
                if sr.sr_outcome = Budget_exhausted then
                  degrade name "budget_exhausted";
                if sr.sr_truncated then truncated := name :: !truncated;
@@ -495,7 +437,11 @@ let bundle_report ~signatures ~r_cache bundle shards results =
   in
   let deltas = List.rev !deltas in
   let sum f xs = List.fold_left (fun acc x -> acc +. f x) 0.0 xs in
-  let count f = List.fold_left (fun acc sh -> acc + f sh) 0 done_ in
+  let solver =
+    List.fold_left
+      (fun acc sh -> Separ_sat.Solver.sum_stats acc sh.sh_solver)
+      Separ_sat.Solver.empty_stats done_
+  in
   {
     r_stats = Bundle.stats bundle;
     r_vulnerabilities = vulnerabilities;
@@ -504,14 +450,11 @@ let bundle_report ~signatures ~r_cache bundle shards results =
     (* construction = every base paid once + the per-signature deltas *)
     r_construction_ms =
       sum (fun sh -> sh.sh_base_ms) done_
-      +. sum (fun d -> d.sd_construction_ms) deltas;
-    r_solving_ms = sum (fun d -> d.sd_solving_ms) deltas;
-    r_vars = count (fun sh -> sh.sh_vars);
-    r_clauses = count (fun sh -> sh.sh_clauses);
-    r_solver =
-      List.fold_left
-        (fun acc sh -> Separ_sat.Solver.sum_stats acc sh.sh_solver)
-        Separ_sat.Solver.empty_stats done_;
+      +. sum (fun (_, st) -> st.Solve.translation_ms) deltas;
+    r_solving_ms = sum (fun (_, st) -> st.Solve.solving_ms) deltas;
+    r_vars = solver.Separ_sat.Solver.s_vars;
+    r_clauses = solver.Separ_sat.Solver.s_clauses;
+    r_solver = solver;
     r_sig_deltas = deltas;
     r_cache;
   }

@@ -39,23 +39,6 @@ type sig_result = {
   sr_stats : Separ_relog.Solve.stats;
 }
 
-(** What one signature cost on top of the shared base its solver already
-    held (all zeros for a verdict replayed from the persistent cache). *)
-type sig_delta = {
-  sd_kind : string;        (** signature name *)
-  sd_vars : int;
-  sd_clauses : int;
-  sd_gates : int;
-  sd_cache_hits : int;     (** translate expression-cache *)
-  sd_cache_misses : int;
-  sd_hc_hits : int;        (** circuit hash-cons *)
-  sd_hc_misses : int;
-  sd_reused_clauses : int; (** already in the solver at session start *)
-  sd_reused_learnts : int; (** learnt clauses carried over *)
-  sd_construction_ms : float;
-  sd_solving_ms : float;
-}
-
 type report = {
   r_stats : Bundle.stats;
   r_vulnerabilities : vulnerability list;
@@ -64,13 +47,18 @@ type report = {
       (** signatures whose enumeration hit the per-signature limit *)
   r_construction_ms : float;  (** translation to CNF (Table II) *)
   r_solving_ms : float;       (** SAT search (Table II) *)
-  r_vars : int;
-  r_clauses : int;
+  r_vars : int;      (** [r_solver.s_vars] *)
+  r_clauses : int;   (** [r_solver.s_clauses] *)
   r_solver : Separ_sat.Solver.stats_record;
       (** CDCL counters (conflicts, learnt-db reductions, minimized
           literals, ...) aggregated over the shared per-config solvers,
           not per-signature sums (which would double-count the base). *)
-  r_sig_deltas : sig_delta list;  (** per signature, in signature order *)
+  r_sig_deltas : (string * Separ_relog.Solve.stats) list;
+      (** per signature name, in signature order: the accounting of its
+          delta session, whose [delta_*] fields are what it added on top
+          of the shared base its solver already held
+          ({!Separ_relog.Solve.empty_stats} for a verdict replayed from
+          the persistent cache) *)
   r_cache : (string * int) list;
       (** persistent-cache counters (hits, misses, stores, evictions,
           corrupt entries, swept tmp files) of the store handle after the

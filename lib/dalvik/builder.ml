@@ -97,7 +97,6 @@ let source_call b resource =
 
 let get_location b = source_call b Resource.Location
 let get_device_id b = source_call b Resource.Imei
-let get_contacts b = source_call b Resource.Contacts
 
 let send_text_message b ~number ~body =
   invoke b (Api.mref Api.c_sms_manager "sendTextMessage") [ number; body ]

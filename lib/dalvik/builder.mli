@@ -46,7 +46,6 @@ val source_call : t -> Resource.t -> Ir.reg
 
 val get_location : t -> Ir.reg
 val get_device_id : t -> Ir.reg
-val get_contacts : t -> Ir.reg
 val send_text_message : t -> number:Ir.reg -> body:Ir.reg -> unit
 val write_log : t -> payload:Ir.reg -> unit
 

@@ -4,11 +4,14 @@
    Aluminum in the paper) shrinks the set of free tuples before decoding,
    and enumeration blocks supersets of already-seen scenarios.
 
-   Two ways to build a session:
+   Two ways to build a session, both through one constructor
+   ([open_session]) that accounts for what the session added on top of a
+   snapshot of its solver taken before its translation ran:
 
-   - [prepare]: fresh solver, full translation — the from-scratch path,
-     used by the one-shot [solve]/[enumerate] and kept as the reference
-     the tests compare ASE's shared path against.
+   - [prepare]: a fresh base over every bounded relation, opened as one
+     unguarded session whose snapshot is all zeros — the from-scratch
+     path, used by the one-shot [solve]/[enumerate] and kept as the
+     reference the tests compare ASE's shared path against.
    - [prepare_base] + [attach]: one shared solver/translation per bundle
      (the "base"), with each signature's delta formulas asserted under an
      activation literal and solved as an assumption, so the base encoding
@@ -45,8 +48,25 @@ type stats = {
   (* carried over from earlier sessions on the same solver *)
   reused_clauses : int;
   reused_learnts : int;
-  solver : Separ_sat.Solver.stats_record;
 }
+
+let empty_stats =
+  {
+    translation_ms = 0.0;
+    solving_ms = 0.0;
+    n_vars = 0;
+    n_clauses = 0;
+    n_gates = 0;
+    delta_vars = 0;
+    delta_clauses = 0;
+    delta_gates = 0;
+    cache_hits = 0;
+    cache_misses = 0;
+    hc_hits = 0;
+    hc_misses = 0;
+    reused_clauses = 0;
+    reused_learnts = 0;
+  }
 
 type session = {
   problem : problem;
@@ -103,23 +123,16 @@ let c_hc_misses = Metrics.counter "relog.hashcons_misses"
 let c_cache_hits = Metrics.counter "relog.translate_cache_hits"
 let c_cache_misses = Metrics.counter "relog.translate_cache_misses"
 
-(* A snapshot of the sharing counters, for delta accounting around one
-   translation phase. *)
-let sharing_counts translation =
-  let hc_h, hc_m =
-    Circuit.hashcons_counts translation.Translate.circuit
-  in
-  let tc_h, tc_m = Translate.cache_counts translation in
-  (hc_h, hc_m, tc_h, tc_m)
-
-let publish_sharing ~before ~after =
-  let hc_h0, hc_m0, tc_h0, tc_m0 = before
-  and hc_h1, hc_m1, tc_h1, tc_m1 = after in
+(* Formula sizes after a translation phase, and the sharing it saw. *)
+let publish st =
+  Metrics.set g_gates (float_of_int st.n_gates);
+  Metrics.set g_cnf_vars (float_of_int st.n_vars);
+  Metrics.set g_cnf_clauses (float_of_int st.n_clauses);
   if Metrics.is_enabled () then begin
-    Metrics.add c_hc_hits (hc_h1 - hc_h0);
-    Metrics.add c_hc_misses (hc_m1 - hc_m0);
-    Metrics.add c_cache_hits (tc_h1 - tc_h0);
-    Metrics.add c_cache_misses (tc_m1 - tc_m0)
+    Metrics.add c_hc_hits st.hc_hits;
+    Metrics.add c_hc_misses st.hc_misses;
+    Metrics.add c_cache_hits st.cache_hits;
+    Metrics.add c_cache_misses st.cache_misses
   end
 
 (* Deterministic soft-variable order: relations in bound (id) order, each
@@ -130,97 +143,15 @@ let publish_sharing ~before ~after =
 let soft_of_rels translation rels =
   List.concat_map (Translate.soft_vars_of translation) rels
 
-(* Translation proper, shared by [prepare] and [prepare_base]: bound
-   matrices for [rels], formula -> circuit, Tseitin encoding, with
-   per-phase trace spans. *)
-let translate_into solver ~rels problem =
-  Trace.timed "relog.translate" (fun () ->
-      let tr =
-        Trace.with_span "relog.bounds" (fun () ->
-            Translate.create ~rels problem.bounds solver)
-      in
-      let gates =
-        Trace.with_span "relog.circuit" (fun () ->
-            List.map (Translate.gate_of_formula tr) problem.constraints)
-      in
-      Trace.with_span "relog.tseitin" (fun () ->
-          List.iter (Translate.assert_gate tr) gates);
-      Trace.add_attr "gates"
-        (Trace.Int (Circuit.gate_count tr.Translate.circuit));
-      Trace.add_attr "cnf_vars"
-        (Trace.Int (Separ_sat.Solver.n_vars solver));
-      Trace.add_attr "cnf_clauses"
-        (Trace.Int (Separ_sat.Solver.n_clauses solver));
-      tr)
+(* --- sessions ---------------------------------------------------------------- *)
 
-let publish_sizes translation solver =
-  Metrics.set g_gates
-    (float_of_int (Circuit.gate_count translation.Translate.circuit));
-  Metrics.set g_cnf_vars (float_of_int (Separ_sat.Solver.n_vars solver));
-  Metrics.set g_cnf_clauses
-    (float_of_int (Separ_sat.Solver.n_clauses solver))
-
-(* Translation is traced in its three phases: bound-matrix allocation
-   (one solver variable per free tuple), formula -> circuit evaluation,
-   and Tseitin encoding of the asserted gates into CNF.  [budget], if
-   given, bounds the *whole session*: conflicts and wall-clock time are
-   metered across every subsequent solve (including minimization), and a
-   solve past the budget answers [Unknown]. *)
-let prepare ?(budget = Separ_sat.Solver.no_budget) problem =
-  let solver = Separ_sat.Solver.create () in
-  let decode_rels = Bounds.relations problem.bounds in
-  let translation, translation_ms =
-    translate_into solver ~rels:decode_rels problem
-  in
-  Metrics.incr c_translations;
-  publish_sharing
-    ~before:(0, 0, 0, 0)
-    ~after:(sharing_counts translation);
-  publish_sizes translation solver;
-  let soft = soft_of_rels translation decode_rels in
-  let hc_hits, hc_misses = Circuit.hashcons_counts translation.Translate.circuit in
-  let cache_hits, cache_misses = Translate.cache_counts translation in
-  let n_vars = Separ_sat.Solver.n_vars solver in
-  let n_clauses = Separ_sat.Solver.n_clauses solver in
-  let n_gates = Circuit.gate_count translation.Translate.circuit in
-  {
-    problem;
-    translation;
-    solver;
-    soft;
-    act = None;
-    decode_rels;
-    budget;
-    conflicts0 = Separ_sat.Solver.n_conflicts solver;
-    started = Unix.gettimeofday ();
-    stats =
-      {
-        translation_ms;
-        solving_ms = 0.0;
-        n_vars;
-        n_clauses;
-        n_gates;
-        delta_vars = n_vars;
-        delta_clauses = n_clauses;
-        delta_gates = n_gates;
-        cache_hits;
-        cache_misses;
-        hc_hits;
-        hc_misses;
-        reused_clauses = 0;
-        reused_learnts = 0;
-        solver = Separ_sat.Solver.stats_record solver;
-      };
-  }
-
-(* --- shared base sessions (the incremental path) -------------------------- *)
-
-(* One solver + translation per bundle, holding the bundle-common bounds
-   and constraints.  Signatures then [attach] their delta formulas under
-   an activation literal.  The base is built over the relations [rels]
-   the caller names, not over whatever [Bounds.t] holds when it is built:
-   callers grow the shared bounds with per-signature witness relations,
-   possibly before the base is built, and those belong to attaches. *)
+(* One solver + translation, holding the bounds and constraints common to
+   every session opened on it.  For ASE that is one bundle's encoding,
+   and signatures [attach] their delta formulas under an activation
+   literal.  The base is built over the relations [rels] the caller
+   names, not over whatever [Bounds.t] holds when it is built: callers
+   grow the shared bounds with per-signature witness relations, possibly
+   before the base is built, and those belong to attaches. *)
 type base = {
   b_problem : problem;
   b_translation : Translate.t;
@@ -230,26 +161,123 @@ type base = {
   b_translation_ms : float;
 }
 
+(* What the base holds right now, as a [stats] record: formula sizes and
+   sharing counters as totals, and the clauses and learnt clauses in its
+   solver as what a session opened now would reuse.  A fresh solver's
+   snapshot is [empty_stats]. *)
+let snapshot base =
+  let translation = base.b_translation and solver = base.b_solver in
+  let hc_hits, hc_misses =
+    Circuit.hashcons_counts translation.Translate.circuit
+  in
+  let cache_hits, cache_misses = Translate.cache_counts translation in
+  let n_clauses = Separ_sat.Solver.n_clauses solver in
+  {
+    empty_stats with
+    n_vars = Separ_sat.Solver.n_vars solver;
+    n_clauses;
+    n_gates = Circuit.gate_count translation.Translate.circuit;
+    cache_hits;
+    cache_misses;
+    hc_hits;
+    hc_misses;
+    reused_clauses = n_clauses;
+    reused_learnts =
+      (Separ_sat.Solver.stats_record solver).Separ_sat.Solver.s_learnts;
+  }
+
+(* Translation is traced in its three phases: bound-matrix allocation
+   (one solver variable per free tuple of [rels]), formula -> circuit
+   evaluation, and Tseitin encoding of the asserted gates into CNF. *)
 let prepare_base ~rels problem =
   let solver = Separ_sat.Solver.create () in
-  let translation, b_translation_ms = translate_into solver ~rels problem in
+  let translation, b_translation_ms =
+    Trace.timed "relog.translate" (fun () ->
+        let tr =
+          Trace.with_span "relog.bounds" (fun () ->
+              Translate.create ~rels problem.bounds solver)
+        in
+        let gates =
+          Trace.with_span "relog.circuit" (fun () ->
+              List.map (Translate.gate_of_formula tr) problem.constraints)
+        in
+        Trace.with_span "relog.tseitin" (fun () ->
+            List.iter (Translate.assert_gate tr) gates);
+        Trace.add_attr "gates"
+          (Trace.Int (Circuit.gate_count tr.Translate.circuit));
+        Trace.add_attr "cnf_vars"
+          (Trace.Int (Separ_sat.Solver.n_vars solver));
+        Trace.add_attr "cnf_clauses"
+          (Trace.Int (Separ_sat.Solver.n_clauses solver));
+        tr)
+  in
   Metrics.incr c_translations;
-  publish_sharing
-    ~before:(0, 0, 0, 0)
-    ~after:(sharing_counts translation);
-  publish_sizes translation solver;
-  {
-    b_problem = problem;
-    b_translation = translation;
-    b_solver = solver;
-    b_rels = rels;
-    b_soft = soft_of_rels translation rels;
-    b_translation_ms;
-  }
+  let base =
+    {
+      b_problem = problem;
+      b_translation = translation;
+      b_solver = solver;
+      b_rels = rels;
+      b_soft = soft_of_rels translation rels;
+      b_translation_ms;
+    }
+  in
+  (* from a fresh solver, the totals are what this translation saw *)
+  publish (snapshot base);
+  base
 
 let base_solver base = base.b_solver
 let base_stats base = Separ_sat.Solver.stats_record base.b_solver
 let base_translation_ms base = base.b_translation_ms
+
+(* The one session constructor: a session over [base] plus the delta
+   relations [rels] and [constraints] just translated into it, guarded by
+   [act] if any.  [before] is the base's {!snapshot} from before that
+   translation ([empty_stats] for a fresh solver), so what the session
+   added is the snapshot now minus [before], and what it reuses is
+   [before]'s. *)
+let open_session ~budget base ~before ~act ~rels ~constraints ~translation_ms
+    =
+  let now = snapshot base in
+  {
+    problem =
+      {
+        bounds = base.b_problem.bounds;
+        constraints = base.b_problem.constraints @ constraints;
+      };
+    translation = base.b_translation;
+    solver = base.b_solver;
+    soft = base.b_soft @ soft_of_rels base.b_translation rels;
+    act;
+    decode_rels = base.b_rels @ rels;
+    budget;
+    conflicts0 = Separ_sat.Solver.n_conflicts base.b_solver;
+    started = Unix.gettimeofday ();
+    stats =
+      {
+        now with
+        translation_ms;
+        delta_vars = now.n_vars - before.n_vars;
+        delta_clauses = now.n_clauses - before.n_clauses;
+        delta_gates = now.n_gates - before.n_gates;
+        cache_hits = now.cache_hits - before.cache_hits;
+        cache_misses = now.cache_misses - before.cache_misses;
+        hc_hits = now.hc_hits - before.hc_hits;
+        hc_misses = now.hc_misses - before.hc_misses;
+        reused_clauses = before.reused_clauses;
+        reused_learnts = before.reused_learnts;
+      };
+  }
+
+(* A fresh base over every bounded relation, opened as one unguarded
+   session that owns all of it.  [budget], if given, bounds the *whole
+   session*: conflicts and wall-clock time are metered across every
+   subsequent solve (including minimization), and a solve past the
+   budget answers [Unknown]. *)
+let prepare ?(budget = Separ_sat.Solver.no_budget) problem =
+  let base = prepare_base ~rels:(Bounds.relations problem.bounds) problem in
+  open_session ~budget base ~before:empty_stats ~act:None ~rels:[]
+    ~constraints:[] ~translation_ms:base.b_translation_ms
 
 (* Attach one signature's delta to the base: [rels] are the relations
    the caller bounded into the base's [Bounds.t] since the last attach
@@ -264,11 +292,7 @@ let base_translation_ms base = base.b_translation_ms
    solver has a single activation slot). *)
 let attach ?(budget = Separ_sat.Solver.no_budget) base ~rels ~constraints =
   let solver = base.b_solver and translation = base.b_translation in
-  let vars0 = Separ_sat.Solver.n_vars solver in
-  let clauses0 = Separ_sat.Solver.n_clauses solver in
-  let gates0 = Circuit.gate_count translation.Translate.circuit in
-  let learnts0 = (Separ_sat.Solver.stats_record solver).Separ_sat.Solver.s_learnts in
-  let sharing0 = sharing_counts translation in
+  let before = snapshot base in
   let act, translation_ms =
     Trace.timed "relog.attach" (fun () ->
         Trace.with_span "relog.bounds" (fun () ->
@@ -287,46 +311,12 @@ let attach ?(budget = Separ_sat.Solver.no_budget) base ~rels ~constraints =
         act)
   in
   Metrics.incr c_attaches;
-  publish_sharing ~before:sharing0 ~after:(sharing_counts translation);
-  publish_sizes translation solver;
-  let hc_h0, hc_m0, tc_h0, tc_m0 = sharing0 in
-  let hc_h1, hc_m1, tc_h1, tc_m1 = sharing_counts translation in
-  let n_vars = Separ_sat.Solver.n_vars solver in
-  let n_clauses = Separ_sat.Solver.n_clauses solver in
-  let n_gates = Circuit.gate_count translation.Translate.circuit in
-  {
-    problem =
-      {
-        bounds = base.b_problem.bounds;
-        constraints = base.b_problem.constraints @ constraints;
-      };
-    translation;
-    solver;
-    soft = base.b_soft @ soft_of_rels translation rels;
-    act = Some act;
-    decode_rels = base.b_rels @ rels;
-    budget;
-    conflicts0 = Separ_sat.Solver.n_conflicts solver;
-    started = Unix.gettimeofday ();
-    stats =
-      {
-        translation_ms;
-        solving_ms = 0.0;
-        n_vars;
-        n_clauses;
-        n_gates;
-        delta_vars = n_vars - vars0;
-        delta_clauses = n_clauses - clauses0;
-        delta_gates = n_gates - gates0;
-        cache_hits = tc_h1 - tc_h0;
-        cache_misses = tc_m1 - tc_m0;
-        hc_hits = hc_h1 - hc_h0;
-        hc_misses = hc_m1 - hc_m0;
-        reused_clauses = clauses0;
-        reused_learnts = learnts0;
-        solver = Separ_sat.Solver.stats_record solver;
-      };
-  }
+  let session =
+    open_session ~budget base ~before ~act:(Some act) ~rels ~constraints
+      ~translation_ms
+  in
+  publish session.stats;
+  session
 
 (* End an attached session: retiring the activation literal adds the
    unit clause [-act], permanently satisfying every clause the session
@@ -398,11 +388,7 @@ let next ?(minimal = true) session =
         r)
   in
   session.stats <-
-    {
-      session.stats with
-      solving_ms = session.stats.solving_ms +. ms;
-      solver = Separ_sat.Solver.stats_record session.solver;
-    };
+    { session.stats with solving_ms = session.stats.solving_ms +. ms };
   refresh_counts session;
   result
 

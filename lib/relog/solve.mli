@@ -5,9 +5,9 @@
     reproduce Aluminum's behaviour.
 
     Sessions come in two flavours with identical observable behaviour:
-    {!prepare} translates into a fresh solver, while {!prepare_base} +
-    {!attach} share one solver and translation across several delta
-    sessions (SEPAR's incremental ASE path: the bundle encoding is paid
+    {!prepare} translates into a fresh solver and owns all of it, while
+    {!prepare_base} + {!attach} share one solver and translation across
+    several delta sessions (SEPAR's incremental ASE path: the bundle encoding is paid
     once, signature formulas ride on activation-literal assumptions, and
     CDCL learning persists).  Minimization is canonical — the answer
     depends only on the constraints, never on solver search state — so
@@ -39,10 +39,11 @@ type stats = {
   reused_learnts : int;
       (** learnt clauses carried over from earlier sessions on the same
           solver *)
-  solver : Separ_sat.Solver.stats_record;
-      (** CDCL counters (conflicts, learnt-db reductions, ...), snapshotted
-          after each solve *)
 }
+
+(** All zeros: the accounting of a solve that did not run (ASE's
+    verdicts replayed from the persistent cache). *)
+val empty_stats : stats
 
 (** A prepared problem: translation done, solver loaded. *)
 type session

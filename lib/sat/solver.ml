@@ -1072,13 +1072,3 @@ let sum_stats a b =
     s_act_live = a.s_act_live + b.s_act_live;
     s_act_retired = a.s_act_retired + b.s_act_retired;
   }
-
-let stats t =
-  let s = stats_record t in
-  Printf.sprintf
-    "vars=%d clauses=%d learnts=%d (peak %d) conflicts=%d decisions=%d \
-     props=%d restarts=%d reduce_db=%d deleted=%d minimized_lits=%d \
-     act_vars=%d+%d"
-    s.s_vars s.s_clauses s.s_learnts s.s_peak_learnts s.s_conflicts
-    s.s_decisions s.s_propagations s.s_restarts s.s_db_reductions
-    s.s_learnts_deleted s.s_lits_minimized s.s_act_live s.s_act_retired

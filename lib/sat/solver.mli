@@ -116,6 +116,3 @@ val empty_stats : stats_record
 
 (** Aggregate two records: counters add, high-water marks take the max. *)
 val sum_stats : stats_record -> stats_record -> stats_record
-
-(** One-line statistics summary (variables, clauses, conflicts, ...). *)
-val stats : t -> string

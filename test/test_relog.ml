@@ -489,6 +489,51 @@ let test_shared_base_matches_prepare () =
       Solve.detach session)
     paper_deltas
 
+let test_session_accounting () =
+  (* Both session flavours account against a snapshot of the solver
+     taken before their translation: zeros for [prepare], so its deltas
+     are its totals and it reuses nothing; the base as it stood for
+     [attach], so it reuses exactly what the base held then. *)
+  let problem, (application, component, cmps) = paper_problem no_extra in
+  let st = Solve.stats (Solve.prepare problem) in
+  check_int "prepare: delta_vars = n_vars" st.Solve.n_vars st.Solve.delta_vars;
+  check_int "prepare: delta_clauses = n_clauses" st.Solve.n_clauses
+    st.Solve.delta_clauses;
+  check_int "prepare: delta_gates = n_gates" st.Solve.n_gates
+    st.Solve.delta_gates;
+  check_int "prepare: reused_clauses = 0" 0 st.Solve.reused_clauses;
+  check_int "prepare: reused_learnts = 0" 0 st.Solve.reused_learnts;
+  let base =
+    Solve.prepare_base ~rels:(Bounds.relations problem.Solve.bounds) problem
+  in
+  let solver = Solve.base_solver base in
+  let reused =
+    List.map
+      (fun (name, delta) ->
+        let clauses0 = Separ_sat.Solver.n_clauses solver in
+        let vars0 = Separ_sat.Solver.n_vars solver in
+        let learnts0 = (Solve.base_stats base).Separ_sat.Solver.s_learnts in
+        let session =
+          Solve.attach base ~rels:[]
+            ~constraints:(delta application component cmps)
+        in
+        let st = Solve.stats session in
+        check_int (name ^ ": reused_clauses = the base's clauses") clauses0
+          st.Solve.reused_clauses;
+        check_int (name ^ ": reused_learnts = the base's learnts") learnts0
+          st.Solve.reused_learnts;
+        check_int (name ^ ": delta_vars = what the attach added")
+          (st.Solve.n_vars - vars0) st.Solve.delta_vars;
+        check_int (name ^ ": delta_clauses = what the attach added")
+          (st.Solve.n_clauses - clauses0) st.Solve.delta_clauses;
+        ignore (drain session [ application; component; cmps ]);
+        Solve.detach session;
+        clauses0)
+      paper_deltas
+  in
+  check "later attaches found a grown base" true
+    (List.hd (List.rev reused) > List.hd reused)
+
 let test_detach_retires_delta () =
   (* An attached delta and its blocking clauses hold for that session
      only: after [detach] the base answers as if they were never there. *)
@@ -900,6 +945,8 @@ let tests =
       test_budget_unknown_propagates;
     Alcotest.test_case "shared base matches prepare" `Quick
       test_shared_base_matches_prepare;
+    Alcotest.test_case "session accounting against its snapshot" `Quick
+      test_session_accounting;
     Alcotest.test_case "detach retires the delta" `Quick
       test_detach_retires_delta;
     Alcotest.test_case "attach binds new relations" `Quick
